@@ -30,7 +30,7 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--tol", type=float, default=1e-10)
     parser.add_argument(
-        "--fractions", default="0.1,0.3,0.5,0.7,0.9,0.97",
+        "--fractions", default="0.1,0.3,0.5,0.7,0.9,0.97,0.99,0.999",
         help="comma-separated fractions of the critical threshold",
     )
     args = parser.parse_args()
@@ -59,7 +59,7 @@ def main() -> int:
         measured = operator_norm(direct - m_inv)
         promised = q ** cert.series_terms_for_tol / (1.0 - q)
         flag = "" if measured <= promised + 1e-12 else "  <-- VIOLATED"
-        print(f"{frac:>9.2f} {q:>12.6f} {cert.series_terms_for_tol:>6} "
+        print(f"{frac:>9.3f} {q:>12.6f} {cert.series_terms_for_tol:>6} "
               f"{measured:>12.3e} {promised:>12.3e}{flag}")
     return 0
 

@@ -587,7 +587,8 @@ def build_parser() -> _Parser:
     p.add_argument("method", choices=["bijection", "dual-neumann", "canonical",
                                       "bessel-perturb", "mu-perturb", "dual-mu"])
     p.add_argument("--tol", type=float, default=TAU_INV,
-                   help="series truncation tolerance")
+                   help="series tolerance: bounds ||M^-1 - X||_2 through the "
+                        "geometric tail")
     p.add_argument("--mu", type=float, default=None,
                    help="override the computed perturbation bound")
     p.add_argument("--swapped", action="store_true",

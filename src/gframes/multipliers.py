@@ -7,6 +7,11 @@ corresponding inverse (directly or as a truncated operator series) and
 returns a certificate: the checked quantities, a rigorous bracket for
 ||M^-1||, the number of series terms spent, and the achieved residual
 ||M M^-1 - I||.
+
+Every series route checks its hypothesis, which yields a base, a ratio
+R and a contraction q >= ||R|| with M^-1 = sum_k R^k base, then sums
+the n terms with ||base|| q^n/(1-q) <= tol, so `tol` bounds
+||M^-1 - X||_2 through the geometric tail.
 """
 
 from __future__ import annotations
@@ -175,27 +180,20 @@ def _geometric_terms(contraction: float, tol: float) -> int:
     return n
 
 
-def _power_series_sum(matrix: np.ndarray, n_terms: int) -> np.ndarray:
-    total = np.eye(matrix.shape[0], dtype=np.complex128)
-    term = np.eye(matrix.shape[0], dtype=np.complex128)
-    for _ in range(n_terms - 1):
-        term = term @ matrix
-        total = total + term
+def _series_sum(base: np.ndarray, ratio: np.ndarray, n_terms: int) -> np.ndarray:
+    """sum_{k<n} ratio^k @ base in O(log n) products.
+
+    Binary splitting over the bits of n, carrying ratio^m alongside the
+    partial sum S_m: S_2m = S_m + ratio^m S_m and S_m+1 = base + ratio S_m.
+    """
+    total, power = base, ratio
+    for bit in bin(n_terms)[3:]:
+        total = total + power @ total
+        power = power @ power
+        if bit == "1":
+            total = base + ratio @ total
+            power = power @ ratio
     return total
-
-
-def _preconditioned_series(base: np.ndarray, ratio: np.ndarray, tol: float):
-    """sum_k ratio^k @ base, stopping once the new increment drops below tol."""
-    increment = base.copy()
-    total = base.copy()
-    for count in range(2, MAX_SERIES_TERMS + 2):
-        increment = ratio @ increment
-        total = total + increment
-        if frobenius_norm(increment) <= tol:
-            return total, count
-    raise MaxIterations(
-        f"series increment never fell below {tol:.1e} within {MAX_SERIES_TERMS} terms"
-    )
 
 
 def _residual(m_mat: np.ndarray, m_inv: np.ndarray) -> float:
@@ -251,12 +249,10 @@ def invert_via_bijection(weights, frame: GFrame, g_matrix):
     return m_inv, cert
 
 
-def _dual_neumann_core(w, frame, dual, contraction, tol, swapped, proposition, hvals):
-    first, second = (dual, frame) if swapped else (frame, dual)
-    m_mat = multiplier(w, first, second)
-    n_mat = multiplier(WeightSequence(1.0 - w.values), first, second)
+def _neumann_inverse(m_mat, n_mat, contraction, tol, proposition, hvals):
+    """M^-1 = sum_k N^k for N = I - M with ||N|| <= contraction < 1."""
     n_terms = _geometric_terms(contraction, tol)
-    m_inv = _power_series_sum(n_mat, n_terms)
+    m_inv = _series_sum(np.eye(m_mat.shape[0], dtype=np.complex128), n_mat, n_terms)
     cert = MultiplierCertificate(
         proposition=proposition,
         hypothesis_values={**hvals, "contraction": contraction},
@@ -266,6 +262,13 @@ def _dual_neumann_core(w, frame, dual, contraction, tol, swapped, proposition, h
         residual=_residual(m_mat, m_inv),
     )
     return m_inv, cert
+
+
+def _dual_neumann_core(w, frame, dual, contraction, tol, swapped, proposition, hvals):
+    first, second = (dual, frame) if swapped else (frame, dual)
+    m_mat = multiplier(w, first, second)
+    n_mat = multiplier(WeightSequence(1.0 - w.values), first, second)
+    return _neumann_inverse(m_mat, n_mat, contraction, tol, proposition, hvals)
 
 
 def invert_dual_neumann(weights, frame: GFrame, dual: GFrame,
@@ -331,7 +334,8 @@ def invert_bessel_perturb(weights, frame: GFrame, companion: GFrame,
     B_diff of the blockwise difference below A_Lambda^2/B_Lambda, and
     b/a < A_Lambda/sqrt(B_diff*B_Lambda). The inverse is the series
     sum_k [S_w^-1 (S_w -/+ M)]^k S_w^-1 preconditioned by the weighted
-    frame operator S_w, truncated when the increment drops below tol.
+    frame operator S_w, with contraction q = (b/a) sqrt(B_Lambda*B_diff)/A_Lambda
+    and ||S_w^-1|| <= 1/(a A_Lambda) setting the geometric tail.
     """
     tol = _require_tol(tol)
     w = _weights_for(frame, weights)
@@ -349,19 +353,21 @@ def invert_bessel_perturb(weights, frame: GFrame, companion: GFrame,
         blocks=tuple(t - l for t, l in zip(companion.blocks, frame.blocks)),
     )
     b_diff = frame_bounds(diff).upper
-    hvals = {"a": a_w, "b": b_w, "A_Lambda": a_l, "B_Lambda": b_l, "B_diff": b_diff}
+    spread = b_w * math.sqrt(b_l * b_diff)
+    contraction = spread / (a_w * a_l)
+    hvals = {"a": a_w, "b": b_w, "A_Lambda": a_l, "B_Lambda": b_l, "B_diff": b_diff,
+             "contraction": contraction}
     if b_diff >= a_l**2 / b_l:
         raise HypothesisFailed("B_diff < A_Lambda^2/B_Lambda", hvals)
-    if b_diff > 0.0 and b_w / a_w >= a_l / math.sqrt(b_diff * b_l):
+    if contraction >= 1.0:
         raise HypothesisFailed("b/a < A_Lambda/sqrt(B_diff*B_Lambda)", hvals)
     s_w = frame_operator(scale_blocks(frame, np.sqrt(np.abs(w.values))))
     s_w_inv = hermitian_inverse(s_w)
     first, second = (companion, frame) if swapped else (frame, companion)
     m_mat = multiplier(w, first, second)
     ratio = s_w_inv @ (s_w - sign * m_mat)
-    total, n_terms = _preconditioned_series(s_w_inv, ratio, tol)
-    m_inv = sign * total
-    spread = b_w * math.sqrt(b_l * b_diff)
+    n_terms = _geometric_terms(contraction, tol * a_w * a_l)
+    m_inv = sign * _series_sum(s_w_inv, ratio, n_terms)
     cert = MultiplierCertificate(
         proposition=Proposition.P36_BESSEL_PERTURB,
         hypothesis_values=hvals,
@@ -373,7 +379,17 @@ def invert_bessel_perturb(weights, frame: GFrame, companion: GFrame,
     return m_inv, cert
 
 
-def _validated_mu(pert: GFrame, mu: float | None, hvals: dict) -> float:
+def _validated_mu(w: WeightSequence, companion: GFrame, reference: GFrame,
+                  swapped: bool, mu: float | None, hvals: dict) -> float:
+    # the swapped multiplier sum_i m_i Theta_i* Lambda_i is M(conj m)*,
+    # so its perturbation is measured with conjugated weights
+    m = w.values.conj() if swapped else w.values
+    pert = GFrame(
+        h_dim=companion.h_dim,
+        blocks=tuple(
+            m_i * t - r for m_i, t, r in zip(m, companion.blocks, reference.blocks)
+        ),
+    )
     mu_actual = frame_bounds(pert).upper
     hvals["mu_computed"] = mu_actual
     if mu is None:
@@ -392,10 +408,12 @@ def invert_mu_perturb(weights, frame: GFrame, companion: GFrame,
                       mu: float | None = None):
     """Invert a multiplier close to the frame operator.
 
-    mu bounds sum_i ||(m_i Theta_i - Lambda_i) f||^2; the hypothesis is
-    mu < A_Lambda^2/B_Lambda. The inverse is the frame-operator
-    preconditioned series sum_k [S^-1 (S - M)]^k S^-1. A user-supplied
-    mu is accepted if it dominates the computed optimal one.
+    mu bounds sum_i ||(m_i Theta_i - Lambda_i) f||^2 (conj(m_i) when
+    `swapped`); the hypothesis is mu < A_Lambda^2/B_Lambda. The inverse
+    is the series sum_k [S^-1 (S - M)]^k S^-1, with contraction
+    q = sqrt(mu*B_Lambda)/A_Lambda and ||S^-1|| = 1/A_Lambda setting the
+    geometric tail. A user-supplied mu is accepted if it dominates the
+    computed optimal one.
     """
     tol = _require_tol(tol)
     w = _weights_for(frame, weights)
@@ -404,29 +422,25 @@ def invert_mu_perturb(weights, frame: GFrame, companion: GFrame,
     if bounds.lower <= TAU_RANK:
         raise NotAFrame("the base family must be a g-frame")
     a_l, b_l = bounds.lower, bounds.upper
-    pert = GFrame(
-        h_dim=frame.h_dim,
-        blocks=tuple(
-            m_i * t - l
-            for m_i, t, l in zip(w.values, companion.blocks, frame.blocks)
-        ),
-    )
     hvals = {"A_Lambda": a_l, "B_Lambda": b_l}
-    mu_used = _validated_mu(pert, mu, hvals)
+    mu_used = _validated_mu(w, companion, frame, swapped, mu, hvals)
     hvals["mu"] = mu_used
     if mu_used >= a_l**2 / b_l:
         raise HypothesisFailed("mu < A_Lambda^2/B_Lambda", hvals)
+    root = math.sqrt(mu_used * b_l)
+    contraction = root / a_l
+    hvals["contraction"] = contraction
     s = frame_operator(frame)
     s_inv = hermitian_inverse(s)
     first, second = (companion, frame) if swapped else (frame, companion)
     m_mat = multiplier(w, first, second)
     ratio = s_inv @ (s - m_mat)
-    m_inv, n_terms = _preconditioned_series(s_inv, ratio, tol)
+    n_terms = _geometric_terms(contraction, tol * a_l)
+    m_inv = _series_sum(s_inv, ratio, n_terms)
     # the weighted companion inherits a positive lower bound; record it
     hvals["mTheta_lower"] = frame_bounds(
         scale_blocks(companion, np.abs(w.values))
     ).lower
-    root = math.sqrt(mu_used * b_l)
     cert = MultiplierCertificate(
         proposition=Proposition.P37_MU_PERTURB,
         hypothesis_values=hvals,
@@ -443,10 +457,10 @@ def invert_dual_mu_perturb(weights, frame: GFrame, dual: GFrame, companion: GFra
                            swapped: bool = False, mu: float | None = None):
     """Invert a multiplier close to the identity via a dual pair.
 
-    mu bounds sum_i ||(m_i Theta_i - D_i) f||^2 against a verified dual
-    D of the frame; the hypothesis is mu < 1/B_Lambda, which makes
-    I - M a contraction, so M^-1 is its Neumann sum with geometric
-    tail truncation.
+    mu bounds sum_i ||(m_i Theta_i - D_i) f||^2 (conj(m_i) when
+    `swapped`) against a verified dual D of the frame; the hypothesis is
+    mu < 1/B_Lambda, which makes I - M a contraction, so M^-1 is its
+    Neumann sum with geometric tail truncation.
     """
     tol = _require_tol(tol)
     w = _weights_for(frame, weights)
@@ -454,33 +468,18 @@ def invert_dual_mu_perturb(weights, frame: GFrame, dual: GFrame, companion: GFra
     if not verify_duality(frame, dual):
         raise NotDual("the dual family is not a dual of the frame")
     b_l = frame_bounds(frame).upper
-    pert = GFrame(
-        h_dim=frame.h_dim,
-        blocks=tuple(
-            m_i * t - d
-            for m_i, t, d in zip(w.values, companion.blocks, dual.blocks)
-        ),
-    )
     hvals = {"B_Lambda": b_l}
-    mu_used = _validated_mu(pert, mu, hvals)
+    mu_used = _validated_mu(w, companion, dual, swapped, mu, hvals)
     hvals["mu"] = mu_used
     if mu_used >= 1.0 / b_l:
         raise HypothesisFailed("mu < 1/B_Lambda", hvals)
-    contraction = math.sqrt(mu_used * b_l)
     first, second = (companion, frame) if swapped else (frame, companion)
     m_mat = multiplier(w, first, second)
     n_mat = np.eye(frame.h_dim, dtype=np.complex128) - m_mat
-    n_terms = _geometric_terms(contraction, tol)
-    m_inv = _power_series_sum(n_mat, n_terms)
-    cert = MultiplierCertificate(
-        proposition=Proposition.P38_DUAL_MU_PERTURB,
-        hypothesis_values={**hvals, "contraction": contraction},
-        inverse_norm_lower=1.0 / (1.0 + contraction),
-        inverse_norm_upper=1.0 / (1.0 - contraction),
-        series_terms_for_tol=n_terms,
-        residual=_residual(m_mat, m_inv),
+    return _neumann_inverse(
+        m_mat, n_mat, math.sqrt(mu_used * b_l), tol,
+        Proposition.P38_DUAL_MU_PERTURB, hvals,
     )
-    return m_inv, cert
 
 
 def lower_bound_from_invertible(m_matrix, b_other: float, side: str = "m_lambda") -> float:

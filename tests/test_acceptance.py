@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from conftest import random_partition, record_verdict
+from conftest import random_partition, record_verdict, tail_failures
 from gframes import (
     ControlOperator,
     GFrame,
@@ -279,23 +279,6 @@ def _certified_failures(weights, frame, companion, m_inv, cert, tag):
     return problems, direct
 
 
-def _tail_failures(direct, n_mat, contraction, n_terms, dim, tag):
-    problems = []
-    partial = np.eye(dim, dtype=np.complex128)
-    term = np.eye(dim, dtype=np.complex128)
-    for k_terms in range(1, n_terms + 1):
-        predicted = contraction**k_terms / (1.0 - contraction)
-        measured = operator_norm(direct - partial)
-        if measured > predicted + 1e-12:
-            problems.append(
-                f"{tag}: K={k_terms} measured {measured:.3e} > tail {predicted:.3e}"
-            )
-            break
-        term = term @ n_mat
-        partial = partial + term
-    return problems
-
-
 def test_criterion_5_certified_inversions():
     rng = np.random.default_rng(105)
     failures = []
@@ -322,20 +305,25 @@ def test_criterion_5_certified_inversions():
         )
         failures += probs
         n_mat = multiplier(1.0 - np.asarray(weights), frame, dual)
-        failures += _tail_failures(
-            direct, n_mat, cert.hypothesis_values["contraction"],
-            cert.series_terms_for_tol, dim, f"dual-neumann {trial}",
+        failures += tail_failures(
+            direct, np.eye(dim), n_mat, cert.hypothesis_values["contraction"],
+            cert.series_terms_for_tol, f"dual-neumann {trial}",
         )
 
     for trial in range(200):
         dim, partition = random_partition(rng)
         weights, frame = canonical_dual_instance(rng, dim, partition)
         m_inv, cert = invert_canonical_dual(weights, frame, tol=tol)
-        probs, _ = _certified_failures(
-            weights, frame, canonical_dual(frame), m_inv, cert,
-            f"canonical {trial}",
+        dual = canonical_dual(frame)
+        probs, direct = _certified_failures(
+            weights, frame, dual, m_inv, cert, f"canonical {trial}"
         )
         failures += probs
+        n_mat = multiplier(1.0 - np.asarray(weights), frame, dual)
+        failures += tail_failures(
+            direct, np.eye(dim), n_mat, cert.hypothesis_values["contraction"],
+            cert.series_terms_for_tol, f"canonical {trial}",
+        )
 
     for trial in range(200):
         dim, partition = random_partition(rng)
@@ -343,19 +331,38 @@ def test_criterion_5_certified_inversions():
             rng, dim, partition, negative=trial % 5 == 0
         )
         m_inv, cert = invert_bessel_perturb(weights, frame, companion, tol=tol)
-        probs, _ = _certified_failures(
+        probs, direct = _certified_failures(
             weights, frame, companion, m_inv, cert, f"bessel-perturb {trial}"
         )
         failures += probs
+        # M^-1 = sign * sum_k [S_w^-1 (S_w - sign M)]^k S_w^-1
+        sign = np.sign(weights[0])
+        s_w = frame_operator(scale_blocks(frame, np.sqrt(np.abs(weights))))
+        s_w_inv = np.linalg.inv(s_w)
+        m_mat = multiplier(weights, frame, companion)
+        failures += tail_failures(
+            direct, sign * s_w_inv, s_w_inv @ (s_w - sign * m_mat),
+            cert.hypothesis_values["contraction"], cert.series_terms_for_tol,
+            f"bessel-perturb {trial}",
+        )
 
     for trial in range(200):
         dim, partition = random_partition(rng)
         weights, frame, companion = mu_perturb_instance(rng, dim, partition)
         m_inv, cert = invert_mu_perturb(weights, frame, companion, tol=tol)
-        probs, _ = _certified_failures(
+        probs, direct = _certified_failures(
             weights, frame, companion, m_inv, cert, f"mu-perturb {trial}"
         )
         failures += probs
+        # M^-1 = sum_k [S^-1 (S - M)]^k S^-1
+        s = frame_operator(frame)
+        s_inv = np.linalg.inv(s)
+        m_mat = multiplier(weights, frame, companion)
+        failures += tail_failures(
+            direct, s_inv, s_inv @ (s - m_mat),
+            cert.hypothesis_values["contraction"], cert.series_terms_for_tol,
+            f"mu-perturb {trial}",
+        )
 
     for trial in range(200):
         dim, partition = random_partition(rng)
@@ -370,16 +377,16 @@ def test_criterion_5_certified_inversions():
         )
         failures += probs
         n_mat = np.eye(dim) - multiplier(weights, frame, companion)
-        failures += _tail_failures(
-            direct, n_mat, cert.hypothesis_values["contraction"],
-            cert.series_terms_for_tol, dim, f"dual-mu {trial}",
+        failures += tail_failures(
+            direct, np.eye(dim), n_mat, cert.hypothesis_values["contraction"],
+            cert.series_terms_for_tol, f"dual-mu {trial}",
         )
 
     ok = record_verdict(
         not failures, 5,
         "all six inversion routes: residual <= 1e-8, bracket contains the "
-        "direct inverse norm, Neumann partial sums beat the geometric tail "
-        "at every K (200 instances each)",
+        "direct inverse norm, every series route's partial sums beat the "
+        "geometric tail at every K (200 instances each)",
     )
     assert ok, failures[:5]
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import identity_gframe, random_partition
+from conftest import identity_gframe, random_partition, tail_failures
 from gframes import (
     GFrame,
     MultiplierCertificate,
@@ -29,6 +29,7 @@ from gframes import (
     lower_bound_from_invertible,
     multiplier,
     multiplier_norm_bound,
+    scale_blocks,
     weighted_bounds,
 )
 from gframes.errors import (
@@ -44,6 +45,7 @@ from gframes.errors import (
     SingularG,
 )
 from gframes.kernel import hermitian_inverse, operator_norm
+from gframes.multipliers import _series_sum
 from gframes.sampling import (
     bessel_perturb_instance,
     bijection_instance,
@@ -177,6 +179,29 @@ def test_certificate_rejects_inverted_bracket():
         )
 
 
+# -- the series evaluator ------------------------------------------------------
+
+
+@pytest.mark.parametrize("q", [0.5, 0.999])
+def test_series_sum_matches_term_by_term_partial_sums(q):
+    # binary splitting against the n-1 product loop it replaced
+    rng = np.random.default_rng(60)
+    dim = 5
+    ratio = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    ratio *= q / operator_norm(ratio)
+    base = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    checkpoints = {*range(1, 65), 25_316, 54_057}
+    partial = np.zeros_like(base)
+    term = base
+    for n_terms in range(1, max(checkpoints) + 1):
+        partial = partial + term
+        term = ratio @ term
+        if n_terms in checkpoints:
+            fast = _series_sum(base, ratio, n_terms)
+            gap = np.linalg.norm(fast - partial)
+            assert gap <= 1e-12 * np.linalg.norm(partial), (n_terms, gap)
+
+
 # -- exact inversion through a bijection ---------------------------------------
 
 
@@ -283,13 +308,10 @@ def test_dual_neumann_partial_sums_obey_geometric_tail():
     q = cert.hypothesis_values["contraction"]
     direct = np.linalg.inv(multiplier(weights, frame, dual))
     n_mat = multiplier(1.0 - np.asarray(weights), frame, dual)
-    partial = np.eye(3, dtype=np.complex128)
-    term = np.eye(3, dtype=np.complex128)
-    for k_terms in range(1, cert.series_terms_for_tol + 1):
-        tail = q**k_terms / (1.0 - q)
-        assert operator_norm(direct - partial) <= tail + 1e-12
-        term = term @ n_mat
-        partial = partial + term
+    failures = tail_failures(
+        direct, np.eye(3), n_mat, q, cert.series_terms_for_tol, "P3.4"
+    )
+    assert not failures, failures
 
 
 def test_dual_neumann_rejects_non_dual_companion():
@@ -414,6 +436,25 @@ def test_bessel_perturb_weight_spread_fails_hypothesis():
     assert exc.value.inequality == "b/a < A_Lambda/sqrt(B_diff*B_Lambda)"
 
 
+def test_bessel_perturb_partial_sums_obey_geometric_tail():
+    # base sign*S_w^-1, ratio S_w^-1 (S_w - sign*M), tail ||base|| q^K/(1-q)
+    rng = np.random.default_rng(24)
+    weights, frame, companion = bessel_perturb_instance(
+        rng, 3, [2, 2], negative=True, frac=0.6
+    )
+    _, cert = invert_bessel_perturb(weights, frame, companion)
+    q = cert.hypothesis_values["contraction"]
+    assert 0.0 < q < 1.0
+    m_mat = multiplier(weights, frame, companion)
+    s_w = frame_operator(scale_blocks(frame, np.sqrt(np.abs(weights))))
+    s_w_inv = np.linalg.inv(s_w)
+    ratio = s_w_inv @ (s_w + m_mat)
+    failures = tail_failures(
+        np.linalg.inv(m_mat), -s_w_inv, ratio, q, cert.series_terms_for_tol, "P3.6"
+    )
+    assert not failures, failures
+
+
 # -- perturbation measured by mu -----------------------------------------------
 
 
@@ -468,6 +509,22 @@ def test_mu_perturb_far_companion_fails_hypothesis():
     assert exc.value.inequality == "mu < A_Lambda^2/B_Lambda"
 
 
+def test_mu_perturb_partial_sums_obey_geometric_tail():
+    rng = np.random.default_rng(35)
+    weights, frame, companion = mu_perturb_instance(rng, 3, [2, 2], frac=0.6)
+    _, cert = invert_mu_perturb(weights, frame, companion)
+    q = cert.hypothesis_values["contraction"]
+    assert 0.0 < q < 1.0
+    m_mat = multiplier(weights, frame, companion)
+    s = frame_operator(frame)
+    s_inv = np.linalg.inv(s)
+    failures = tail_failures(
+        np.linalg.inv(m_mat), s_inv, s_inv @ (s - m_mat), q,
+        cert.series_terms_for_tol, "P3.7",
+    )
+    assert not failures, failures
+
+
 # -- dual-referenced mu perturbation -------------------------------------------
 
 
@@ -511,14 +568,49 @@ def test_dual_mu_partial_sums_obey_geometric_tail():
     q = cert.hypothesis_values["contraction"]
     m_mat = multiplier(weights, frame, companion)
     direct = np.linalg.inv(m_mat)
-    n_mat = np.eye(3) - m_mat
-    partial = np.eye(3, dtype=np.complex128)
-    term = np.eye(3, dtype=np.complex128)
-    for k_terms in range(1, cert.series_terms_for_tol + 1):
-        tail = q**k_terms / (1.0 - q)
-        assert operator_norm(direct - partial) <= tail + 1e-12
-        term = term @ n_mat
-        partial = partial + term
+    failures = tail_failures(
+        direct, np.eye(3), np.eye(3) - m_mat, q, cert.series_terms_for_tol, "P3.8"
+    )
+    assert not failures, failures
+
+
+def test_swapped_complex_weights_measure_conjugated_perturbation():
+    # with Theta_i = R_i/m_i the unswapped perturbation vanishes, but the
+    # swapped multiplier is M(conj m)*, far from S (P3.7) or I (P3.8)
+    frame = identity_gframe(2)
+    weights = np.exp(1j * np.array([1.0, -0.7]))
+    companion = GFrame(2, tuple(b / m for b, m in zip(frame.blocks, weights)))
+    with pytest.raises(HypothesisFailed):
+        invert_mu_perturb(weights, frame, companion, swapped=True)
+    with pytest.raises(HypothesisFailed):
+        invert_dual_mu_perturb(weights, frame, frame, companion, swapped=True)
+    # random instances: whatever a swapped route still certifies is right
+    rng = np.random.default_rng(46)
+    rejected = 0
+    for _ in range(40):
+        dim, partition = random_partition(rng)
+        frame = random_gframe(rng, dim, partition)
+        dual = canonical_dual(frame)
+        n = len(partition)
+        weights = rng.uniform(0.7, 1.4, n) * np.exp(1j * rng.uniform(-1.5, 1.5, n))
+        for reference in (frame, dual):
+            companion = GFrame(
+                dim, tuple(b / m for b, m in zip(reference.blocks, weights))
+            )
+            try:
+                if reference is frame:
+                    m_inv, cert = invert_mu_perturb(
+                        weights, frame, companion, swapped=True
+                    )
+                else:
+                    m_inv, cert = invert_dual_mu_perturb(
+                        weights, frame, dual, companion, swapped=True
+                    )
+            except HypothesisFailed:
+                rejected += 1
+                continue
+            check_certified(weights, frame, companion, m_inv, cert, swapped=True)
+    assert rejected >= 60
 
 
 def test_dual_mu_rejects_non_dual_reference():
