@@ -48,6 +48,7 @@ from .io import (
     InstanceFile,
     complex_pair,
     dump_instance,
+    frame_document,
     generate,
     instance_digest,
     load_instance,
@@ -243,15 +244,7 @@ def _cmd_decompose(args) -> int:
             "schema_version": 1,
             "scalars": [complex_pair(a) for a in dec.scalars],
             "kinds": [k.value for k in dec.component_kinds],
-            "components": [
-                {
-                    "blocks": [
-                        {"dim": int(b.shape[0]), "matrix": matrix_document(b)}
-                        for b in comp.blocks
-                    ]
-                }
-                for comp in dec.components
-            ],
+            "components": [{"blocks": frame_document(c)} for c in dec.components],
         }
         with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(doc, handle, indent=2, sort_keys=True)

@@ -19,9 +19,10 @@ from .core import (
     FrameBounds,
     GFrame,
     VectorFrame,
-    _classify_bounds,
+    _spectrum_bounds,
     canonical_dual,
     classify,
+    frame_bounds,
     frame_operator,
     induced_frame,
     scale_blocks,
@@ -43,7 +44,7 @@ from .kernel import (
     operator_norm,
     as_matrix,
 )
-from .multipliers import WeightSequence, as_weight_sequence, multiplier
+from .multipliers import WeightSequence, _weights_for, multiplier
 from .tolerances import TAU_COMM, TAU_EIG, TAU_HERM, TAU_INV, TAU_RANK
 
 
@@ -192,11 +193,9 @@ def induced_controlled_frame(frame: GFrame, control: ControlOperator):
     """
     _require_control_shape(frame, control)
     vframe = induced_frame(frame)
-    c = control.matrix
-    acc = np.zeros((frame.h_dim, frame.h_dim), dtype=np.complex128)
-    for j in range(len(vframe)):
-        psi = vframe.vectors[j]
-        acc += np.outer(psi, (c @ psi).conj())
+    psi = vframe.vectors
+    # sum_j psi_j (C psi_j)*, with the psi_j as the columns of psi.T
+    acc = psi.T @ (psi.conj() @ control.matrix.conj().T)
     s_c = controlled_frame_operator(frame, control)
     holds = frobenius_norm(acc - s_c) <= 1e-10 * (1.0 + frobenius_norm(s_c))
     return vframe, holds
@@ -206,9 +205,7 @@ def induced_controlled_frame(frame: GFrame, control: ControlOperator):
 
 
 def _positive_weights(frame: GFrame, weights) -> WeightSequence:
-    w = as_weight_sequence(weights)
-    if len(w) != frame.n_blocks:
-        raise ShapeMismatch(f"{len(w)} weights for {frame.n_blocks} blocks")
+    w = _weights_for(frame, weights)
     if not w.is_positive:
         raise NonPositiveWeight("weights must be real and strictly positive")
     return w
@@ -216,13 +213,8 @@ def _positive_weights(frame: GFrame, weights) -> WeightSequence:
 
 def weighted_bounds(frame: GFrame, weights) -> FrameBounds:
     """Optimal bounds of sum_i |w_i|^2 Lambda_i* Lambda_i."""
-    w = as_weight_sequence(weights)
-    if len(w) != frame.n_blocks:
-        raise ShapeMismatch(f"{len(w)} weights for {frame.n_blocks} blocks")
-    eigs = np.linalg.eigvalsh(frame_operator(scale_blocks(frame, np.abs(w.values))))
-    lower = float(max(eigs[0], 0.0))
-    upper = float(max(eigs[-1], 0.0))
-    return FrameBounds(lower, upper, _classify_bounds(lower, upper))
+    w = _weights_for(frame, weights)
+    return frame_bounds(scale_blocks(frame, np.abs(w.values)))
 
 
 @dataclass(frozen=True)
@@ -245,22 +237,13 @@ def weighted_vector_frame_bounds(wvframe: WeightedVectorFrame) -> FrameBounds:
     x = wvframe.base.vectors
     moduli2 = np.abs(wvframe.weights) ** 2
     op = hermitian_part((x.T * moduli2) @ x.conj())
-    eigs = np.linalg.eigvalsh(op)
-    lower = float(max(eigs[0], 0.0))
-    upper = float(max(eigs[-1], 0.0))
-    return FrameBounds(lower, upper, _classify_bounds(lower, upper))
+    return _spectrum_bounds(np.linalg.eigvalsh(op))
 
 
 def induced_weighted_frame(frame: GFrame, weights) -> WeightedVectorFrame:
     """Induced vectors with the block weight replicated across each block."""
-    w = as_weight_sequence(weights)
-    if len(w) != frame.n_blocks:
-        raise ShapeMismatch(f"{len(w)} weights for {frame.n_blocks} blocks")
-    per_vector = np.concatenate(
-        [np.full(b.shape[0], w_i, dtype=np.complex128)
-         for w_i, b in zip(w.values, frame.blocks)]
-    )
-    return WeightedVectorFrame(base=induced_frame(frame), weights=per_vector)
+    w = _weights_for(frame, weights)
+    return WeightedVectorFrame(base=induced_frame(frame), weights=frame.per_row(w.values))
 
 
 def weight_from_control(frame: GFrame, control: ControlOperator):
@@ -309,18 +292,15 @@ def weighted_dual(frame: GFrame, weights) -> GFrame:
     Weights must be real and bounded away from zero. The scaled family
     keeps the frame property with bounds inside [a^2 A, b^2 B].
     """
-    w = as_weight_sequence(weights)
-    if len(w) != frame.n_blocks:
-        raise ShapeMismatch(f"{len(w)} weights for {frame.n_blocks} blocks")
+    w = _weights_for(frame, weights)
     if not w.is_real:
         raise NonPositiveWeight("weights must be real")
     if w.semi_norm_bounds is None:
         raise ZeroWeight("weights must be bounded away from zero")
     dual = canonical_dual(frame)
-    inverse = 1.0 / w.values
-    return GFrame(
-        h_dim=frame.h_dim,
-        blocks=tuple(c * b for c, b in zip(inverse, dual.blocks)),
+    return GFrame.from_stacked(
+        frame.per_row(1.0 / w.values)[:, None] * dual.analysis_matrix(),
+        frame.partition,
         label=f"weighted dual of {frame.label}" if frame.label else None,
     )
 

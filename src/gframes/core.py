@@ -1,11 +1,14 @@
 """The g-frame data model and its basic operations.
 
 A g-frame on H = C^d is a finite family of operators Lambda_i : H -> H_i,
-stored as d_i x d blocks. Stacking the blocks gives the analysis matrix
-T; the frame operator is S = T* T, and the optimal frame bounds are its
-extreme eigenvalues. Every g-frame induces an ordinary vector frame by
-pulling the standard basis of each H_i back through the block adjoints,
-and all frame-theoretic properties transfer across that bridge.
+given as d_i x d blocks. A GFrame stores the stacked analysis matrix T
+and its row partition, and its blocks are row views of T. The frame
+operator is S = T* T, and the optimal frame bounds are its extreme
+eigenvalues; duals, rescalings and the induced vector frame are each
+one product or row scaling of T. Every g-frame induces an ordinary
+vector frame by pulling the standard basis of each H_i back through the
+block adjoints, and all frame-theoretic properties transfer across that
+bridge.
 """
 
 from __future__ import annotations
@@ -28,7 +31,9 @@ from .tolerances import TAU_CLASS, TAU_DUAL, TAU_RANK
 class GFrame:
     """An ordered family of blocks Lambda_i : C^h_dim -> C^d_i.
 
-    Blocks are validated, converted to complex128 and frozen at
+    The stored form is the stacked analysis matrix T (sum d_i x h_dim,
+    complex128, read-only) with its row partition; `blocks` are
+    read-only row views of T. Blocks are validated and stacked once at
     construction; instances are immutable values.
     """
 
@@ -49,7 +54,7 @@ class GFrame:
                 raise ShapeMismatch(
                     f"block {i} has {b.shape[1]} columns, expected h_dim={self.h_dim}"
                 )
-        object.__setattr__(self, "blocks", blocks)
+        self._store(np.vstack(blocks), [b.shape[0] for b in blocks])
 
     @classmethod
     def from_blocks(cls, blocks, label: str | None = None) -> "GFrame":
@@ -58,27 +63,44 @@ class GFrame:
             raise ShapeMismatch("a g-frame needs at least one block")
         return cls(h_dim=int(blocks[0].shape[1]), blocks=tuple(blocks), label=label)
 
+    @classmethod
+    def from_stacked(cls, stacked, partition, label: str | None = None) -> "GFrame":
+        """The family whose analysis matrix is `stacked`, cut into blocks of
+        the given row sizes."""
+        t = as_matrix(stacked, "analysis matrix")
+        sizes = [int(p) for p in partition]
+        if any(p < 1 for p in sizes) or sum(sizes) != t.shape[0]:
+            raise BadPartition(f"partition {sizes} does not tile {t.shape[0]} rows")
+        frame = object.__new__(cls)
+        object.__setattr__(frame, "h_dim", t.shape[1])
+        object.__setattr__(frame, "label", label)
+        frame._store(t, sizes)
+        return frame
+
+    def _store(self, stacked: np.ndarray, sizes) -> None:
+        stacked.flags.writeable = False
+        ends = np.cumsum(sizes).tolist()
+        object.__setattr__(self, "_stacked", stacked)
+        object.__setattr__(self, "_partition", tuple(sizes))
+        object.__setattr__(
+            self, "blocks", tuple(stacked[e - p:e] for p, e in zip(sizes, ends))
+        )
+
     @property
     def n_blocks(self) -> int:
-        return len(self.blocks)
+        return len(self._partition)
 
     @property
     def partition(self) -> tuple[int, ...]:
-        return tuple(b.shape[0] for b in self.blocks)
+        return self._partition
 
     def analysis_matrix(self) -> np.ndarray:
         """The stacked matrix T with S = T* T."""
-        return np.vstack(self.blocks)
+        return self._stacked
 
-
-def split_stacked(stacked: np.ndarray, partition) -> list[np.ndarray]:
-    """Cut a stacked analysis matrix back into blocks of the given row sizes."""
-    sizes = [int(p) for p in partition]
-    if any(p < 1 for p in sizes) or sum(sizes) != stacked.shape[0]:
-        raise BadPartition(
-            f"partition {sizes} does not tile {stacked.shape[0]} rows"
-        )
-    return [seg.copy() for seg in np.vsplit(stacked, np.cumsum(sizes)[:-1])]
+    def per_row(self, values) -> np.ndarray:
+        """One value per block, repeated over that block's rows of T."""
+        return np.repeat(np.asarray(values), self._partition)
 
 
 def scale_blocks(frame: GFrame, factors) -> GFrame:
@@ -88,9 +110,9 @@ def scale_blocks(frame: GFrame, factors) -> GFrame:
         raise ShapeMismatch(
             f"{c.size} factors for {frame.n_blocks} blocks"
         )
-    return GFrame(
-        h_dim=frame.h_dim,
-        blocks=tuple(ci * b for ci, b in zip(c, frame.blocks)),
+    return GFrame.from_stacked(
+        frame.per_row(c)[:, None] * frame.analysis_matrix(),
+        frame.partition,
         label=frame.label,
     )
 
@@ -130,21 +152,22 @@ def _classify_bounds(lower: float, upper: float) -> FrameClass:
     return FrameClass.G_FRAME
 
 
+def _spectrum_bounds(eigs: np.ndarray) -> FrameBounds:
+    """Optimal bounds from the ascending spectrum of a frame operator."""
+    lower = float(max(eigs[0], 0.0))
+    upper = float(max(eigs[-1], 0.0))
+    return FrameBounds(lower, upper, _classify_bounds(lower, upper))
+
+
 def frame_operator(frame: GFrame) -> np.ndarray:
-    """S = sum_i Lambda_i* Lambda_i, symmetrized against roundoff."""
-    d = frame.h_dim
-    acc = np.zeros((d, d), dtype=np.complex128)
-    for b in frame.blocks:
-        acc += b.conj().T @ b
-    return hermitian_part(acc)
+    """S = sum_i Lambda_i* Lambda_i = T* T, symmetrized against roundoff."""
+    t = frame.analysis_matrix()
+    return hermitian_part(t.conj().T @ t)
 
 
 def frame_bounds(frame: GFrame) -> FrameBounds:
     """Optimal frame bounds from the spectrum of the frame operator."""
-    eigs = np.linalg.eigvalsh(frame_operator(frame))
-    lower = float(max(eigs[0], 0.0))
-    upper = float(max(eigs[-1], 0.0))
-    return FrameBounds(lower, upper, _classify_bounds(lower, upper))
+    return _spectrum_bounds(np.linalg.eigvalsh(frame_operator(frame)))
 
 
 @dataclass(frozen=True)
@@ -176,10 +199,11 @@ def classify(frame: GFrame) -> ClassificationReport:
     extreme squared singular values of T.
     """
     t = frame.analysis_matrix()
-    bounds = frame_bounds(frame)
+    s = frame_operator(frame)
     # derive rank facts from the same spectrum that produced the bounds,
     # so the report booleans can never disagree with each other
-    eigs = np.linalg.eigvalsh(frame_operator(frame))
+    eigs = np.linalg.eigvalsh(s)
+    bounds = _spectrum_bounds(eigs)
     rank = int(np.count_nonzero(eigs > TAU_RANK))
     square = t.shape[0] == frame.h_dim
     is_frame = bounds.lower > TAU_RANK
@@ -189,7 +213,7 @@ def classify(frame: GFrame) -> ClassificationReport:
     if is_riesz:
         sv = np.linalg.svd(t, compute_uv=False)
         riesz_bounds = (float(sv[-1] ** 2), float(sv[0] ** 2))
-    gram_defect = frobenius_norm(t.conj().T @ t - np.eye(frame.h_dim))
+    gram_defect = frobenius_norm(s - np.eye(frame.h_dim))
     is_onb = square and gram_defect <= TAU_CLASS
     return ClassificationReport(
         is_g_bessel=True,
@@ -216,11 +240,7 @@ def canonical_dual(frame: GFrame) -> GFrame:
         )
     s_inv = (vecs * (1.0 / eigs)) @ vecs.conj().T
     label = f"canonical dual of {frame.label}" if frame.label else None
-    return GFrame(
-        h_dim=frame.h_dim,
-        blocks=tuple(b @ s_inv for b in frame.blocks),
-        label=label,
-    )
+    return GFrame.from_stacked(frame.analysis_matrix() @ s_inv, frame.partition, label)
 
 
 @dataclass(frozen=True)
@@ -268,25 +288,19 @@ def induced_frame(frame: GFrame) -> VectorFrame:
     The induced family has the same analysis matrix as the g-frame, so
     bounds and classification transfer exactly.
     """
-    vectors = np.vstack([b.conj() for b in frame.blocks])
-    indices = tuple(
-        (i, k) for i, b in enumerate(frame.blocks) for k in range(b.shape[0])
+    block_of_row = frame.per_row(np.arange(frame.n_blocks))
+    first_row = frame.per_row(np.cumsum(frame.partition) - frame.partition)
+    row_in_block = np.arange(block_of_row.size) - first_row
+    return VectorFrame(
+        h_dim=frame.h_dim,
+        vectors=frame.analysis_matrix().conj(),
+        indices=tuple(zip(block_of_row.tolist(), row_in_block.tolist())),
     )
-    return VectorFrame(h_dim=frame.h_dim, vectors=vectors, indices=indices)
 
 
 def gframe_from_vector_frame(vframe: VectorFrame, partition) -> GFrame:
     """Regroup a vector family into g-frame blocks of the given row sizes."""
-    sizes = [int(p) for p in partition]
-    if any(p < 1 for p in sizes):
-        raise BadPartition(f"partition entries must be >= 1, got {sizes}")
-    if sum(sizes) != len(vframe):
-        raise BadPartition(
-            f"partition {sizes} does not tile {len(vframe)} vectors"
-        )
-    rows = vframe.vectors.conj()
-    blocks = np.vsplit(rows, np.cumsum(sizes)[:-1])
-    return GFrame(h_dim=vframe.h_dim, blocks=tuple(b.copy() for b in blocks))
+    return GFrame.from_stacked(vframe.analysis_matrix(), partition)
 
 
 def vector_frame_operator(vframe: VectorFrame) -> np.ndarray:
@@ -305,9 +319,7 @@ def _require_same_shape(frame: GFrame, other: GFrame, what: str = "families") ->
 def duality_defect(frame: GFrame, dual: GFrame) -> float:
     """Frobenius distance of sum_i D_i* Lambda_i from the identity."""
     _require_same_shape(frame, dual)
-    acc = np.zeros((frame.h_dim, frame.h_dim), dtype=np.complex128)
-    for d_blk, l_blk in zip(dual.blocks, frame.blocks):
-        acc += d_blk.conj().T @ l_blk
+    acc = dual.analysis_matrix().conj().T @ frame.analysis_matrix()
     return frobenius_norm(acc - np.eye(frame.h_dim))
 
 

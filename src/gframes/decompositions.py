@@ -20,7 +20,6 @@ from .core import (
     GFrame,
     classify,
     frame_bounds,
-    split_stacked,
 )
 from .errors import (
     DimensionMismatch,
@@ -68,10 +67,8 @@ def _component_matches(kind: ComponentKind, frame: GFrame) -> bool:
 
 def _certified(scalars, stacked_components, kinds, frame: GFrame) -> GFrameDecomposition:
     target = frame.analysis_matrix()
-    partition = frame.partition
     components = tuple(
-        GFrame(h_dim=frame.h_dim, blocks=tuple(split_stacked(m, partition)))
-        for m in stacked_components
+        GFrame.from_stacked(m, frame.partition) for m in stacked_components
     )
     recon = sum(s * m for s, m in zip(scalars, stacked_components))
     residual = frobenius_norm(recon - target)
@@ -152,9 +149,9 @@ def coisometry_image(theta: GFrame, k) -> GFrame:
     defect = frobenius_norm(k_mat @ k_mat.conj().T - np.eye(k_mat.shape[0]))
     if defect > TAU_HERM:
         raise NotCoisometry(f"K K* differs from identity by {defect:.3e}")
-    image = GFrame(
-        h_dim=k_mat.shape[0],
-        blocks=tuple(b @ k_mat.conj().T for b in theta.blocks),
+    image = GFrame.from_stacked(
+        theta.analysis_matrix() @ k_mat.conj().T,
+        theta.partition,
         label=f"coisometry image of {theta.label}" if theta.label else None,
     )
     if frame_bounds(image).classification is not FrameClass.PARSEVAL:

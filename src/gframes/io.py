@@ -224,7 +224,8 @@ def matrix_document(matrix) -> list:
     return [[complex_pair(z) for z in row] for row in np.asarray(matrix)]
 
 
-def _frame_document(frame: GFrame) -> list:
+def frame_document(frame: GFrame) -> list:
+    """The `blocks` list of an instance document: one {dim, matrix} per block."""
     return [
         {"dim": int(b.shape[0]), "matrix": matrix_document(b)}
         for b in frame.blocks
@@ -235,7 +236,7 @@ def instance_document(inst: InstanceFile) -> dict:
     doc: dict = {
         "schema_version": inst.schema_version,
         "h_dim": inst.gframe.h_dim,
-        "blocks": _frame_document(inst.gframe),
+        "blocks": frame_document(inst.gframe),
     }
     if inst.gframe.label is not None:
         doc["label"] = inst.gframe.label
@@ -246,9 +247,9 @@ def instance_document(inst: InstanceFile) -> dict:
     if inst.control is not None:
         doc["control"] = matrix_document(inst.control)
     if inst.companion is not None:
-        doc["companion"] = {"blocks": _frame_document(inst.companion)}
+        doc["companion"] = {"blocks": frame_document(inst.companion)}
     if inst.dual is not None:
-        doc["dual"] = {"blocks": _frame_document(inst.dual)}
+        doc["dual"] = {"blocks": frame_document(inst.dual)}
     if inst.bijection is not None:
         doc["bijection"] = matrix_document(inst.bijection)
     if inst.coisometry is not None:

@@ -135,10 +135,8 @@ def multiplier(weights, frame: GFrame, companion: GFrame) -> np.ndarray:
     """M = sum_i m_i Lambda_i* Theta_i on matching families."""
     _require_same_shape(frame, companion)
     w = _weights_for(frame, weights)
-    acc = np.zeros((frame.h_dim, frame.h_dim), dtype=np.complex128)
-    for m_i, l_blk, t_blk in zip(w.values, frame.blocks, companion.blocks):
-        acc += m_i * (l_blk.conj().T @ t_blk)
-    return acc
+    weighted_synthesis = frame.analysis_matrix().conj().T * frame.per_row(w.values)
+    return weighted_synthesis @ companion.analysis_matrix()
 
 
 def multiplier_norm_bound(weights, frame: GFrame, companion: GFrame) -> float:
@@ -223,9 +221,7 @@ def invert_via_bijection(weights, frame: GFrame, g_matrix):
     bounds = frame_bounds(frame)
     if bounds.lower <= TAU_RANK:
         raise NotAFrame("the weighted family needs a g-frame to invert against")
-    companion = GFrame(
-        h_dim=frame.h_dim, blocks=tuple(b @ g for b in frame.blocks)
-    )
+    companion = GFrame.from_stacked(frame.analysis_matrix() @ g, frame.partition)
     m_mat = multiplier(w, frame, companion)
     s_w = frame_operator(scale_blocks(frame, np.sqrt(np.abs(w.values))))
     s_w_eigs = np.linalg.eigvalsh(s_w)
@@ -348,9 +344,8 @@ def invert_bessel_perturb(weights, frame: GFrame, companion: GFrame,
     if bounds.lower <= TAU_RANK:
         raise NotAFrame("the base family must be a g-frame")
     a_l, b_l = bounds.lower, bounds.upper
-    diff = GFrame(
-        h_dim=frame.h_dim,
-        blocks=tuple(t - l for t, l in zip(companion.blocks, frame.blocks)),
+    diff = GFrame.from_stacked(
+        companion.analysis_matrix() - frame.analysis_matrix(), frame.partition
     )
     b_diff = frame_bounds(diff).upper
     spread = b_w * math.sqrt(b_l * b_diff)
@@ -384,11 +379,10 @@ def _validated_mu(w: WeightSequence, companion: GFrame, reference: GFrame,
     # the swapped multiplier sum_i m_i Theta_i* Lambda_i is M(conj m)*,
     # so its perturbation is measured with conjugated weights
     m = w.values.conj() if swapped else w.values
-    pert = GFrame(
-        h_dim=companion.h_dim,
-        blocks=tuple(
-            m_i * t - r for m_i, t, r in zip(m, companion.blocks, reference.blocks)
-        ),
+    pert = GFrame.from_stacked(
+        companion.per_row(m)[:, None] * companion.analysis_matrix()
+        - reference.analysis_matrix(),
+        companion.partition,
     )
     mu_actual = frame_bounds(pert).upper
     hvals["mu_computed"] = mu_actual

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .controlled import ControlOperator
-from .core import GFrame, canonical_dual, frame_bounds, frame_operator, split_stacked
+from .core import GFrame, canonical_dual, frame_bounds, frame_operator
 from .errors import InfeasibleKind
 from .kernel import operator_norm
 
@@ -71,7 +71,7 @@ def random_gframe(rng: np.random.Generator, dim: int, partition,
     right = random_unitary(rng, dim)
     sv = rng.uniform(sv_range[0], sv_range[1], dim)
     stacked = (left * sv) @ right.conj().T
-    return GFrame(dim, tuple(split_stacked(stacked, partition)), label=label)
+    return GFrame.from_stacked(stacked, partition, label=label)
 
 
 def random_g_riesz(rng: np.random.Generator, dim: int, partition,
@@ -87,7 +87,7 @@ def random_g_onb(rng: np.random.Generator, dim: int, partition,
     if _partition_total(dim, partition) != dim:
         raise InfeasibleKind("g-ONBs need block dimensions summing to dim")
     stacked = random_unitary(rng, dim)
-    return GFrame(dim, tuple(split_stacked(stacked, partition)), label=label)
+    return GFrame.from_stacked(stacked, partition, label=label)
 
 
 def random_parseval(rng: np.random.Generator, dim: int, partition,
@@ -96,7 +96,7 @@ def random_parseval(rng: np.random.Generator, dim: int, partition,
     if total < dim:
         raise InfeasibleKind("Parseval families need block dimensions summing to >= dim")
     stacked = random_isometry(rng, total, dim)
-    return GFrame(dim, tuple(split_stacked(stacked, partition)), label=label)
+    return GFrame.from_stacked(stacked, partition, label=label)
 
 
 def random_deficient(rng: np.random.Generator, dim: int, partition,
@@ -109,7 +109,7 @@ def random_deficient(rng: np.random.Generator, dim: int, partition,
     sv = rng.uniform(0.6, 1.8, dim)
     sv[dim - drop:] = 0.0
     stacked = (left * sv) @ right.conj().T
-    return GFrame(dim, tuple(split_stacked(stacked, partition)), label=label)
+    return GFrame.from_stacked(stacked, partition, label=label)
 
 
 def random_control_commuting(rng: np.random.Generator, frame: GFrame) -> ControlOperator:
@@ -194,11 +194,11 @@ def canonical_dual_instance(rng: np.random.Generator, dim: int, partition,
     return weights, frame
 
 
-def _scaled_perturbation(rng, frame: GFrame, target_upper: float):
-    raw = [_complex_gaussian(rng, *b.shape) for b in frame.blocks]
-    raw_upper = frame_bounds(GFrame(frame.h_dim, tuple(raw))).upper
-    scale = np.sqrt(target_upper / raw_upper)
-    return [scale * b for b in raw]
+def _scaled_perturbation(rng, frame: GFrame, target_upper: float) -> np.ndarray:
+    """A stacked Gaussian perturbation with optimal upper bound target_upper."""
+    blocks = tuple(_complex_gaussian(rng, *b.shape) for b in frame.blocks)
+    raw = GFrame(frame.h_dim, blocks)
+    return np.sqrt(target_upper / frame_bounds(raw).upper) * raw.analysis_matrix()
 
 
 def bessel_perturb_instance(rng: np.random.Generator, dim: int, partition,
@@ -214,9 +214,7 @@ def bessel_perturb_instance(rng: np.random.Generator, dim: int, partition,
     # stay a factor frac below both B_diff ceilings
     ceiling = (bounds.lower**2 / bounds.upper) * min(1.0, (a_w / b_w) ** 2)
     delta = _scaled_perturbation(rng, frame, frac * ceiling)
-    companion = GFrame(
-        frame.h_dim, tuple(l + d for l, d in zip(frame.blocks, delta))
-    )
+    companion = GFrame.from_stacked(frame.analysis_matrix() + delta, frame.partition)
     return weights, frame, companion
 
 
@@ -229,9 +227,9 @@ def mu_perturb_instance(rng: np.random.Generator, dim: int, partition,
     weights = rng.uniform(0.7, 1.4, n)
     target = frac * bounds.lower**2 / bounds.upper
     delta = _scaled_perturbation(rng, frame, target)
-    companion = GFrame(
-        frame.h_dim,
-        tuple((l + d) / w for w, l, d in zip(weights, frame.blocks, delta)),
+    companion = GFrame.from_stacked(
+        (frame.analysis_matrix() + delta) / frame.per_row(weights)[:, None],
+        frame.partition,
     )
     return weights, frame, companion
 
@@ -246,8 +244,8 @@ def dual_mu_perturb_instance(rng: np.random.Generator, dim: int, partition,
     weights = rng.uniform(0.7, 1.4, n)
     target = frac / b_frame
     delta = _scaled_perturbation(rng, frame, target)
-    companion = GFrame(
-        frame.h_dim,
-        tuple((d + e) / w for w, d, e in zip(weights, dual.blocks, delta)),
+    companion = GFrame.from_stacked(
+        (dual.analysis_matrix() + delta) / frame.per_row(weights)[:, None],
+        frame.partition,
     )
     return weights, frame, dual, companion

@@ -71,6 +71,16 @@ from .multipliers import (
 _TRIALS = 20
 
 
+class CheckFailed(Exception):
+    """A property of the corpus did not hold."""
+
+
+def _check(condition, message: str) -> None:
+    # an explicit raise, unlike a bare assert, survives python -O
+    if not condition:
+        raise CheckFailed(message)
+
+
 def _random_partition(rng, max_dim=6, square=False, min_total=None):
     dim = int(rng.integers(2, max_dim + 1))
     if square:
@@ -97,10 +107,11 @@ def check_kernel_polar(rng):
         a = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
         parts = polar_decompose(a)
         recon = parts.isometry @ parts.positive
-        assert frobenius_norm(recon - a) <= 1e-9 * (1 + frobenius_norm(a))
-        assert frobenius_norm(
+        _check(frobenius_norm(recon - a) <= 1e-9 * (1 + frobenius_norm(a)),
+               "polar reconstruction")
+        _check(frobenius_norm(
             parts.isometry.conj().T @ parts.isometry - np.eye(cols)
-        ) <= 1e-10
+        ) <= 1e-10, "polar isometry")
 
 
 def check_kernel_pair(rng):
@@ -108,8 +119,10 @@ def check_kernel_pair(rng):
         n = int(rng.integers(1, 7))
         a = sampling.random_contraction(rng, n)
         u1, u2 = unitary_pair_from_contraction(a)
-        assert _unitary_defect(u1) <= 1e-10 and _unitary_defect(u2) <= 1e-10
-        assert frobenius_norm((u1 + u2) / 2 - a) <= 1e-9 * (1 + frobenius_norm(a))
+        _check(_unitary_defect(u1) <= 1e-10 and _unitary_defect(u2) <= 1e-10,
+               "pair unitarity")
+        _check(frobenius_norm((u1 + u2) / 2 - a) <= 1e-9 * (1 + frobenius_norm(a)),
+               "pair average")
 
 
 def check_kernel_triple(rng):
@@ -118,8 +131,9 @@ def check_kernel_triple(rng):
         a = sampling.random_contraction(rng, n, max_norm=1.0 / 3.0)
         u1, u2, u3 = unitary_triple_from_small_norm(a)
         for u in (u1, u2, u3):
-            assert _unitary_defect(u) <= 1e-10
-        assert frobenius_norm((u1 + u2 + u3) / 3 - a) <= 1e-9 * (1 + frobenius_norm(a))
+            _check(_unitary_defect(u) <= 1e-10, "triple unitarity")
+        _check(frobenius_norm((u1 + u2 + u3) / 3 - a) <= 1e-9 * (1 + frobenius_norm(a)),
+               "triple average")
 
 
 def check_kernel_psd_sqrt(rng):
@@ -128,7 +142,8 @@ def check_kernel_psd_sqrt(rng):
         b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         m = b.conj().T @ b
         r = psd_sqrt(m)
-        assert frobenius_norm(r @ r - m) <= 1e-9 * (1 + frobenius_norm(m))
+        _check(frobenius_norm(r @ r - m) <= 1e-9 * (1 + frobenius_norm(m)),
+               "psd square root")
 
 
 def check_kernel_spectral_range(rng):
@@ -141,7 +156,7 @@ def check_kernel_spectral_range(rng):
             f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             f /= np.linalg.norm(f)
             q = float(np.vdot(f, h @ f).real)
-            assert lo - 1e-9 <= q <= hi + 1e-9
+            _check(lo - 1e-9 <= q <= hi + 1e-9, "Rayleigh quotient in range")
 
 
 def check_core_frame_operator(rng):
@@ -149,9 +164,9 @@ def check_core_frame_operator(rng):
         dim, partition = _random_partition(rng)
         frame = sampling.random_gframe(rng, dim, partition)
         t = frame.analysis_matrix()
-        assert frobenius_norm(frame_operator(frame) - t.conj().T @ t) <= 1e-12 * (
+        _check(frobenius_norm(frame_operator(frame) - t.conj().T @ t) <= 1e-12 * (
             1 + frobenius_norm(t) ** 2
-        )
+        ), "S = T* T")
 
 
 def check_core_dual(rng):
@@ -161,9 +176,11 @@ def check_core_dual(rng):
         bounds = frame_bounds(frame)
         dual = canonical_dual(frame)
         dual_bounds = frame_bounds(dual)
-        assert abs(dual_bounds.lower - 1 / bounds.upper) <= 1e-9 / bounds.upper
-        assert abs(dual_bounds.upper - 1 / bounds.lower) <= 1e-9 / bounds.lower
-        assert verify_duality(frame, dual)
+        _check(abs(dual_bounds.lower - 1 / bounds.upper) <= 1e-9 / bounds.upper,
+               "dual lower bound 1/B")
+        _check(abs(dual_bounds.upper - 1 / bounds.lower) <= 1e-9 / bounds.lower,
+               "dual upper bound 1/A")
+        _check(verify_duality(frame, dual), "canonical duality")
 
 
 def check_core_bridge(rng):
@@ -173,16 +190,16 @@ def check_core_bridge(rng):
         vframe = induced_frame(frame)
         flat = gframe_from_vector_frame(vframe, [1] * len(vframe))
         rep, flat_rep = classify(frame), classify(flat)
-        assert rep.is_g_frame == flat_rep.is_g_frame
-        assert rep.is_g_riesz == flat_rep.is_g_riesz
-        assert abs(rep.bounds.lower - flat_rep.bounds.lower) <= 1e-12 * (
+        _check(rep.is_g_frame == flat_rep.is_g_frame, "g-frame verdict transfers")
+        _check(rep.is_g_riesz == flat_rep.is_g_riesz, "g-Riesz verdict transfers")
+        _check(abs(rep.bounds.lower - flat_rep.bounds.lower) <= 1e-12 * (
             1 + rep.bounds.upper
-        )
+        ), "lower bound transfers")
         regrouped = gframe_from_vector_frame(vframe, frame.partition)
-        assert all(
+        _check(all(
             np.array_equal(a, b)
             for a, b in zip(regrouped.blocks, frame.blocks)
-        )
+        ), "regrouping restores blocks")
 
 
 def check_decompositions(rng):
@@ -192,15 +209,15 @@ def check_decompositions(rng):
         for op in (decompose_three_gonb, decompose_two_gonb_combo,
                    decompose_gonb_plus_griesz, decompose_two_parseval):
             dec = op(frame)
-            assert dec.reconstruction_residual <= 1e-9 * (
+            _check(dec.reconstruction_residual <= 1e-9 * (
                 1 + frobenius_norm(frame.analysis_matrix())
-            )
+            ), f"{op.__name__} reconstruction")
         dim, partition = _random_partition(rng)
         overcomplete = sampling.random_gframe(rng, dim, partition)
         dec = decompose_two_parseval(overcomplete)
-        assert dec.reconstruction_residual <= 1e-9 * (
+        _check(dec.reconstruction_residual <= 1e-9 * (
             1 + frobenius_norm(overcomplete.analysis_matrix())
-        )
+        ), "overcomplete two-Parseval reconstruction")
 
 
 def check_coisometry(rng):
@@ -211,7 +228,8 @@ def check_coisometry(rng):
         k = sampling.random_coisometry(rng, d0, dim)
         image = coisometry_image(theta, k)
         bounds = frame_bounds(image)
-        assert abs(bounds.lower - 1) <= 1e-9 and abs(bounds.upper - 1) <= 1e-9
+        _check(abs(bounds.lower - 1) <= 1e-9 and abs(bounds.upper - 1) <= 1e-9,
+               "Parseval image bounds")
 
 
 def check_multiplier_norm(rng):
@@ -221,14 +239,17 @@ def check_multiplier_norm(rng):
         companion = sampling.random_gframe(rng, dim, partition)
         w = sampling.random_complex_weights(rng, len(partition))
         m = multiplier(w, frame, companion)
-        assert operator_norm(m) <= multiplier_norm_bound(w, frame, companion) + 1e-9
+        _check(operator_norm(m) <= multiplier_norm_bound(w, frame, companion) + 1e-9,
+               "multiplier norm bound")
 
 
 def _check_inversion(m_mat, m_inv, cert):
     true_norm = operator_norm(np.linalg.inv(m_mat))
-    assert cert.residual <= 1e-8
-    assert cert.inverse_norm_lower - 1e-9 <= true_norm <= cert.inverse_norm_upper + 1e-9
-    assert frobenius_norm(m_inv - np.linalg.inv(m_mat)) <= 1e-7
+    _check(cert.residual <= 1e-8, f"{cert.proposition.value} residual")
+    _check(cert.inverse_norm_lower - 1e-9 <= true_norm <= cert.inverse_norm_upper + 1e-9,
+           f"{cert.proposition.value} bracket")
+    _check(frobenius_norm(m_inv - np.linalg.inv(m_mat)) <= 1e-7,
+           f"{cert.proposition.value} inverse")
 
 
 def check_inversions(rng):
@@ -237,7 +258,7 @@ def check_inversions(rng):
 
         w, frame, g = sampling.bijection_instance(rng, dim, partition)
         m_inv, cert = invert_via_bijection(w, frame, g)
-        companion = GFrame(dim, tuple(b @ g for b in frame.blocks))
+        companion = GFrame.from_stacked(frame.analysis_matrix() @ g, partition)
         _check_inversion(multiplier(w, frame, companion), m_inv, cert)
 
         w, frame, dual = sampling.dual_perturb_instance(rng, dim, partition)
@@ -272,7 +293,7 @@ def check_invertible_lower_bound(rng):
             continue
         bound = lower_bound_from_invertible(m, frame_bounds(companion).upper)
         achieved = weighted_bounds(frame, np.abs(w)).lower
-        assert achieved >= bound - 1e-9
+        _check(achieved >= bound - 1e-9, "lower bound from ||M^-1||")
 
 
 def check_controlled(rng):
@@ -281,19 +302,19 @@ def check_controlled(rng):
         frame = sampling.random_gframe(rng, dim, partition)
         control = sampling.random_control_commuting(rng, frame)
         lhs, rhs = controlled_equivalence(frame, control)
-        assert lhs and rhs
+        _check(lhs and rhs, "controlled criterion")
         holds, defect = verify_commutation(frame, control)
-        assert holds and defect <= 1e-8
+        _check(holds and defect <= 1e-8, "commutation")
         cb = controlled_bounds(frame, control)
         fb = frame_bounds(frame)
         derived = controlled_bound_arithmetic(
             cb.lower, cb.upper, fb.lower, fb.upper,
             control.bounds[0], control.bounds[1],
         )
-        assert derived.frame_operator_bounds[0] <= fb.lower + 1e-9
-        assert derived.frame_operator_bounds[1] >= fb.upper - 1e-9
+        _check(derived.frame_operator_bounds[0] <= fb.lower + 1e-9, "derived lower bound")
+        _check(derived.frame_operator_bounds[1] >= fb.upper - 1e-9, "derived upper bound")
         _, identity_ok = induced_controlled_frame(frame, control)
-        assert identity_ok
+        _check(identity_ok, "induced controlled identity")
 
 
 def check_weighted(rng):
@@ -303,15 +324,17 @@ def check_weighted(rng):
         w = sampling.random_positive_weights(rng, len(partition))
         wb = weighted_bounds(frame, w)
         wv = weighted_vector_frame_bounds(induced_weighted_frame(frame, w))
-        assert abs(wb.lower - wv.lower) <= 1e-12 * (1 + wb.upper)
-        assert abs(wb.upper - wv.upper) <= 1e-12 * (1 + wb.upper)
+        _check(abs(wb.lower - wv.lower) <= 1e-12 * (1 + wb.upper), "weighted lower bound")
+        _check(abs(wb.upper - wv.upper) <= 1e-12 * (1 + wb.upper), "weighted upper bound")
         dual = weighted_dual(frame, w)
-        assert verify_duality(scale_blocks(frame, w), dual, tol=1e-10)
+        _check(verify_duality(scale_blocks(frame, w), dual, tol=1e-10),
+               "weighted duality")
         _, checks = weighted_multiplier_as_frame_operator(frame, w)
-        assert checks.matches_scaled_frame_operator and checks.invertible
+        _check(checks.matches_scaled_frame_operator and checks.invertible,
+               "weight multiplier")
         w_alt = sampling.random_positive_weights(rng, len(partition))
         suite = weighted_equivalence_suite(frame, w, w_alt)
-        assert suite.unanimous and suite.frame
+        _check(suite.unanimous and suite.frame, "six weighted statements")
 
 
 def check_weight_extraction(rng):
@@ -319,8 +342,8 @@ def check_weight_extraction(rng):
         _, partition = _random_partition(rng)
         frame, control, true_w = sampling.eigenblock_control_instance(rng, partition)
         weights, is_mult = weight_from_control(frame, control)
-        assert np.allclose(weights.values.real, true_w, atol=1e-8)
-        assert is_mult
+        _check(np.allclose(weights.values.real, true_w, atol=1e-8), "extracted weights")
+        _check(is_mult, "control is the multiplier")
 
 
 def check_io_roundtrip(rng):
@@ -330,8 +353,8 @@ def check_io_roundtrip(rng):
         inst = generate(kind, dim, partition, seed=int(rng.integers(0, 2**31)))
         text = serialize_instance(inst)
         again = parse_instance(text)
-        assert serialize_instance(again) == text
-        assert instance_digest(again) == instance_digest(inst)
+        _check(serialize_instance(again) == text, "serialization round trip")
+        _check(instance_digest(again) == instance_digest(inst), "digest round trip")
 
 
 CHECKS = [

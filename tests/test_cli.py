@@ -1,6 +1,8 @@
 """End-to-end command tests, run in-process against cli.main."""
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -311,6 +313,29 @@ def test_selftest_passes(capsys):
     assert code == 0
     assert "ok" in out
     assert "FAIL" not in out
+
+
+SABOTAGED_SELFTEST = """
+import io, sys
+import gframes.selftest as selftest
+honest = selftest.psd_sqrt
+selftest.psd_sqrt = lambda *args, **kwargs: 1.01 * honest(*args, **kwargs)
+report = io.StringIO()
+print(sys.flags.optimize, selftest.run_selftest(stream=report))
+print(report.getvalue())
+"""
+
+
+def test_selftest_fails_on_sabotaged_kernel_under_python_O():
+    # python -O strips assert statements; the corpus must still catch a
+    # square root that is off by 1%
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", SABOTAGED_SELFTEST],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "1 False"
+    assert "FAIL kernel psd square root: psd square root" in proc.stdout
 
 
 # -- error plumbing ---------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import identity_gframe, random_partition
+from conftest import complex_gaussian, identity_gframe, random_partition
 from gframes import (
     ControlOperator,
     GFrame,
@@ -270,16 +270,20 @@ def test_induced_controlled_identity_frame():
 def test_induced_controlled_identity_holds_on_vectors():
     rng = np.random.default_rng(69)
     frame = random_gframe(rng, 3, [2, 2])
-    control = random_positive(rng, 3)
-    vframe, holds = induced_controlled_frame(frame, control)
-    assert holds
-    s_c = controlled_frame_operator(frame, control)
-    for _ in range(100):
-        f = rng.normal(size=3) + 1j * rng.normal(size=3)
-        acc = np.zeros(3, dtype=np.complex128)
-        for psi in vframe.vectors:
-            acc += np.vdot(control.matrix @ psi, f) * psi
-        assert np.linalg.norm(acc - s_c @ f) <= 1e-10 * (1 + np.linalg.norm(f))
+    # the second control is not self-adjoint, so a slip between C and C*
+    # breaks the identity
+    skew = ControlOperator(3 * np.eye(3) + complex_gaussian(rng, 3, 3))
+    assert not skew.is_self_adjoint
+    for control in (random_positive(rng, 3), skew):
+        vframe, holds = induced_controlled_frame(frame, control)
+        assert holds
+        s_c = controlled_frame_operator(frame, control)
+        for _ in range(100):
+            f = rng.normal(size=3) + 1j * rng.normal(size=3)
+            acc = np.zeros(3, dtype=np.complex128)
+            for psi in vframe.vectors:
+                acc += np.vdot(control.matrix @ psi, f) * psi
+            assert np.linalg.norm(acc - s_c @ f) <= 1e-10 * (1 + np.linalg.norm(f))
 
 
 @given(st.integers(0, 2**31 - 1))

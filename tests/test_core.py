@@ -17,7 +17,6 @@ from gframes import (
     gframe_from_vector_frame,
     induced_frame,
     scale_blocks,
-    split_stacked,
     vector_frame_operator,
     verify_duality,
 )
@@ -45,13 +44,13 @@ def test_frame_operator_diagonal():
     assert np.allclose(frame_operator(frame), np.diag([1.0, 4.0]))
 
 
-def test_frame_operator_stacked_oracle():
-    # oracle: build T by stacking and compute T* T in one shot
+def test_frame_operator_blockwise_oracle():
+    # oracle: the definition S = sum_i Lambda_i* Lambda_i, one block at a time
     rng = np.random.default_rng(19)
-    for _ in range(50):
-        frame = random_gframe(rng, 4, (2, 1, 3))
-        t = np.vstack(frame.blocks)
-        assert np.max(np.abs(frame_operator(frame) - t.conj().T @ t)) <= 1e-12
+    for partition in [(2, 1, 3)] * 50 + [(1,) * 200] * 5:
+        frame = random_gframe(rng, 4, partition)
+        oracle = sum(b.conj().T @ b for b in frame.blocks)
+        assert np.max(np.abs(frame_operator(frame) - oracle)) <= 1e-12
 
 
 # -- bounds --
@@ -308,9 +307,11 @@ def test_scale_blocks_scalar_square_law():
     assert scaled.upper == pytest.approx(9 * b.upper)
 
 
-def test_split_stacked_rejects_bad_partition():
+def test_from_stacked_rejects_bad_partition():
     with pytest.raises(BadPartition):
-        split_stacked(np.ones((3, 2)), [2, 2])
+        GFrame.from_stacked(np.ones((3, 2)), [2, 2])
+    with pytest.raises(BadPartition):
+        GFrame.from_stacked(np.ones((3, 2)), [3, 0])
     with pytest.raises(BadPartition):
         gframe_from_vector_frame(induced_frame(identity_gframe(2)), [3])
 
@@ -328,6 +329,10 @@ def test_blocks_are_frozen():
     frame = identity_gframe(2)
     with pytest.raises(ValueError):
         frame.blocks[0][0, 0] = 5.0
+    t = frame.analysis_matrix()
+    with pytest.raises(ValueError):
+        t[0, 0] = 5.0
+    assert all(np.shares_memory(b, t) for b in frame.blocks)
 
 
 def test_quadratic_form_matches_block_sum():
