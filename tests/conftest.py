@@ -4,7 +4,6 @@ import numpy as np
 from hypothesis import HealthCheck, settings
 
 import gframes
-from gframes.kernel import operator_norm
 
 settings.register_profile(
     "numeric",
@@ -47,38 +46,6 @@ def random_unit(rng, dim):
 def random_hermitian(rng, dim):
     b = complex_gaussian(rng, dim, dim)
     return (b + b.conj().T) / 2
-
-
-def random_partition(rng, max_dim=6, square=False):
-    """(dim, partition) with optional Sum(d_i) = dim."""
-    dim = int(rng.integers(2, max_dim + 1))
-    total = dim if square else int(rng.integers(dim, dim + 4))
-    sizes = []
-    remaining = total
-    while remaining > 0:
-        p = int(rng.integers(1, remaining + 1))
-        sizes.append(p)
-        remaining -= p
-    return dim, tuple(sizes)
-
-
-def tail_failures(direct, base, ratio, contraction, n_terms, tag):
-    """K-term partial sums of sum_k ratio^k base against ||base|| q^K/(1-q)."""
-    problems = []
-    base_norm = operator_norm(base)
-    partial = base
-    term = base
-    for k_terms in range(1, n_terms + 1):
-        predicted = base_norm * contraction**k_terms / (1.0 - contraction)
-        measured = operator_norm(direct - partial)
-        if measured > predicted + 1e-12:
-            problems.append(
-                f"{tag}: K={k_terms} measured {measured:.3e} > tail {predicted:.3e}"
-            )
-            break
-        term = ratio @ term
-        partial = partial + term
-    return problems
 
 
 def identity_gframe(dim=2):

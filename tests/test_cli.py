@@ -1,5 +1,6 @@
 """End-to-end command tests, run in-process against cli.main."""
 
+import io
 import json
 import subprocess
 import sys
@@ -7,8 +8,10 @@ import sys
 import numpy as np
 import pytest
 
+from gframes import selftest
 from gframes.cli import main
 from gframes.io import instance_digest, load_instance, matrix_document
+from gframes.multipliers import WeightSequence
 
 IDENTITY_DOC = {
     "schema_version": 1,
@@ -336,6 +339,21 @@ def test_selftest_fails_on_sabotaged_kernel_under_python_O():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == "1 False"
     assert "FAIL kernel psd square root: psd square root" in proc.stdout
+
+
+def test_selftest_fails_on_weights_off_by_one_part_per_million(monkeypatch):
+    # 1e-6 relative plus 1e-6j sits inside allclose's default rtol and
+    # outside the corpus's 1e-9 bound on the complex weights
+    honest = selftest.weight_from_control
+
+    def perturbed(*args, **kwargs):
+        weights, is_mult = honest(*args, **kwargs)
+        return WeightSequence(weights.values * (1 + 1e-6) + 1e-6j), is_mult
+
+    monkeypatch.setattr(selftest, "weight_from_control", perturbed)
+    report = io.StringIO()
+    assert not selftest.run_selftest(stream=report)
+    assert "FAIL weight extraction: extracted weights" in report.getvalue()
 
 
 # -- error plumbing ---------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import complex_gaussian, identity_gframe, random_partition
+from conftest import complex_gaussian, identity_gframe
 from gframes import (
     ControlOperator,
     GFrame,
@@ -27,6 +27,7 @@ from gframes.errors import (
 )
 from gframes.kernel import frobenius_norm
 from gframes.sampling import random_deficient, random_gframe, random_unitary
+from gframes.selftest import random_partition
 
 
 def random_positive(rng, dim, spread=(0.5, 3.0)):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import complex_gaussian, identity_gframe, random_partition, random_unit
+from conftest import complex_gaussian, identity_gframe, random_unit
 from gframes import (
     FrameClass,
     GFrame,
@@ -29,6 +29,7 @@ from gframes.sampling import (
     random_gframe,
     random_unitary,
 )
+from gframes.selftest import random_partition
 from gframes.tolerances import TAU_RANK
 
 

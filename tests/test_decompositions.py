@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import identity_gframe, random_partition
+from conftest import identity_gframe
 from gframes import (
     ComponentKind,
     GFrame,
@@ -35,6 +35,7 @@ from gframes.sampling import (
     random_g_riesz,
     random_gframe,
 )
+from gframes.selftest import random_partition
 
 
 def reconstruction(dec):

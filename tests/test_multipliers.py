@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import identity_gframe, random_partition, tail_failures
+from conftest import identity_gframe
 from gframes import (
     GFrame,
     MultiplierCertificate,
@@ -56,6 +56,7 @@ from gframes.sampling import (
     random_deficient,
     random_gframe,
 )
+from gframes.selftest import random_partition, tail_failures
 from gframes.tolerances import TAU_INV
 
 

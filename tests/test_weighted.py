@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import identity_gframe, random_partition
+from conftest import identity_gframe
 from gframes import (
     ControlOperator,
     FrameClass,
@@ -38,6 +38,7 @@ from gframes.sampling import (
     random_deficient,
     random_gframe,
 )
+from gframes.selftest import random_partition
 
 
 def random_positive_weights(rng, n):
