@@ -135,7 +135,8 @@ def verify_commutation(frame: GFrame, control: ControlOperator) -> CommutationRe
     s = frame_operator(frame)
     c = control.matrix
     defect = frobenius_norm(s @ c.conj().T - c @ s)
-    scale = 1.0 + operator_norm(s) * operator_norm(c)
+    # ||S|| = lambda_max(S), read from the frame's spectrum
+    scale = 1.0 + frame_bounds(frame).upper * operator_norm(c)
     return CommutationResult(defect <= TAU_COMM * scale, float(defect))
 
 

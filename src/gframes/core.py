@@ -2,23 +2,26 @@
 
 A g-frame on H = C^d is a finite family of operators Lambda_i : H -> H_i,
 given as d_i x d blocks. A GFrame stores the stacked analysis matrix T
-and its row partition, and its blocks are row views of T. The frame
-operator is S = T* T, and the optimal frame bounds are its extreme
-eigenvalues; duals, rescalings and the induced vector frame are each
-one product or row scaling of T. Every g-frame induces an ordinary
-vector frame by pulling the standard basis of each H_i back through the
-block adjoints, and all frame-theoretic properties transfer across that
-bridge.
+and its row partition; its blocks are row views of T, built the first
+time they are read. The frame operator is S = T* T, and the optimal
+frame bounds are its extreme eigenvalues. Each frame computes S and its
+eigendecomposition once, on first use, and its bounds, classification,
+canonical dual and every S^-1 share them. Duals, rescalings and the
+induced vector frame are each one product or row scaling of T. Every
+g-frame induces an ordinary vector frame by pulling the standard basis
+of each H_i back through the block adjoints, and all frame-theoretic
+properties transfer across that bridge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
-from .errors import BadPartition, NotAFrame, ShapeMismatch
+from .errors import BadPartition, NonFinite, NotAFrame, ShapeMismatch
 from .kernel import (
     as_matrix,
     frobenius_norm,
@@ -27,34 +30,44 @@ from .kernel import (
 from .tolerances import TAU_CLASS, TAU_DUAL, TAU_RANK
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class GFrame:
     """An ordered family of blocks Lambda_i : C^h_dim -> C^d_i.
 
     The stored form is the stacked analysis matrix T (sum d_i x h_dim,
-    complex128, read-only) with its row partition; `blocks` are
-    read-only row views of T. Blocks are validated and stacked once at
-    construction; instances are immutable values.
+    complex128, read-only) with its row partition. `blocks` are
+    read-only row views of T, built on first read. The frame operator
+    S = T* T and its eigendecomposition are computed once, on first
+    use, and shared by everything that needs them; they are no fields,
+    so they take no part in repr or equality. Two frames are equal when
+    h_dim, partition, label and every entry of T agree.
     """
 
     h_dim: int
-    blocks: tuple[np.ndarray, ...]
     label: str | None = None
 
-    def __post_init__(self):
-        if not isinstance(self.h_dim, int) or self.h_dim < 1:
-            raise ShapeMismatch(f"h_dim must be a positive integer, got {self.h_dim!r}")
-        blocks = tuple(
-            as_matrix(b, name=f"block {i}") for i, b in enumerate(self.blocks)
-        )
+    def __init__(self, h_dim: int, blocks, label: str | None = None):
+        if not isinstance(h_dim, int) or h_dim < 1:
+            raise ShapeMismatch(f"h_dim must be a positive integer, got {h_dim!r}")
+        blocks = [np.asarray(b) for b in blocks]
         if not blocks:
             raise ShapeMismatch("a g-frame needs at least one block")
         for i, b in enumerate(blocks):
-            if b.shape[1] != self.h_dim:
+            if b.ndim != 2:
+                raise ShapeMismatch(f"block {i} must be 2-dimensional, got ndim={b.ndim}")
+            if b.shape[0] < 1 or b.shape[1] < 1:
+                raise ShapeMismatch(f"block {i} must be non-empty, got shape {b.shape}")
+            if b.shape[1] != h_dim:
                 raise ShapeMismatch(
-                    f"block {i} has {b.shape[1]} columns, expected h_dim={self.h_dim}"
+                    f"block {i} has {b.shape[1]} columns, expected h_dim={h_dim}"
                 )
-        self._store(np.vstack(blocks), [b.shape[0] for b in blocks])
+        # unsafe casting converts exactly what np.array(b, dtype=complex) does
+        stacked = np.concatenate(blocks, dtype=np.complex128, casting="unsafe")
+        self._store(h_dim, stacked, tuple(b.shape[0] for b in blocks), label)
+        finite_rows = np.isfinite(self._stacked).all(axis=1)
+        if not finite_rows.all():
+            i = self.per_row(np.arange(self.n_blocks))[np.argmin(finite_rows)]
+            raise NonFinite(f"block {i} contains NaN or infinite entries")
 
     @classmethod
     def from_blocks(cls, blocks, label: str | None = None) -> "GFrame":
@@ -68,23 +81,55 @@ class GFrame:
         """The family whose analysis matrix is `stacked`, cut into blocks of
         the given row sizes."""
         t = as_matrix(stacked, "analysis matrix")
-        sizes = [int(p) for p in partition]
-        if any(p < 1 for p in sizes) or sum(sizes) != t.shape[0]:
-            raise BadPartition(f"partition {sizes} does not tile {t.shape[0]} rows")
+        sizes = np.asarray(partition).astype(int)
+        if sizes.ndim != 1 or np.any(sizes < 1) or sizes.sum() != t.shape[0]:
+            raise BadPartition(f"partition {sizes.tolist()} does not tile {t.shape[0]} rows")
         frame = object.__new__(cls)
-        object.__setattr__(frame, "h_dim", t.shape[1])
-        object.__setattr__(frame, "label", label)
-        frame._store(t, sizes)
+        frame._store(t.shape[1], t, tuple(sizes.tolist()), label)
         return frame
 
-    def _store(self, stacked: np.ndarray, sizes) -> None:
+    def _store(self, h_dim: int, stacked: np.ndarray, sizes: tuple[int, ...], label) -> None:
         stacked.flags.writeable = False
-        ends = np.cumsum(sizes).tolist()
+        object.__setattr__(self, "h_dim", h_dim)
+        object.__setattr__(self, "label", label)
         object.__setattr__(self, "_stacked", stacked)
-        object.__setattr__(self, "_partition", tuple(sizes))
-        object.__setattr__(
-            self, "blocks", tuple(stacked[e - p:e] for p, e in zip(sizes, ends))
-        )
+        object.__setattr__(self, "_partition", sizes)
+
+    def __eq__(self, other):
+        if not isinstance(other, GFrame):
+            return NotImplemented
+        return (self.h_dim, self._partition, self.label) == (
+            other.h_dim, other._partition, other.label
+        ) and bool(np.array_equal(self._stacked, other._stacked))
+
+    def __hash__(self) -> int:
+        # T is left out: equal frames still hash equally, and 0.0 == -0.0
+        return hash((self.h_dim, self._partition, self.label))
+
+    def __reduce__(self):
+        # rebuild from T, so a copy is frozen again and starts with no cache
+        return (self.from_stacked, (self._stacked, self._partition, self.label))
+
+    @cached_property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        """Read-only row views of T, one per block."""
+        ends = np.cumsum(self._partition).tolist()
+        return tuple(self._stacked[e - p:e] for p, e in zip(self._partition, ends))
+
+    @cached_property
+    def _operator(self) -> np.ndarray:
+        """S = T* T, symmetrized against roundoff; read-only."""
+        t = self._stacked
+        s = hermitian_part(t.conj().T @ t)
+        s.flags.writeable = False
+        return s
+
+    @cached_property
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending eigenvalues and eigenvectors of S; read-only."""
+        eigs, vecs = np.linalg.eigh(self._operator)
+        eigs.flags.writeable = vecs.flags.writeable = False
+        return eigs, vecs
 
     @property
     def n_blocks(self) -> int:
@@ -160,14 +205,26 @@ def _spectrum_bounds(eigs: np.ndarray) -> FrameBounds:
 
 
 def frame_operator(frame: GFrame) -> np.ndarray:
-    """S = sum_i Lambda_i* Lambda_i = T* T, symmetrized against roundoff."""
-    t = frame.analysis_matrix()
-    return hermitian_part(t.conj().T @ t)
+    """S = sum_i Lambda_i* Lambda_i = T* T, symmetrized against roundoff.
+
+    The frame's own read-only copy, computed once per frame.
+    """
+    return frame._operator
 
 
 def frame_bounds(frame: GFrame) -> FrameBounds:
     """Optimal frame bounds from the spectrum of the frame operator."""
-    return _spectrum_bounds(np.linalg.eigvalsh(frame_operator(frame)))
+    return _spectrum_bounds(frame._spectrum[0])
+
+
+def _inverse_frame_operator(frame: GFrame) -> np.ndarray:
+    """S^-1 from the frame's spectrum; NotAFrame when S is singular."""
+    eigs, vecs = frame._spectrum
+    if eigs[0] <= TAU_RANK:
+        raise NotAFrame(
+            f"cannot form a dual: smallest frame-operator eigenvalue {eigs[0]:.3e}"
+        )
+    return (vecs * (1.0 / eigs)) @ vecs.conj().T
 
 
 @dataclass(frozen=True)
@@ -199,10 +256,9 @@ def classify(frame: GFrame) -> ClassificationReport:
     extreme squared singular values of T.
     """
     t = frame.analysis_matrix()
-    s = frame_operator(frame)
     # derive rank facts from the same spectrum that produced the bounds,
     # so the report booleans can never disagree with each other
-    eigs = np.linalg.eigvalsh(s)
+    s, eigs = frame._operator, frame._spectrum[0]
     bounds = _spectrum_bounds(eigs)
     rank = int(np.count_nonzero(eigs > TAU_RANK))
     square = t.shape[0] == frame.h_dim
@@ -232,13 +288,7 @@ def canonical_dual(frame: GFrame) -> GFrame:
     Requires an actual g-frame; the dual's optimal bounds are the
     reciprocals (1/B, 1/A) of the input's, swapped.
     """
-    s = frame_operator(frame)
-    eigs, vecs = np.linalg.eigh(s)
-    if eigs[0] <= TAU_RANK:
-        raise NotAFrame(
-            f"cannot form a dual: smallest frame-operator eigenvalue {eigs[0]:.3e}"
-        )
-    s_inv = (vecs * (1.0 / eigs)) @ vecs.conj().T
+    s_inv = _inverse_frame_operator(frame)
     label = f"canonical dual of {frame.label}" if frame.label else None
     return GFrame.from_stacked(frame.analysis_matrix() @ s_inv, frame.partition, label)
 
@@ -262,15 +312,19 @@ class VectorFrame:
             raise ShapeMismatch(
                 f"vectors have {v.shape[1]} entries, expected h_dim={self.h_dim}"
             )
-        idx = tuple((int(i), int(k)) for i, k in self.indices)
+        idx = np.asarray(self.indices, dtype=np.int64).reshape(len(self.indices), 2)
         if len(idx) != v.shape[0]:
             raise ShapeMismatch(
                 f"{len(idx)} index pairs for {v.shape[0]} vectors"
             )
-        if any(idx[j] >= idx[j + 1] for j in range(len(idx) - 1)):
+        prev, nxt = idx[:-1], idx[1:]
+        increasing = (prev[:, 0] < nxt[:, 0]) | (
+            (prev[:, 0] == nxt[:, 0]) & (prev[:, 1] < nxt[:, 1])
+        )
+        if not increasing.all():
             raise ShapeMismatch("index pairs must be strictly increasing")
         object.__setattr__(self, "vectors", v)
-        object.__setattr__(self, "indices", idx)
+        object.__setattr__(self, "indices", tuple(map(tuple, idx.tolist())))
 
     def __len__(self) -> int:
         return self.vectors.shape[0]
@@ -294,7 +348,7 @@ def induced_frame(frame: GFrame) -> VectorFrame:
     return VectorFrame(
         h_dim=frame.h_dim,
         vectors=frame.analysis_matrix().conj(),
-        indices=tuple(zip(block_of_row.tolist(), row_in_block.tolist())),
+        indices=np.column_stack((block_of_row, row_in_block)),
     )
 
 

@@ -10,6 +10,7 @@ kernel module and reconstruct the input exactly up to roundoff.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -30,9 +31,9 @@ from .errors import (
     NotGRiesz,
 )
 from .kernel import (
+    _unitary_pair,
     as_matrix,
     frobenius_norm,
-    operator_norm,
     polar_decompose,
     unitary_pair_from_contraction,
     unitary_triple_from_small_norm,
@@ -110,7 +111,7 @@ def decompose_three_gonb(frame: GFrame) -> GFrameDecomposition:
             f"block dimensions sum to {sum(frame.partition)}, need {frame.h_dim}"
         )
     t = frame.analysis_matrix()
-    a = operator_norm(t)
+    a = math.sqrt(frame_bounds(frame).upper)  # ||T||, from the spectrum of S
     u1, u2, u3 = unitary_triple_from_small_norm(t / (3.0 * a))
     return _certified(
         (a, a, a), (u1, u2, u3), (ComponentKind.G_ONB,) * 3, frame
@@ -126,9 +127,8 @@ def decompose_two_gonb_combo(frame: GFrame) -> GFrameDecomposition:
     """
     if not classify(frame).is_g_riesz:
         raise NotGRiesz("two-g-ONB combinations exist exactly for g-Riesz families")
-    t = frame.analysis_matrix()
-    norm = operator_norm(t)
-    u1, u2 = unitary_pair_from_contraction(t / norm)
+    norm = math.sqrt(frame_bounds(frame).upper)
+    u1, u2 = unitary_pair_from_contraction(frame.analysis_matrix() / norm)
     a = norm / 2.0
     return _certified((a, a), (u1, u2), (ComponentKind.G_ONB,) * 2, frame)
 
@@ -164,21 +164,13 @@ def decompose_two_parseval(frame: GFrame) -> GFrameDecomposition:
 
     With T = V P polar and a = ||T||/2, the contraction P/(2a) extends
     to a unitary B, and V B, V B* stack two Parseval components whose
-    mean recovers T/(2a).
+    mean recovers T/(2a). One SVD T = U diag(s) W* gives all three: the
+    polar factor V = U W*, ||T|| = s[0], and the eigenbasis W of P.
     """
     _require_frame(frame)
-    t = frame.analysis_matrix()
-    norm = operator_norm(t)
-    a = norm / 2.0
-    parts = polar_decompose(t)
-    p_unit = parts.positive / norm
-    # spectrum of p_unit lies in (0, 1]; build the unitary extension in
-    # its eigenbasis so the square root commutes exactly
-    eigs, vecs = np.linalg.eigh(p_unit)
-    eigs = np.clip(eigs, 0.0, 1.0)
-    b_hat = (vecs * (eigs + 1j * np.sqrt(1.0 - eigs**2))) @ vecs.conj().T
-    comp1 = parts.isometry @ b_hat
-    comp2 = parts.isometry @ b_hat.conj().T
+    u, s, vh = np.linalg.svd(frame.analysis_matrix(), full_matrices=False)
+    a = float(s[0]) / 2.0
+    comp1, comp2 = _unitary_pair(u, s / s[0], vh)
     return _certified(
         (a, a), (comp1, comp2), (ComponentKind.NORMALIZED_TIGHT,) * 2, frame
     )

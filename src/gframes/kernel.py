@@ -135,11 +135,14 @@ def psd_sqrt(matrix, tol_herm: float = TAU_HERM, tol_psd: float = TAU_PSD) -> np
     return hermitian_part(root)
 
 
-def _contraction_pair(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # A = WP polar, B = P + i(I - P^2)^(1/2), pair (WB, WB*). Working in the
-    # singular basis keeps P and the root exactly commuting; clipping the
-    # singular values at 1 absorbs inputs that exceed norm 1 by roundoff.
-    u, s, vh = np.linalg.svd(a)
+def _unitary_pair(u, s, vh) -> tuple[np.ndarray, np.ndarray]:
+    """The pair (W B, W B*) averaging to the contraction A = u diag(s) vh.
+
+    With A = W P polar, W = u vh and B = P + i(I - P^2)^(1/2). Working in
+    the singular basis keeps P and the root exactly commuting; clipping
+    the singular values at 1 absorbs inputs that exceed norm 1 by
+    roundoff. For tall A the columns of W B and W B* are orthonormal.
+    """
     s = np.clip(s, 0.0, 1.0)
     w = u @ vh
     b = (vh.conj().T * (s + 1j * np.sqrt(1.0 - s**2))) @ vh
@@ -157,7 +160,7 @@ def unitary_pair_from_contraction(matrix, tol: float = TAU_NORM):
     norm = operator_norm(a)
     if norm > 1.0 + tol:
         raise NormTooLarge(f"operator norm {norm:.6g} exceeds 1")
-    return _contraction_pair(a)
+    return _unitary_pair(*np.linalg.svd(a))
 
 
 def unitary_triple_from_small_norm(matrix, tol: float = TAU_NORM):
@@ -173,5 +176,5 @@ def unitary_triple_from_small_norm(matrix, tol: float = TAU_NORM):
         raise NormTooLarge(f"operator norm {norm:.6g} exceeds 1/3")
     tripled = 3.0 * a
     u1 = polar_decompose(tripled).isometry
-    u2, u3 = _contraction_pair((tripled - u1) / 2.0)
+    u2, u3 = _unitary_pair(*np.linalg.svd((tripled - u1) / 2.0))
     return u1, u2, u3

@@ -24,6 +24,7 @@ import numpy as np
 
 from .core import (
     GFrame,
+    _inverse_frame_operator,
     _require_same_shape,
     canonical_dual,
     frame_bounds,
@@ -425,7 +426,7 @@ def invert_mu_perturb(weights, frame: GFrame, companion: GFrame,
     contraction = root / a_l
     hvals["contraction"] = contraction
     s = frame_operator(frame)
-    s_inv = hermitian_inverse(s)
+    s_inv = _inverse_frame_operator(frame)
     first, second = (companion, frame) if swapped else (frame, companion)
     m_mat = multiplier(w, first, second)
     ratio = s_inv @ (s - m_mat)

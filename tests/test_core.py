@@ -1,5 +1,8 @@
 """Frame operator, bounds, classification, duals and the induced-frame bridge."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -16,11 +19,12 @@ from gframes import (
     frame_operator,
     gframe_from_vector_frame,
     induced_frame,
+    VectorFrame,
     scale_blocks,
     vector_frame_operator,
     verify_duality,
 )
-from gframes.errors import BadPartition, NotAFrame, ShapeMismatch
+from gframes.errors import BadPartition, NonFinite, NotAFrame, ShapeMismatch
 from gframes.kernel import frobenius_norm
 from gframes.sampling import (
     random_deficient,
@@ -232,6 +236,24 @@ def test_induced_identity():
     assert vframe.indices == ((0, 0), (1, 0))
 
 
+def test_vector_frame_order_check_matches_pairwise_loop():
+    # reference: the tuple comparison of consecutive (block, row) pairs
+    rng = np.random.default_rng(61)
+    vectors = np.eye(3)
+    for _ in range(300):
+        idx = tuple(map(tuple, rng.integers(0, 3, (3, 2)).tolist()))
+        if all(idx[j] < idx[j + 1] for j in range(2)):
+            assert VectorFrame(3, vectors, idx).indices == idx
+        else:
+            with pytest.raises(ShapeMismatch, match="strictly increasing"):
+                VectorFrame(3, vectors, idx)
+    vframe = VectorFrame(3, vectors, np.array([[0, 0], [0, 1], [2, 0]]))
+    assert vframe.indices == ((0, 0), (0, 1), (2, 0))
+    assert all(type(k) is int for pair in vframe.indices for k in pair)
+    with pytest.raises(ShapeMismatch, match="2 index pairs for 3 vectors"):
+        VectorFrame(3, vectors, ((0, 0), (0, 1)))
+
+
 def test_vector_frame_round_trip_partitions():
     vframe = induced_frame(identity_gframe(2))
     two_blocks = gframe_from_vector_frame(vframe, [1, 1])
@@ -324,6 +346,78 @@ def test_gframe_validates_blocks():
         GFrame(2, ())
     with pytest.raises(ShapeMismatch):
         scale_blocks(identity_gframe(2), [1.0])
+
+
+def test_gframe_names_the_failing_block():
+    rng = np.random.default_rng(89)
+    frame = random_gframe(rng, 5, [1, 2] * 1000)
+    blocks = list(frame.blocks)
+    for k in (0, 1234, 1999):
+        bad = blocks[k].copy()
+        bad[-1, 2] = np.nan
+        with pytest.raises(NonFinite, match=f"^block {k} "):
+            GFrame(5, tuple(blocks[:k] + [bad] + blocks[k + 1:]))
+    for bad, what in [
+        (np.ones(5), "2-dimensional"),
+        (np.ones((0, 5)), "non-empty"),
+        (np.ones((2, 4)), "4 columns"),
+    ]:
+        with pytest.raises(ShapeMismatch, match=f"^block 1234 .*{what}"):
+            GFrame(5, tuple(blocks[:1234] + [bad] + blocks[1235:]))
+
+
+def test_blocks_constructor_matches_from_stacked_bitwise():
+    rng = np.random.default_rng(97)
+    frame = random_gframe(rng, 7, [1, 2, 3] * 100)
+    t = frame.analysis_matrix()
+    rebuilt = GFrame(7, tuple(frame.blocks)).analysis_matrix()
+    assert rebuilt.dtype == t.dtype and rebuilt.tobytes() == t.tobytes()
+    assert GFrame(7, tuple(frame.blocks)) == GFrame.from_stacked(t, frame.partition)
+
+
+def test_gframe_equality_and_hash():
+    rng = np.random.default_rng(101)
+    frame = random_gframe(rng, 4, (2, 1, 3), label="f")
+    twin = GFrame.from_stacked(frame.analysis_matrix().copy(), frame.partition, label="f")
+    frame_bounds(frame)  # a cached spectrum on one side changes nothing
+    assert frame == twin and hash(frame) == hash(twin)
+    assert len({frame, twin}) == 1
+    changed = frame.analysis_matrix().copy()
+    changed[4, 3] += 1e-12
+    assert frame != GFrame.from_stacked(changed, frame.partition, label="f")
+    assert frame != GFrame.from_stacked(frame.analysis_matrix(), (3, 3), label="f")
+    assert frame != GFrame.from_stacked(frame.analysis_matrix(), frame.partition)
+
+
+def test_spectrum_is_computed_once_and_read_only(monkeypatch):
+    rng = np.random.default_rng(103)
+    frame = random_gframe(rng, 5, (2, 3, 2, 4))
+    calls = []
+    for name in ("eigh", "eigvalsh", "svd"):
+        def counted(a, *args, _name=name, _original=getattr(np.linalg, name), **kw):
+            calls.append(_name)
+            return _original(a, *args, **kw)
+        monkeypatch.setattr(np.linalg, name, counted)
+    s = frame_operator(frame)
+    b = frame_bounds(frame)
+    rep = classify(frame)
+    dual = canonical_dual(frame)
+    assert calls == ["eigh"]
+    assert frame_operator(frame) is s
+    assert rep.bounds == b and frame_bounds(dual).upper == pytest.approx(1 / b.lower)
+    with pytest.raises(ValueError):
+        s[0, 0] = 0.0
+
+
+def test_pickle_and_deepcopy_keep_the_frame():
+    rng = np.random.default_rng(107)
+    frame = random_gframe(rng, 4, (2, 2, 1), label="f")
+    bounds = frame_bounds(frame)
+    for twin in (pickle.loads(pickle.dumps(frame)), copy.deepcopy(frame)):
+        assert twin == frame
+        assert frame_bounds(twin) == bounds
+        assert not twin.analysis_matrix().flags.writeable
+        assert all(np.shares_memory(b, twin.analysis_matrix()) for b in twin.blocks)
 
 
 def test_blocks_are_frozen():

@@ -9,8 +9,10 @@ from conftest import identity_gframe
 from gframes import (
     ComponentKind,
     GFrame,
+    canonical_dual,
     classify,
     frame_bounds,
+    frame_operator,
     scale_blocks,
 )
 from gframes.decompositions import (
@@ -220,6 +222,28 @@ def test_two_parseval_rejects_non_frame():
     rng = np.random.default_rng(277)
     with pytest.raises(NotAFrame):
         decompose_two_parseval(random_deficient(rng, 3, (2, 2)))
+
+
+def test_one_eigh_of_s_and_one_svd_of_t_per_frame(monkeypatch):
+    # bounds, classification, the canonical dual and ||T|| share the
+    # frame's one spectrum; the Parseval pair takes one SVD of T
+    rng = np.random.default_rng(283)
+    frame = random_gframe(rng, 6, (2, 1, 3, 2, 2))
+    seen = []
+    for name in ("eigh", "eigvalsh", "svd"):
+        def recorded(a, *args, _name=name, _original=getattr(np.linalg, name), **kw):
+            seen.append((_name, np.array(a)))
+            return _original(a, *args, **kw)
+        monkeypatch.setattr(np.linalg, name, recorded)
+    frame_operator(frame)
+    frame_bounds(frame)
+    classify(frame)
+    canonical_dual(frame)
+    assert_certified(decompose_two_parseval(frame), frame)
+    s, t = frame_operator(frame), frame.analysis_matrix()
+    assert [n for n, a in seen if a.shape == s.shape and np.array_equal(a, s)] == ["eigh"]
+    assert [n for n, a in seen if a.shape == t.shape and np.array_equal(a, t)] == ["svd"]
+    assert [n for n, _ in seen].count("svd") == 1
 
 
 # -- g-ONB plus g-Riesz --
