@@ -19,6 +19,7 @@ from .core import (
     FrameBounds,
     GFrame,
     VectorFrame,
+    _ArrayValue,
     _spectrum_bounds,
     canonical_dual,
     classify,
@@ -48,8 +49,8 @@ from .multipliers import WeightSequence, _weights_for, multiplier
 from .tolerances import TAU_COMM, TAU_EIG, TAU_HERM, TAU_INV, TAU_RANK
 
 
-@dataclass(frozen=True)
-class ControlOperator:
+@dataclass(frozen=True, eq=False)
+class ControlOperator(_ArrayValue):
     """An invertible operator on H with cached structure flags.
 
     `bounds` carries the extreme eigenvalues when the operator is
@@ -372,15 +373,13 @@ def weighted_equivalence_suite(frame: GFrame, weights, weights_alt) -> WeightedE
             return False
         return float(np.linalg.eigvalsh(hermitian_part(m_mat))[0]) > TAU_RANK
 
+    # (iii) and (iv) read the one spectrum of {sqrt(w_i) Lambda_i}
+    sqrt_scaled = scale_blocks(frame, np.sqrt(w.values.real))
     return WeightedEquivalence(
         frame=classify(frame).is_g_frame,
         multiplier_invertible=_mult_invertible(w),
-        linear_weight_bounds=weighted_bounds(
-            frame, np.sqrt(w.values.real)
-        ).lower > TAU_RANK,
-        sqrt_scaled_frame=classify(
-            scale_blocks(frame, np.sqrt(w.values.real))
-        ).is_g_frame,
+        linear_weight_bounds=frame_bounds(sqrt_scaled).lower > TAU_RANK,
+        sqrt_scaled_frame=classify(sqrt_scaled).is_g_frame,
         alt_multiplier_invertible=_mult_invertible(w_alt),
         scaled_frame=classify(scale_blocks(frame, w.values.real)).is_g_frame,
     )

@@ -15,7 +15,7 @@ properties transfer across that bridge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
 
@@ -246,6 +246,13 @@ class ClassificationReport:
         return self.bounds.classification is FrameClass.PARSEVAL
 
 
+def is_g_onb(frame: GFrame) -> bool:
+    """T is square and ||S - I||_F <= TAU_CLASS; reads S, factors nothing."""
+    return sum(frame.partition) == frame.h_dim and (
+        frobenius_norm(frame._operator - np.eye(frame.h_dim)) <= TAU_CLASS
+    )
+
+
 def classify(frame: GFrame) -> ClassificationReport:
     """Full classification of a family via its stacked analysis matrix.
 
@@ -253,32 +260,24 @@ def classify(frame: GFrame) -> ClassificationReport:
     frame operator is invertible, g-complete iff T has full column
     rank, g-Riesz iff additionally sum(d_i) = d, and a g-ONB iff T is
     unitary. For g-Riesz families the optimal synthesis bounds are the
-    extreme squared singular values of T.
+    extreme squared singular values of T; T is then square, so they are
+    the extreme eigenvalues of S and are read from its spectrum. The
+    whole report costs the frame's one eigendecomposition.
     """
-    t = frame.analysis_matrix()
     # derive rank facts from the same spectrum that produced the bounds,
     # so the report booleans can never disagree with each other
-    s, eigs = frame._operator, frame._spectrum[0]
+    eigs = frame._spectrum[0]
     bounds = _spectrum_bounds(eigs)
-    rank = int(np.count_nonzero(eigs > TAU_RANK))
-    square = t.shape[0] == frame.h_dim
     is_frame = bounds.lower > TAU_RANK
-    is_complete = rank == frame.h_dim
-    is_riesz = square and is_frame
-    riesz_bounds = None
-    if is_riesz:
-        sv = np.linalg.svd(t, compute_uv=False)
-        riesz_bounds = (float(sv[-1] ** 2), float(sv[0] ** 2))
-    gram_defect = frobenius_norm(s - np.eye(frame.h_dim))
-    is_onb = square and gram_defect <= TAU_CLASS
+    is_riesz = is_frame and sum(frame.partition) == frame.h_dim
     return ClassificationReport(
         is_g_bessel=True,
         is_g_frame=is_frame,
-        is_g_complete=is_complete,
+        is_g_complete=int(np.count_nonzero(eigs > TAU_RANK)) == frame.h_dim,
         is_g_riesz=is_riesz,
-        is_g_onb=is_onb,
+        is_g_onb=is_g_onb(frame),
         bounds=bounds,
-        riesz_bounds=riesz_bounds,
+        riesz_bounds=(bounds.lower, bounds.upper) if is_riesz else None,
     )
 
 
@@ -293,8 +292,29 @@ def canonical_dual(frame: GFrame) -> GFrame:
     return GFrame.from_stacked(frame.analysis_matrix() @ s_inv, frame.partition, label)
 
 
-@dataclass(frozen=True)
-class VectorFrame:
+class _ArrayValue:
+    """Value semantics for a frozen dataclass (eq=False) of array fields:
+    == by np.array_equal on the init fields, a hash of their shapes, and
+    copies and pickles that rebuild through the constructor."""
+
+    def _init_values(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in fields(self) if f.init)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        pairs = zip(self._init_values(), other._init_values())
+        return all(np.array_equal(a, b) for a, b in pairs)
+
+    def __hash__(self) -> int:
+        return hash(tuple(np.shape(v) for v in self._init_values()))
+
+    def __reduce__(self):
+        return (type(self), self._init_values())
+
+
+@dataclass(frozen=True, eq=False)
+class VectorFrame(_ArrayValue):
     """An ordered finite vector family in C^h_dim.
 
     Row j of `vectors` is the j-th vector; `indices` records the (block,

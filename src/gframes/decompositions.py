@@ -5,7 +5,14 @@ multiple of the sum of three g-orthonormal bases; g-Riesz families are
 linear combinations of two. General g-frames split into two normalized
 tight families, or into a g-ONB plus a g-Riesz family. All
 constructions run through the averaged-unitary splittings of the
-kernel module and reconstruct the input exactly up to roundoff.
+kernel module, each of which takes one SVD, and reconstruct the input
+exactly up to roundoff.
+
+Every returned component is certified on its own terms, with only the
+work its predicate needs: a g-ONB by ||S - I||_F <= TAU_CLASS on its
+frame operator S (no factorization), a normalized tight component by
+its Parseval bounds and a g-Riesz component by a square T with a
+positive lower bound (one eigendecomposition of S each).
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from .core import (
     GFrame,
     classify,
     frame_bounds,
+    is_g_onb,
 )
 from .errors import (
     DimensionMismatch,
@@ -58,12 +66,11 @@ class GFrameDecomposition:
 
 
 def _component_matches(kind: ComponentKind, frame: GFrame) -> bool:
-    report = classify(frame)
     if kind is ComponentKind.G_ONB:
-        return report.is_g_onb
+        return is_g_onb(frame)
     if kind is ComponentKind.NORMALIZED_TIGHT:
-        return report.bounds.classification is FrameClass.PARSEVAL
-    return report.is_g_riesz
+        return frame_bounds(frame).classification is FrameClass.PARSEVAL
+    return sum(frame.partition) == frame.h_dim and frame_bounds(frame).lower > TAU_RANK
 
 
 def _certified(scalars, stacked_components, kinds, frame: GFrame) -> GFrameDecomposition:
@@ -139,7 +146,7 @@ def coisometry_image(theta: GFrame, k) -> GFrame:
     K must satisfy K K* = I on the target space; the image is a
     normalized tight (Parseval) g-frame there.
     """
-    if not classify(theta).is_g_onb:
+    if not is_g_onb(theta):
         raise NotGOnb("the family to push forward must be a g-ONB")
     k_mat = as_matrix(k, "coisometry")
     if k_mat.shape[1] != theta.h_dim:

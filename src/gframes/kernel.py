@@ -157,24 +157,26 @@ def unitary_pair_from_contraction(matrix, tol: float = TAU_NORM):
     """
     a = as_matrix(matrix, "contraction")
     _require_square(a, "contraction")
-    norm = operator_norm(a)
-    if norm > 1.0 + tol:
-        raise NormTooLarge(f"operator norm {norm:.6g} exceeds 1")
-    return _unitary_pair(*np.linalg.svd(a))
+    u, s, vh = np.linalg.svd(a)
+    if s[0] > 1.0 + tol:
+        raise NormTooLarge(f"operator norm {s[0]:.6g} exceeds 1")
+    return _unitary_pair(u, s, vh)
 
 
 def unitary_triple_from_small_norm(matrix, tol: float = TAU_NORM):
     """Three unitaries averaging to an operator of norm at most 1/3.
 
     U1 is the unitary polar factor of 3A; the remaining correction
-    (3A - U1)/2 is a contraction and splits into the other two.
+    (3A - U1)/2 is a contraction and splits into the other two. One SVD
+    A = u diag(s) vh gives all three: U1 = u vh, and the correction is
+    u diag((3s - 1)/2) vh, whose signs move into u. The sign is +1
+    where 3s = 1, so I/3 splits as (I + iI - iI)/3.
     """
     a = as_matrix(matrix, "small-norm operator")
     _require_square(a, "small-norm operator")
-    norm = operator_norm(a)
-    if norm > 1.0 / 3.0 + tol:
-        raise NormTooLarge(f"operator norm {norm:.6g} exceeds 1/3")
-    tripled = 3.0 * a
-    u1 = polar_decompose(tripled).isometry
-    u2, u3 = _unitary_pair(*np.linalg.svd((tripled - u1) / 2.0))
-    return u1, u2, u3
+    u, s, vh = np.linalg.svd(a)
+    if s[0] > 1.0 / 3.0 + tol:
+        raise NormTooLarge(f"operator norm {s[0]:.6g} exceeds 1/3")
+    correction = (3.0 * s - 1.0) / 2.0
+    sign = np.where(correction < 0.0, -1.0, 1.0)
+    return (u @ vh, *_unitary_pair(u * sign, np.abs(correction), vh))

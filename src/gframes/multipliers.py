@@ -24,6 +24,7 @@ import numpy as np
 
 from .core import (
     GFrame,
+    _ArrayValue,
     _inverse_frame_operator,
     _require_same_shape,
     canonical_dual,
@@ -48,8 +49,8 @@ from .kernel import as_matrix, frobenius_norm, hermitian_inverse
 from .tolerances import MAX_SERIES_TERMS, TAU_INV, TAU_RANK
 
 
-@dataclass(frozen=True)
-class WeightSequence:
+@dataclass(frozen=True, eq=False)
+class WeightSequence(_ArrayValue):
     """A finite complex weight sequence, one entry per block index.
 
     `norm_inf` is the sup norm; `semi_norm_bounds` holds the extreme
@@ -224,9 +225,14 @@ def invert_via_bijection(weights, frame: GFrame, g_matrix):
         raise NotAFrame("the weighted family needs a g-frame to invert against")
     companion = GFrame.from_stacked(frame.analysis_matrix() @ g, frame.partition)
     m_mat = multiplier(w, frame, companion)
-    s_w = frame_operator(scale_blocks(frame, np.sqrt(np.abs(w.values))))
-    s_w_eigs = np.linalg.eigvalsh(s_w)
-    m_inv = sign * (np.linalg.inv(g) @ hermitian_inverse(s_w))
+    # S_w is the frame operator of {sqrt|m_i| Lambda_i}; one spectrum serves both
+    scaled = scale_blocks(frame, np.sqrt(np.abs(w.values)))
+    s_w_eigs = scaled._spectrum[0]
+    if s_w_eigs[0] <= TAU_RANK:
+        raise Singular(
+            f"matrix is numerically singular: smallest eigenvalue {s_w_eigs[0]:.3e}"
+        )
+    m_inv = sign * (np.linalg.inv(g) @ _inverse_frame_operator(scaled))
     a_w, b_w = w.semi_norm_bounds
     cert = MultiplierCertificate(
         proposition=Proposition.P33_BIJECTION,

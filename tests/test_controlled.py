@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import complex_gaussian, identity_gframe
+from conftest import check_value_object, complex_gaussian, identity_gframe
 from gframes import (
     ControlOperator,
     GFrame,
@@ -56,6 +56,13 @@ def test_control_operator_flags():
     shear = ControlOperator(np.array([[1.0, 1.0], [0.0, 1.0]]))
     assert not shear.is_self_adjoint
     assert shear.bounds is None
+
+
+def test_control_operator_value_semantics():
+    m = random_positive(np.random.default_rng(59), 4).matrix
+    changed = m.copy()
+    changed[0, 3] += 1e-9
+    check_value_object(ControlOperator(m), ControlOperator(m.copy()), ControlOperator(changed))
 
 
 def test_control_operator_rejects_bad_matrices():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import complex_gaussian, identity_gframe, random_unit
+from conftest import check_value_object, complex_gaussian, identity_gframe, random_unit
 from gframes import (
     FrameClass,
     GFrame,
@@ -418,6 +418,15 @@ def test_pickle_and_deepcopy_keep_the_frame():
         assert frame_bounds(twin) == bounds
         assert not twin.analysis_matrix().flags.writeable
         assert all(np.shares_memory(b, twin.analysis_matrix()) for b in twin.blocks)
+
+
+def test_vector_frame_value_semantics():
+    vf = induced_frame(random_gframe(np.random.default_rng(109), 3, (2, 2)))
+    changed = vf.vectors.copy()
+    changed[1, 2] += 1e-9
+    check_value_object(
+        vf, VectorFrame(3, vf.vectors.copy(), vf.indices), VectorFrame(3, changed, vf.indices)
+    )
 
 
 def test_blocks_are_frozen():

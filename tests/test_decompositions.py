@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import identity_gframe
+from conftest import count_factorizations, identity_gframe
 from gframes import (
     ComponentKind,
     GFrame,
@@ -15,7 +15,9 @@ from gframes import (
     frame_operator,
     scale_blocks,
 )
+from gframes import decompositions, kernel
 from gframes.decompositions import (
+    _certified,
     coisometry_image,
     decompose_gonb_plus_griesz,
     decompose_three_gonb,
@@ -24,6 +26,7 @@ from gframes.decompositions import (
 )
 from gframes.errors import (
     DimensionMismatch,
+    GFrameError,
     NotAFrame,
     NotCoisometry,
     NotGOnb,
@@ -244,6 +247,61 @@ def test_one_eigh_of_s_and_one_svd_of_t_per_frame(monkeypatch):
     assert [n for n, a in seen if a.shape == s.shape and np.array_equal(a, s)] == ["eigh"]
     assert [n for n, a in seen if a.shape == t.shape and np.array_equal(a, t)] == ["svd"]
     assert [n for n, _ in seen].count("svd") == 1
+
+
+def test_each_certificate_runs_only_the_factorization_it_needs(monkeypatch):
+    # every splitting takes one SVD; g-ONB components are certified from
+    # their S alone, Parseval and g-Riesz components by one eigh of it
+    rng = np.random.default_rng(307)
+    frame = random_g_riesz(rng, 6, (2, 1, 3))
+    onb = random_g_onb(rng, 6, (2, 1, 3))
+    k = random_coisometry(rng, 3, 6)
+    calls = count_factorizations(monkeypatch)
+    assert classify(frame).is_g_riesz
+    assert calls == {"eigh": 1}
+    for op, expected in (
+        (decompose_three_gonb, {"svd": 1}),
+        (decompose_two_gonb_combo, {"svd": 1}),
+        (decompose_two_parseval, {"svd": 1, "eigh": 2}),
+        (decompose_gonb_plus_griesz, {"svd": 1, "eigh": 1}),
+        (lambda _: coisometry_image(onb, k), {"eigh": 1}),
+    ):
+        calls.clear()
+        op(frame)
+        assert calls == expected, op
+
+
+def test_non_unitary_components_are_rejected(monkeypatch):
+    # (W B + E, W B* - E) keeps the sum, so the reconstruction check
+    # passes and only the component certificates can catch it
+    rng = np.random.default_rng(311)
+    frame = random_g_riesz(rng, 4, (2, 2))
+    original = kernel._unitary_pair
+
+    def skewed(u, s, vh):
+        first, second = original(u, s, vh)
+        e = np.full_like(first, 1e-6)
+        return first + e, second - e
+
+    monkeypatch.setattr(kernel, "_unitary_pair", skewed)
+    monkeypatch.setattr(decompositions, "_unitary_pair", skewed)
+    for op, kind in (
+        (decompose_three_gonb, "GOnb"),
+        (decompose_two_gonb_combo, "GOnb"),
+        (decompose_two_parseval, "NormalizedTight"),
+    ):
+        with pytest.raises(GFrameError, match=f"not a {kind}$"):
+            op(frame)
+
+
+def test_g_riesz_component_must_be_square_and_invertible():
+    rng = np.random.default_rng(313)
+    riesz = random_g_riesz(rng, 4, (2, 2))
+    kinds = (ComponentKind.G_RIESZ,)
+    assert _certified((1.0,), (riesz.analysis_matrix(),), kinds, riesz).components
+    for frame in (random_deficient(rng, 4, (2, 2)), random_gframe(rng, 3, (2, 2))):
+        with pytest.raises(GFrameError, match="not a GRiesz$"):
+            _certified((1.0,), (frame.analysis_matrix(),), kinds, frame)
 
 
 # -- g-ONB plus g-Riesz --

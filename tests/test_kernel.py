@@ -229,6 +229,27 @@ def test_triple_rejects_large_norm():
         unitary_triple_from_small_norm(0.5 * np.eye(2))
 
 
+def test_triple_at_singular_values_one_third_and_zero():
+    # 3s - 1 = 0 and s = 0 are the edges of the single-SVD construction
+    rng = np.random.default_rng(47)
+    u, v = random_unitary(rng, 4), random_unitary(rng, 4)
+    for diag in ([1 / 3] * 4, [1 / 3, 1 / 3, 0.0, 0.0], [1 / 3, 0.2, 0.1, 0.0], [0.0] * 4):
+        for a in (np.diag(diag), u @ np.diag(diag) @ v):
+            u1, u2, u3 = unitary_triple_from_small_norm(a)
+            for w in (u1, u2, u3):
+                assert unitary_defect(w) <= 1e-10
+            assert frobenius_norm((u1 + u2 + u3) / 3 - a) <= 1e-12
+
+
+def test_splittings_reject_norm_just_above_their_threshold():
+    rng = np.random.default_rng(53)
+    u = random_unitary(rng, 3)
+    with pytest.raises(NormTooLarge, match="exceeds 1$"):
+        unitary_pair_from_contraction((1.0 + 2e-8) * u)
+    with pytest.raises(NormTooLarge, match="exceeds 1/3$"):
+        unitary_triple_from_small_norm((1.0 / 3.0 + 2e-8) * u)
+
+
 # -- input hygiene --
 
 

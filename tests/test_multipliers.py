@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import identity_gframe
+from conftest import check_value_object, count_factorizations, identity_gframe
 from gframes import (
     GFrame,
     MultiplierCertificate,
@@ -96,6 +96,14 @@ def test_weight_sequence_rejects_bad_input():
     w = WeightSequence(np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         w.values[0] = 5.0
+
+
+def test_weight_sequence_value_semantics():
+    check_value_object(
+        WeightSequence([1.0, 2.0j]),
+        WeightSequence(np.array([1.0, 2.0j])),
+        WeightSequence([1.0, 2.5j]),
+    )
 
 
 @given(st.integers(0, 2**31 - 1))
@@ -251,6 +259,25 @@ def test_bijection_rejects_singular_and_misshaped_g():
         invert_via_bijection([1.0, 1.0], frame, np.zeros((2, 2)))
     with pytest.raises(ShapeMismatch):
         invert_via_bijection([1.0, 1.0], frame, np.eye(3))
+
+
+def test_bijection_factors_s_w_once(monkeypatch):
+    # sigma(G), the frame's spectrum and S_w's: the bracket and S_w^-1
+    # share one eigh
+    rng = np.random.default_rng(6)
+    weights, frame, g = bijection_instance(rng, 4, [2, 1, 1])
+    calls = count_factorizations(monkeypatch)
+    m_inv, cert = invert_via_bijection(weights, frame, g)
+    assert calls == {"svd": 1, "eigh": 2}
+    companion = GFrame(4, tuple(b @ g for b in frame.blocks))
+    check_certified(weights, frame, companion, m_inv, cert)
+
+
+def test_bijection_rejects_numerically_singular_weighted_operator():
+    with pytest.raises(
+        Singular, match="^matrix is numerically singular: smallest eigenvalue 1.000e-11$"
+    ):
+        invert_via_bijection([1e-11, 1e-11], identity_gframe(2), np.eye(2))
 
 
 def test_bijection_rejects_deficient_frame():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import identity_gframe
+from conftest import count_factorizations, identity_gframe
 from gframes import (
     ControlOperator,
     FrameClass,
@@ -315,6 +315,16 @@ def test_equivalence_suite_is_unanimous(seed):
         frame, rng.uniform(0.2, 3.0, n), rng.uniform(0.2, 3.0, n)
     )
     assert verdict.unanimous
+
+
+def test_equivalence_suite_scales_by_sqrt_weights_once(monkeypatch):
+    # (iii) and (iv) read one spectrum of {sqrt(w_i) Lambda_i}
+    rng = np.random.default_rng(89)
+    frame = random_gframe(rng, 4, [2, 2, 1])
+    calls = count_factorizations(monkeypatch)
+    verdict = weighted_equivalence_suite(frame, [1.0, 2.0, 3.0], [0.5, 0.5, 0.5])
+    assert all(verdict)
+    assert calls == {"eigh": 3, "eigvalsh": 2}
 
 
 def test_equivalence_suite_rejects_non_positive_weights():
