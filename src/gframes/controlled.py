@@ -42,7 +42,6 @@ from .kernel import (
     frobenius_norm,
     hermitian_defect,
     hermitian_part,
-    operator_norm,
     as_matrix,
 )
 from .multipliers import WeightSequence, _weights_for, multiplier
@@ -54,34 +53,37 @@ class ControlOperator(_ArrayValue):
     """An invertible operator on H with cached structure flags.
 
     `bounds` carries the extreme eigenvalues when the operator is
-    self-adjoint and is None otherwise.
+    self-adjoint and is None otherwise; `norm` is ||C||.
     """
 
     matrix: np.ndarray
     is_self_adjoint: bool = field(init=False)
     is_positive: bool = field(init=False)
     bounds: tuple[float, float] | None = field(init=False)
+    norm: float = field(init=False)
 
     def __post_init__(self):
         m = as_matrix(self.matrix, "control operator")
         if m.shape[0] != m.shape[1]:
             raise ShapeMismatch(f"control operator must be square, got {m.shape}")
-        sv = np.linalg.svd(m, compute_uv=False)
-        if sv[-1] ** 2 <= TAU_RANK:
-            raise Singular(
-                f"control operator is not invertible: sigma_min {sv[-1]:.3e}"
-            )
         self_adjoint = hermitian_defect(m) <= TAU_HERM
         bounds = None
-        positive = False
         if self_adjoint:
+            # |eigenvalues| of (C + C*)/2 are within TAU_HERM/2 of C's singular values
             eigs = np.linalg.eigvalsh(hermitian_part(m))
             bounds = (float(eigs[0]), float(eigs[-1]))
-            positive = eigs[0] > TAU_RANK
+            sv = np.abs(eigs)
+        else:
+            sv = np.linalg.svd(m, compute_uv=False)
+        if sv.min() ** 2 <= TAU_RANK:
+            raise Singular(
+                f"control operator is not invertible: sigma_min {sv.min():.3e}"
+            )
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "is_self_adjoint", self_adjoint)
-        object.__setattr__(self, "is_positive", positive)
+        object.__setattr__(self, "is_positive", self_adjoint and bounds[0] > TAU_RANK)
         object.__setattr__(self, "bounds", bounds)
+        object.__setattr__(self, "norm", float(sv.max()))
 
     @property
     def h_dim(self) -> int:
@@ -137,7 +139,7 @@ def verify_commutation(frame: GFrame, control: ControlOperator) -> CommutationRe
     c = control.matrix
     defect = frobenius_norm(s @ c.conj().T - c @ s)
     # ||S|| = lambda_max(S), read from the frame's spectrum
-    scale = 1.0 + frame_bounds(frame).upper * operator_norm(c)
+    scale = 1.0 + frame_bounds(frame).upper * control.norm
     return CommutationResult(defect <= TAU_COMM * scale, float(defect))
 
 

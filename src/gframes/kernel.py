@@ -18,9 +18,8 @@ from .errors import (
     NormTooLarge,
     NotHermitian,
     ShapeMismatch,
-    Singular,
 )
-from .tolerances import TAU_HERM, TAU_NORM, TAU_PSD, TAU_RANK
+from .tolerances import TAU_HERM, TAU_NORM, TAU_PSD
 
 
 def as_matrix(value, name: str = "matrix") -> np.ndarray:
@@ -72,18 +71,6 @@ def spectral_range(matrix, tol: float = TAU_HERM) -> tuple[float, float]:
         )
     eigs = np.linalg.eigvalsh(hermitian_part(a))
     return float(eigs[0]), float(eigs[-1])
-
-
-def hermitian_inverse(matrix, floor: float = TAU_RANK) -> np.ndarray:
-    """Inverse of a self-adjoint positive definite matrix via its spectrum."""
-    a = as_matrix(matrix, "hermitian_inverse input")
-    _require_square(a, "hermitian_inverse input")
-    eigs, vecs = np.linalg.eigh(hermitian_part(a))
-    if eigs[0] <= floor:
-        raise Singular(
-            f"matrix is numerically singular: smallest eigenvalue {eigs[0]:.3e}"
-        )
-    return (vecs * (1.0 / eigs)) @ vecs.conj().T
 
 
 @dataclass(frozen=True)

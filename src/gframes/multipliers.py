@@ -9,9 +9,12 @@ returns a certificate: the checked quantities, a rigorous bracket for
 ||M M^-1 - I||.
 
 Every series route checks its hypothesis, which yields a base, a ratio
-R and a contraction q >= ||R|| with M^-1 = sum_k R^k base, then sums
-the n terms with ||base|| q^n/(1-q) <= tol, so `tol` bounds
-||M^-1 - X||_2 through the geometric tail.
+R formed from the M it inverts and a contraction q >= ||R|| with
+M^-1 = sum_k R^k base; `_certified_series` then sums the n terms with
+||base|| q^n/(1-q) <= tol, so `tol` bounds ||M^-1 - X||_2 through the
+geometric tail. The Neumann routes (P3.4, C3.5, P3.8) take R = I - M;
+a dual accepted within TAU_DUAL adds its defect delta to the paper's q,
+so they certify q + delta and report delta as `duality_defect`.
 """
 
 from __future__ import annotations
@@ -28,10 +31,9 @@ from .core import (
     _inverse_frame_operator,
     _require_same_shape,
     canonical_dual,
+    duality_defect,
     frame_bounds,
-    frame_operator,
     scale_blocks,
-    verify_duality,
 )
 from .errors import (
     HypothesisFailed,
@@ -45,8 +47,8 @@ from .errors import (
     Singular,
     SingularG,
 )
-from .kernel import as_matrix, frobenius_norm, hermitian_inverse
-from .tolerances import MAX_SERIES_TERMS, TAU_INV, TAU_RANK
+from .kernel import as_matrix, frobenius_norm
+from .tolerances import MAX_SERIES_TERMS, TAU_DUAL, TAU_INV, TAU_RANK
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,11 +170,12 @@ def _require_tol(tol: float) -> float:
 
 
 def _geometric_terms(contraction: float, tol: float) -> int:
-    # smallest n >= 1 with q^n/(1-q) <= tol
+    # smallest n >= 1 with q^n/(1-q) <= tol; none exists for q >= 1
     if contraction <= 0.0:
         return 1
-    n = math.ceil(math.log(tol * (1.0 - contraction)) / math.log(contraction))
-    n = max(n, 1)
+    n = math.inf
+    if contraction < 1.0:
+        n = max(math.ceil(math.log(tol * (1.0 - contraction)) / math.log(contraction)), 1)
     if n > MAX_SERIES_TERMS:
         raise MaxIterations(
             f"geometric tail needs {n} terms, cap is {MAX_SERIES_TERMS}"
@@ -200,6 +203,42 @@ def _residual(m_mat: np.ndarray, m_inv: np.ndarray) -> float:
     return frobenius_norm(m_mat @ m_inv - np.eye(m_mat.shape[0]))
 
 
+def _certified_series(m_mat, base, ratio, contraction, tail_tol, proposition, hvals, bracket):
+    """Sum M^-1 = sum_k ratio^k base to the geometric tail and certify it.
+
+    `contraction` bounds ||ratio||, `tail_tol` is tol/||base|| and
+    `bracket` is the proposition's (lower, upper) bracket of ||M^-1||.
+    """
+    n_terms = _geometric_terms(contraction, tail_tol)
+    m_inv = _series_sum(base, ratio, n_terms)
+    cert = MultiplierCertificate(
+        proposition=proposition,
+        hypothesis_values={**hvals, "contraction": contraction},
+        inverse_norm_lower=bracket[0],
+        inverse_norm_upper=bracket[1],
+        series_terms_for_tol=n_terms,
+        residual=_residual(m_mat, m_inv),
+    )
+    return m_inv, cert
+
+
+def _oriented(w: WeightSequence, frame: GFrame, companion: GFrame, swapped: bool):
+    """M, or the (companion, frame) multiplier sum_i m_i Theta_i* Lambda_i when `swapped`."""
+    return multiplier(w, companion, frame) if swapped else multiplier(w, frame, companion)
+
+
+def _weighted_inverse(frame: GFrame, w: WeightSequence):
+    """S_w^-1 and the spectrum of S_w = sum_i |m_i| Lambda_i* Lambda_i, both
+    from the one eigh of the frame {sqrt|m_i| Lambda_i}."""
+    scaled = scale_blocks(frame, np.sqrt(np.abs(w.values)))
+    eigs = scaled._spectrum[0]
+    if eigs[0] <= TAU_RANK:
+        raise Singular(
+            f"matrix is numerically singular: smallest eigenvalue {eigs[0]:.3e}"
+        )
+    return _inverse_frame_operator(scaled), eigs
+
+
 def invert_via_bijection(weights, frame: GFrame, g_matrix):
     """Invert M = sum_i m_i Lambda_i* Lambda_i G exactly.
 
@@ -210,8 +249,6 @@ def invert_via_bijection(weights, frame: GFrame, g_matrix):
     """
     w = _weights_for(frame, weights)
     sign = _definite_sign(w)
-    if w.semi_norm_bounds is None:
-        raise MixedSigns("weights must be bounded away from zero")
     g = as_matrix(g_matrix, "bijection operator")
     if g.shape != (frame.h_dim, frame.h_dim):
         raise ShapeMismatch(
@@ -225,14 +262,8 @@ def invert_via_bijection(weights, frame: GFrame, g_matrix):
         raise NotAFrame("the weighted family needs a g-frame to invert against")
     companion = GFrame.from_stacked(frame.analysis_matrix() @ g, frame.partition)
     m_mat = multiplier(w, frame, companion)
-    # S_w is the frame operator of {sqrt|m_i| Lambda_i}; one spectrum serves both
-    scaled = scale_blocks(frame, np.sqrt(np.abs(w.values)))
-    s_w_eigs = scaled._spectrum[0]
-    if s_w_eigs[0] <= TAU_RANK:
-        raise Singular(
-            f"matrix is numerically singular: smallest eigenvalue {s_w_eigs[0]:.3e}"
-        )
-    m_inv = sign * (np.linalg.inv(g) @ _inverse_frame_operator(scaled))
+    s_w_inv, s_w_eigs = _weighted_inverse(frame, w)
+    m_inv = sign * (np.linalg.inv(g) @ s_w_inv)
     a_w, b_w = w.semi_norm_bounds
     cert = MultiplierCertificate(
         proposition=Proposition.P33_BIJECTION,
@@ -252,53 +283,34 @@ def invert_via_bijection(weights, frame: GFrame, g_matrix):
     return m_inv, cert
 
 
-def _neumann_inverse(m_mat, n_mat, contraction, tol, proposition, hvals):
-    """M^-1 = sum_k N^k for N = I - M with ||N|| <= contraction < 1."""
-    n_terms = _geometric_terms(contraction, tol)
-    m_inv = _series_sum(np.eye(m_mat.shape[0], dtype=np.complex128), n_mat, n_terms)
-    cert = MultiplierCertificate(
-        proposition=proposition,
-        hypothesis_values={**hvals, "contraction": contraction},
-        inverse_norm_lower=1.0 / (1.0 + contraction),
-        inverse_norm_upper=1.0 / (1.0 - contraction),
-        series_terms_for_tol=n_terms,
-        residual=_residual(m_mat, m_inv),
-    )
-    return m_inv, cert
-
-
-def _dual_neumann_core(w, frame, dual, contraction, tol, swapped, proposition, hvals):
-    first, second = (dual, frame) if swapped else (frame, dual)
-    m_mat = multiplier(w, first, second)
-    n_mat = multiplier(WeightSequence(1.0 - w.values), first, second)
-    return _neumann_inverse(m_mat, n_mat, contraction, tol, proposition, hvals)
-
-
 def invert_dual_neumann(weights, frame: GFrame, dual: GFrame,
                         tol: float = TAU_INV, swapped: bool = False):
     """Invert a multiplier of a dual pair with weights near one.
 
-    With lambda = max|1 - m_i| and lambda*sqrt(B_Lambda*B_dual) < 1 the
-    complementary multiplier is a contraction, so M^-1 is the Neumann
-    sum of its powers, truncated by the geometric tail bound. `swapped`
-    evaluates the (dual, frame) operator order instead.
+    With lambda = max|1 - m_i| and q = lambda*sqrt(B_Lambda*B_dual) < 1,
+    ||I - M|| <= q + delta for the duality defect delta, so M^-1 is the
+    Neumann sum of powers of I - M, truncated by the geometric tail
+    bound. `swapped` evaluates the (dual, frame) operator order instead.
     """
     tol = _require_tol(tol)
     w = _weights_for(frame, weights)
-    if not verify_duality(frame, dual):
+    delta = duality_defect(frame, dual)
+    if delta > TAU_DUAL:
         raise NotDual("the companion family is not a dual of the frame")
     b_frame = frame_bounds(frame).upper
     b_dual = frame_bounds(dual).upper
     lam = float(np.max(np.abs(1.0 - w.values)))
-    contraction = lam * math.sqrt(b_frame * b_dual)
-    hvals = {"lambda": lam, "B_Lambda": b_frame, "B_dual": b_dual}
-    if contraction >= 1.0:
+    q = lam * math.sqrt(b_frame * b_dual)
+    hvals = {"lambda": lam, "B_Lambda": b_frame, "B_dual": b_dual, "duality_defect": delta}
+    if q >= 1.0:
         raise HypothesisFailed(
-            "lambda*sqrt(B_Lambda*B_dual) < 1", {**hvals, "contraction": contraction}
+            "lambda*sqrt(B_Lambda*B_dual) < 1", {**hvals, "contraction": q}
         )
-    return _dual_neumann_core(
-        w, frame, dual, contraction, tol, swapped, Proposition.P34_DUAL_PERTURB, hvals
-    )
+    m_mat = _oriented(w, frame, dual, swapped)
+    eye = np.eye(frame.h_dim, dtype=np.complex128)
+    c = q + delta
+    return _certified_series(m_mat, eye, eye - m_mat, c, tol, Proposition.P34_DUAL_PERTURB,
+                             hvals, (1.0 / (1.0 + c), 1.0 / (1.0 - c)))
 
 
 def invert_canonical_dual(weights, frame: GFrame,
@@ -306,8 +318,9 @@ def invert_canonical_dual(weights, frame: GFrame,
     """Invert a multiplier of the frame with its canonical dual.
 
     The hypothesis tightens to lambda < sqrt(A_Lambda/B_Lambda) because
-    the canonical dual's optimal upper bound is 1/A_Lambda; the bracket
-    becomes 1/(1 +/- lambda*sqrt(B_Lambda/A_Lambda)).
+    the canonical dual's optimal upper bound is 1/A_Lambda; with
+    q = lambda*sqrt(B_Lambda/A_Lambda) plus the computed dual's defect
+    delta, the bracket becomes 1/(1 +/- (q + delta)).
     """
     tol = _require_tol(tol)
     w = _weights_for(frame, weights)
@@ -322,11 +335,12 @@ def invert_canonical_dual(weights, frame: GFrame,
             "lambda < sqrt(A_Lambda/B_Lambda)", {**hvals, "threshold": threshold}
         )
     dual = canonical_dual(frame)
-    contraction = lam * math.sqrt(bounds.upper / bounds.lower)
-    return _dual_neumann_core(
-        w, frame, dual, contraction, tol, swapped,
-        Proposition.C35_CANONICAL_DUAL, hvals,
-    )
+    hvals["duality_defect"] = delta = duality_defect(frame, dual)
+    m_mat = _oriented(w, frame, dual, swapped)
+    eye = np.eye(frame.h_dim, dtype=np.complex128)
+    c = lam * math.sqrt(bounds.upper / bounds.lower) + delta
+    return _certified_series(m_mat, eye, eye - m_mat, c, tol, Proposition.C35_CANONICAL_DUAL,
+                             hvals, (1.0 / (1.0 + c), 1.0 / (1.0 - c)))
 
 
 def invert_bessel_perturb(weights, frame: GFrame, companion: GFrame,
@@ -336,7 +350,7 @@ def invert_bessel_perturb(weights, frame: GFrame, companion: GFrame,
     Requires real sign-definite semi-normalized weights, a Bessel bound
     B_diff of the blockwise difference below A_Lambda^2/B_Lambda, and
     b/a < A_Lambda/sqrt(B_diff*B_Lambda). The inverse is the series
-    sum_k [S_w^-1 (S_w -/+ M)]^k S_w^-1 preconditioned by the weighted
+    sum_k [I -/+ S_w^-1 M]^k (+/-S_w^-1) preconditioned by the weighted
     frame operator S_w, with contraction q = (b/a) sqrt(B_Lambda*B_diff)/A_Lambda
     and ||S_w^-1|| <= 1/(a A_Lambda) setting the geometric tail.
     """
@@ -344,8 +358,6 @@ def invert_bessel_perturb(weights, frame: GFrame, companion: GFrame,
     w = _weights_for(frame, weights)
     _require_same_shape(frame, companion)
     sign = _definite_sign(w)
-    if w.semi_norm_bounds is None:
-        raise MixedSigns("weights must be bounded away from zero")
     a_w, b_w = w.semi_norm_bounds
     bounds = frame_bounds(frame)
     if bounds.lower <= TAU_RANK:
@@ -363,22 +375,14 @@ def invert_bessel_perturb(weights, frame: GFrame, companion: GFrame,
         raise HypothesisFailed("B_diff < A_Lambda^2/B_Lambda", hvals)
     if contraction >= 1.0:
         raise HypothesisFailed("b/a < A_Lambda/sqrt(B_diff*B_Lambda)", hvals)
-    s_w = frame_operator(scale_blocks(frame, np.sqrt(np.abs(w.values))))
-    s_w_inv = hermitian_inverse(s_w)
-    first, second = (companion, frame) if swapped else (frame, companion)
-    m_mat = multiplier(w, first, second)
-    ratio = s_w_inv @ (s_w - sign * m_mat)
-    n_terms = _geometric_terms(contraction, tol * a_w * a_l)
-    m_inv = sign * _series_sum(s_w_inv, ratio, n_terms)
-    cert = MultiplierCertificate(
-        proposition=Proposition.P36_BESSEL_PERTURB,
-        hypothesis_values=hvals,
-        inverse_norm_lower=1.0 / (b_w * b_l + spread),
-        inverse_norm_upper=1.0 / (a_w * a_l - spread),
-        series_terms_for_tol=n_terms,
-        residual=_residual(m_mat, m_inv),
+    s_w_inv, _ = _weighted_inverse(frame, w)
+    m_mat = _oriented(w, frame, companion, swapped)
+    ratio = np.eye(frame.h_dim) - sign * (s_w_inv @ m_mat)
+    return _certified_series(
+        m_mat, sign * s_w_inv, ratio, contraction, tol * a_w * a_l,
+        Proposition.P36_BESSEL_PERTURB, hvals,
+        (1.0 / (b_w * b_l + spread), 1.0 / (a_w * a_l - spread)),
     )
-    return m_inv, cert
 
 
 def _validated_mu(w: WeightSequence, companion: GFrame, reference: GFrame,
@@ -411,7 +415,7 @@ def invert_mu_perturb(weights, frame: GFrame, companion: GFrame,
 
     mu bounds sum_i ||(m_i Theta_i - Lambda_i) f||^2 (conj(m_i) when
     `swapped`); the hypothesis is mu < A_Lambda^2/B_Lambda. The inverse
-    is the series sum_k [S^-1 (S - M)]^k S^-1, with contraction
+    is the series sum_k [I - S^-1 M]^k S^-1, with contraction
     q = sqrt(mu*B_Lambda)/A_Lambda and ||S^-1|| = 1/A_Lambda setting the
     geometric tail. A user-supplied mu is accepted if it dominates the
     computed optimal one.
@@ -429,28 +433,16 @@ def invert_mu_perturb(weights, frame: GFrame, companion: GFrame,
     if mu_used >= a_l**2 / b_l:
         raise HypothesisFailed("mu < A_Lambda^2/B_Lambda", hvals)
     root = math.sqrt(mu_used * b_l)
-    contraction = root / a_l
-    hvals["contraction"] = contraction
-    s = frame_operator(frame)
     s_inv = _inverse_frame_operator(frame)
-    first, second = (companion, frame) if swapped else (frame, companion)
-    m_mat = multiplier(w, first, second)
-    ratio = s_inv @ (s - m_mat)
-    n_terms = _geometric_terms(contraction, tol * a_l)
-    m_inv = _series_sum(s_inv, ratio, n_terms)
+    m_mat = _oriented(w, frame, companion, swapped)
     # the weighted companion inherits a positive lower bound; record it
     hvals["mTheta_lower"] = frame_bounds(
         scale_blocks(companion, np.abs(w.values))
     ).lower
-    cert = MultiplierCertificate(
-        proposition=Proposition.P37_MU_PERTURB,
-        hypothesis_values=hvals,
-        inverse_norm_lower=1.0 / (b_l + root),
-        inverse_norm_upper=1.0 / (a_l - root),
-        series_terms_for_tol=n_terms,
-        residual=_residual(m_mat, m_inv),
+    return _certified_series(
+        m_mat, s_inv, np.eye(frame.h_dim) - s_inv @ m_mat, root / a_l, tol * a_l,
+        Proposition.P37_MU_PERTURB, hvals, (1.0 / (b_l + root), 1.0 / (a_l - root)),
     )
-    return m_inv, cert
 
 
 def invert_dual_mu_perturb(weights, frame: GFrame, dual: GFrame, companion: GFrame,
@@ -460,38 +452,36 @@ def invert_dual_mu_perturb(weights, frame: GFrame, dual: GFrame, companion: GFra
 
     mu bounds sum_i ||(m_i Theta_i - D_i) f||^2 (conj(m_i) when
     `swapped`) against a verified dual D of the frame; the hypothesis is
-    mu < 1/B_Lambda, which makes I - M a contraction, so M^-1 is its
-    Neumann sum with geometric tail truncation.
+    mu < 1/B_Lambda, which with the duality defect delta makes
+    ||I - M|| <= sqrt(mu*B_Lambda) + delta < 1, so M^-1 is its Neumann
+    sum with geometric tail truncation.
     """
     tol = _require_tol(tol)
     w = _weights_for(frame, weights)
     _require_same_shape(frame, companion)
-    if not verify_duality(frame, dual):
+    delta = duality_defect(frame, dual)
+    if delta > TAU_DUAL:
         raise NotDual("the dual family is not a dual of the frame")
     b_l = frame_bounds(frame).upper
-    hvals = {"B_Lambda": b_l}
+    hvals = {"B_Lambda": b_l, "duality_defect": delta}
     mu_used = _validated_mu(w, companion, dual, swapped, mu, hvals)
     hvals["mu"] = mu_used
     if mu_used >= 1.0 / b_l:
         raise HypothesisFailed("mu < 1/B_Lambda", hvals)
-    first, second = (companion, frame) if swapped else (frame, companion)
-    m_mat = multiplier(w, first, second)
-    n_mat = np.eye(frame.h_dim, dtype=np.complex128) - m_mat
-    return _neumann_inverse(
-        m_mat, n_mat, math.sqrt(mu_used * b_l), tol,
-        Proposition.P38_DUAL_MU_PERTURB, hvals,
-    )
+    m_mat = _oriented(w, frame, companion, swapped)
+    eye = np.eye(frame.h_dim, dtype=np.complex128)
+    c = math.sqrt(mu_used * b_l) + delta
+    return _certified_series(m_mat, eye, eye - m_mat, c, tol, Proposition.P38_DUAL_MU_PERTURB,
+                             hvals, (1.0 / (1.0 + c), 1.0 / (1.0 - c)))
 
 
-def lower_bound_from_invertible(m_matrix, b_other: float, side: str = "m_lambda") -> float:
-    """Lower frame bound 1/(B_other ||M^-1||^2) for the weighted family.
+def lower_bound_from_invertible(m_matrix, b_other: float) -> float:
+    """Lower frame bound 1/(B_other ||M^-1||^2) for a weighted family.
 
-    `side` records which family of the invertible multiplier the bound
-    certifies: "m_lambda" pairs with the companion's Bessel bound,
-    "m_theta" with the frame's.
+    For an invertible M = sum_i m_i Lambda_i* Theta_i, passing the
+    companion's Bessel bound B_Theta gives a lower bound of
+    {m_i Lambda_i}, and passing the frame's B_Lambda one of {m_i Theta_i}.
     """
-    if side not in ("m_lambda", "m_theta"):
-        raise NonPositiveInput(f"side must be 'm_lambda' or 'm_theta', got {side!r}")
     if not (b_other > 0.0) or not math.isfinite(b_other):
         raise NonPositiveInput(f"Bessel bound must be a positive real, got {b_other!r}")
     m = as_matrix(m_matrix, "multiplier")

@@ -73,11 +73,17 @@ from .multipliers import (
     multiplier,
     multiplier_norm_bound,
 )
+from .tolerances import TAU_DUAL
 
 # run_selftest runs each check at 1/50 of its gate trials; measured with one
 # BLAS thread, that selftest takes about 0.6x the time of the fixed 20-trial
 # corpus it replaced, which leaves room for run-to-run spread
 SELFTEST_DIVISOR = 50
+
+# series tolerance of the inversion checks, plus the roundoff of numpy's inverse
+# and of the summed series allowed per unit of ||M^-1||_2 (dimensions <= 6)
+INVERSION_TOL = 1e-9
+ROUNDOFF = 1e-12
 
 
 class CheckFailed(Exception):
@@ -288,23 +294,35 @@ def check_multiplier(rng, trials):
                "multiplier norm bound")
 
 
+def inexact_dual(rng, frame, dual, defect):
+    """`dual` moved along a random direction to duality defect `defect`."""
+    push = sampling._complex_gaussian(rng, *frame.analysis_matrix().shape)
+    push *= defect / frobenius_norm(push.conj().T @ frame.analysis_matrix())
+    return GFrame.from_stacked(dual.analysis_matrix() + push, frame.partition)
+
+
 def _check_inversion(m_mat, m_inv, cert, series=None):
     """Residual, norm bracket and inverse of a certified inversion; a series
-    route passes (base, ratio), and every partial sum must beat its tail."""
+    route passes (base, ratio), every partial sum must beat its tail, and
+    the sum must meet INVERSION_TOL in the operator norm."""
     route = cert.proposition.value
     direct = np.linalg.inv(m_mat)
+    inverse_norm = operator_norm(direct)
     _check(cert.residual <= 1e-8, f"{route} residual")
-    _check(cert.inverse_norm_lower - 1e-9 <= operator_norm(direct)
+    _check(cert.inverse_norm_lower - 1e-9 <= inverse_norm
            <= cert.inverse_norm_upper + 1e-9, f"{route} bracket")
     _check(frobenius_norm(m_inv - direct) <= 1e-7, f"{route} inverse")
     if series is not None:
+        error = operator_norm(m_inv - direct)
+        _check(error <= INVERSION_TOL + ROUNDOFF * inverse_norm,
+               f"{route}: ||X - M^-1||_2 = {error:.3e} misses tol {INVERSION_TOL:g}")
         problems = tail_failures(direct, *series, cert.hypothesis_values["contraction"],
                                  cert.series_terms_for_tol, route)
         _check(not problems, "; ".join(problems))
 
 
 def check_inversions(rng, trials):
-    tol = 1e-9
+    tol = INVERSION_TOL
     for trial in range(trials):
         dim, partition = random_partition(rng)
         eye = np.eye(dim)
@@ -314,16 +332,17 @@ def check_inversions(rng, trials):
         companion = GFrame.from_stacked(frame.analysis_matrix() @ g, partition)
         _check_inversion(multiplier(w, frame, companion), *invert_via_bijection(w, frame, g))
 
+        # a dual that verify_duality accepts but that is not exact
         w, frame, dual = sampling.dual_perturb_instance(rng, dim, partition)
-        _check_inversion(multiplier(w, frame, dual),
-                         *invert_dual_neumann(w, frame, dual, tol=tol),
-                         (eye, multiplier(1 - w, frame, dual)))
+        dual = inexact_dual(rng, frame, dual, TAU_DUAL / 2)
+        m_mat = multiplier(w, frame, dual)
+        _check_inversion(m_mat, *invert_dual_neumann(w, frame, dual, tol=tol),
+                         (eye, eye - m_mat))
 
         w, frame = sampling.canonical_dual_instance(rng, dim, partition)
-        dual = canonical_dual(frame)
-        _check_inversion(multiplier(w, frame, dual),
-                         *invert_canonical_dual(w, frame, tol=tol),
-                         (eye, multiplier(1 - w, frame, dual)))
+        m_mat = multiplier(w, frame, canonical_dual(frame))
+        _check_inversion(m_mat, *invert_canonical_dual(w, frame, tol=tol),
+                         (eye, eye - m_mat))
 
         # M^-1 = sign * sum_k [S_w^-1 (S_w - sign M)]^k S_w^-1
         w, frame, companion = sampling.bessel_perturb_instance(rng, dim, partition,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import check_value_object, complex_gaussian, identity_gframe
+from conftest import check_value_object, complex_gaussian, count_factorizations, identity_gframe
 from gframes import (
     ControlOperator,
     GFrame,
@@ -52,10 +52,25 @@ def test_control_operator_flags():
     indefinite = ControlOperator(np.diag([-1.0, 1.0]))
     assert indefinite.is_self_adjoint and not indefinite.is_positive
     assert indefinite.bounds == pytest.approx((-1.0, 1.0))
+    assert indefinite.norm == pytest.approx(1.0)
 
     shear = ControlOperator(np.array([[1.0, 1.0], [0.0, 1.0]]))
     assert not shear.is_self_adjoint
     assert shear.bounds is None
+    assert shear.norm == pytest.approx(np.linalg.norm(shear.matrix, 2))
+
+
+def test_self_adjoint_control_is_factored_once(monkeypatch):
+    # invertibility, bounds and ||C|| share one eigvalsh of C; the criterion
+    # then adds only the eigvalsh of S C* and the frame's eigh
+    rng = np.random.default_rng(58)
+    frame = random_gframe(rng, 4, [2, 2, 1])
+    c = commuting_positive(rng, frame).matrix
+    calls = count_factorizations(monkeypatch)
+    control = ControlOperator(c)
+    assert calls == {"eigvalsh": 1}
+    assert controlled_equivalence(frame, control) == (True, True)
+    assert calls == {"eigvalsh": 2, "eigh": 1}
 
 
 def test_control_operator_value_semantics():

@@ -12,11 +12,9 @@ from gframes.errors import (
     NormTooLarge,
     NotHermitian,
     ShapeMismatch,
-    Singular,
 )
 from gframes.kernel import (
     frobenius_norm,
-    hermitian_inverse,
     operator_norm,
     polar_decompose,
     psd_sqrt,
@@ -154,16 +152,6 @@ def test_spectral_range_unitary_invariance():
 def test_spectral_range_rejects_non_hermitian():
     with pytest.raises(NotHermitian):
         spectral_range(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_hermitian_inverse():
-    rng = np.random.default_rng(3)
-    x = complex_gaussian(rng, 4, 4)
-    g = x.conj().T @ x + np.eye(4)
-    inv = hermitian_inverse(g)
-    assert frobenius_norm(g @ inv - np.eye(4)) <= 1e-10
-    with pytest.raises(Singular):
-        hermitian_inverse(np.zeros((3, 3)))
 
 
 # -- unitary averaging --

@@ -44,8 +44,8 @@ from gframes.errors import (
     Singular,
     SingularG,
 )
-from gframes.kernel import hermitian_inverse, operator_norm
-from gframes.multipliers import _series_sum
+from gframes.kernel import operator_norm
+from gframes.multipliers import _geometric_terms, _series_sum
 from gframes.sampling import (
     bessel_perturb_instance,
     bijection_instance,
@@ -56,14 +56,16 @@ from gframes.sampling import (
     random_deficient,
     random_gframe,
 )
-from gframes.selftest import random_partition, tail_failures
-from gframes.tolerances import TAU_INV
+from gframes.selftest import ROUNDOFF, inexact_dual, random_partition, tail_failures
+from gframes.tolerances import TAU_DUAL
 
 
 def check_certified(weights, frame, companion, m_inv, cert, swapped=False):
     """Residual small, direct inverse close, bracket contains the truth."""
-    first, second = (companion, frame) if swapped else (frame, companion)
-    m_mat = multiplier(weights, first, second)
+    m_mat = multiplier(weights, frame, companion)
+    if swapped:
+        # sum_i m_i Theta_i* Lambda_i is the adjoint of M(conj m)
+        m_mat = multiplier(np.conj(weights), frame, companion).conj().T
     direct = np.linalg.inv(m_mat)
     assert cert.residual <= 1e-7
     assert np.linalg.norm(m_mat @ m_inv - np.eye(frame.h_dim)) <= 1e-7
@@ -211,6 +213,13 @@ def test_series_sum_matches_term_by_term_partial_sums(q):
             assert gap <= 1e-12 * np.linalg.norm(partial), (n_terms, gap)
 
 
+@pytest.mark.parametrize("q", [1.0, 1.5])
+def test_geometric_tail_without_a_contraction_hits_term_cap(q):
+    # a certified q + delta can reach 1 when the paper's q sits within delta of it
+    with pytest.raises(MaxIterations):
+        _geometric_terms(q, 1e-8)
+
+
 # -- exact inversion through a bijection ---------------------------------------
 
 
@@ -334,12 +343,29 @@ def test_dual_neumann_partial_sums_obey_geometric_tail():
     weights, frame, dual = dual_perturb_instance(rng, 3, [2, 2], frac=0.6)
     m_inv, cert = invert_dual_neumann(weights, frame, dual)
     q = cert.hypothesis_values["contraction"]
-    direct = np.linalg.inv(multiplier(weights, frame, dual))
-    n_mat = multiplier(1.0 - np.asarray(weights), frame, dual)
+    m_mat = multiplier(weights, frame, dual)
     failures = tail_failures(
-        direct, np.eye(3), n_mat, q, cert.series_terms_for_tol, "P3.4"
+        np.linalg.inv(m_mat), np.eye(3), np.eye(3) - m_mat, q, cert.series_terms_for_tol, "P3.4"
     )
     assert not failures, failures
+
+
+def test_dual_neumann_meets_tol_for_an_inexact_dual():
+    # a dual accepted within TAU_DUAL: the series sums powers of I - M and
+    # certifies q + delta, so tol still bounds ||X - M^-1||_2
+    rng = np.random.default_rng(47)
+    tol = 1e-10
+    for _ in range(10):
+        dim, partition = random_partition(rng)
+        weights, frame, dual = dual_perturb_instance(rng, dim, partition)
+        dual = inexact_dual(rng, frame, dual, TAU_DUAL / 2)
+        m_inv, cert = invert_dual_neumann(weights, frame, dual, tol=tol)
+        direct = check_certified(weights, frame, dual, m_inv, cert)
+        assert operator_norm(m_inv - direct) <= tol + ROUNDOFF * operator_norm(direct)
+        hv = cert.hypothesis_values
+        assert hv["duality_defect"] == pytest.approx(TAU_DUAL / 2, rel=1e-6)
+        q = hv["lambda"] * np.sqrt(hv["B_Lambda"] * hv["B_dual"])
+        assert hv["contraction"] == pytest.approx(q + hv["duality_defect"], rel=1e-12)
 
 
 def test_dual_neumann_rejects_non_dual_companion():
@@ -447,6 +473,15 @@ def test_bessel_perturb_rejects_mixed_signs():
         invert_bessel_perturb([1.0, -1.0], frame, frame)
 
 
+def test_bessel_perturb_rejects_numerically_singular_weighted_operator():
+    # equal tiny weights pass both inequalities (B_diff = 0); S_w does not
+    frame = identity_gframe(2)
+    with pytest.raises(
+        Singular, match="^matrix is numerically singular: smallest eigenvalue 1.000e-11$"
+    ):
+        invert_bessel_perturb([1e-11, 1e-11], frame, frame)
+
+
 def test_bessel_perturb_large_difference_fails_hypothesis():
     frame = identity_gframe(2)
     companion = GFrame(2, (np.array([[3.0, 0.0]]), np.array([[0.0, 1.0]])))
@@ -491,7 +526,7 @@ def test_mu_perturb_trivial_companion_recovers_frame_operator_inverse():
     frame = random_gframe(rng, 3, [2, 2])
     m_inv, cert = invert_mu_perturb(np.ones(2), frame, frame)
     assert cert.hypothesis_values["mu_computed"] <= 1e-12
-    s_inv = hermitian_inverse(frame_operator(frame))
+    s_inv = np.linalg.inv(frame_operator(frame))
     assert np.linalg.norm(m_inv - s_inv) <= 1e-9
 
 
@@ -671,13 +706,9 @@ def test_lower_bound_certifies_both_weighted_families():
         weights, frame, dual = dual_perturb_instance(rng, dim, partition)
         m_mat = multiplier(weights, frame, dual)
         mods = np.abs(weights)
-        lb_lambda = lower_bound_from_invertible(
-            m_mat, frame_bounds(dual).upper, side="m_lambda"
-        )
+        lb_lambda = lower_bound_from_invertible(m_mat, frame_bounds(dual).upper)
         assert weighted_bounds(frame, mods).lower >= lb_lambda - 1e-9
-        lb_theta = lower_bound_from_invertible(
-            m_mat, frame_bounds(frame).upper, side="m_theta"
-        )
+        lb_theta = lower_bound_from_invertible(m_mat, frame_bounds(frame).upper)
         assert weighted_bounds(dual, mods).lower >= lb_theta - 1e-9
 
 
@@ -686,7 +717,5 @@ def test_lower_bound_rejects_bad_inputs():
         lower_bound_from_invertible(np.zeros((2, 2)), 1.0)
     with pytest.raises(NonPositiveInput):
         lower_bound_from_invertible(np.eye(2), 0.0)
-    with pytest.raises(NonPositiveInput):
-        lower_bound_from_invertible(np.eye(2), 1.0, side="m_gamma")
     with pytest.raises(ShapeMismatch):
         lower_bound_from_invertible(np.ones((2, 3)), 1.0)
