@@ -66,7 +66,6 @@ from .multipliers import (
     multiplier,
     multiplier_norm_bound,
 )
-from .selftest import run_selftest
 from .tolerances import TAU_INV
 
 
@@ -539,6 +538,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from .selftest import run_selftest  # compiled only when it runs
+
     return 0 if run_selftest(seed=args.seed) else 1
 
 

@@ -4,13 +4,14 @@ A g-frame on H = C^d is a finite family of operators Lambda_i : H -> H_i,
 given as d_i x d blocks. A GFrame stores the stacked analysis matrix T
 and its row partition; its blocks are row views of T, built the first
 time they are read. The frame operator is S = T* T, and the optimal
-frame bounds are its extreme eigenvalues. Each frame computes S and its
-eigendecomposition once, on first use, and its bounds, classification,
-canonical dual and every S^-1 share them. Duals, rescalings and the
-induced vector frame are each one product or row scaling of T. Every
-g-frame induces an ordinary vector frame by pulling the standard basis
-of each H_i back through the block adjoints, and all frame-theoretic
-properties transfer across that bridge.
+frame bounds are its extreme eigenvalues. Each frame computes S, its
+eigendecomposition and the thin SVD of T once each, on first use: its
+bounds, classification, canonical dual and every S^-1 share the
+spectrum, and every decomposition splits the one SVD. Duals,
+rescalings and the induced vector frame are each one product or row
+scaling of T. Every g-frame induces an ordinary vector frame by pulling
+the standard basis of each H_i back through the block adjoints, and all
+frame-theoretic properties transfer across that bridge.
 """
 
 from __future__ import annotations
@@ -37,10 +38,11 @@ class GFrame:
     The stored form is the stacked analysis matrix T (sum d_i x h_dim,
     complex128, read-only) with its row partition. `blocks` are
     read-only row views of T, built on first read. The frame operator
-    S = T* T and its eigendecomposition are computed once, on first
-    use, and shared by everything that needs them; they are no fields,
-    so they take no part in repr or equality. Two frames are equal when
-    h_dim, partition, label and every entry of T agree.
+    S = T* T, its eigendecomposition and the thin SVD of T are each
+    computed once, on first use, and shared by everything that needs
+    them; they are no fields, so they take no part in repr, equality,
+    hashing or pickling. Two frames are equal when h_dim, partition,
+    label and every entry of T agree.
     """
 
     h_dim: int
@@ -130,6 +132,13 @@ class GFrame:
         eigs, vecs = np.linalg.eigh(self._operator)
         eigs.flags.writeable = vecs.flags.writeable = False
         return eigs, vecs
+
+    @cached_property
+    def _svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Thin SVD (u, s, vh) of T, s descending; read-only."""
+        u, s, vh = np.linalg.svd(self._stacked, full_matrices=False)
+        u.flags.writeable = s.flags.writeable = vh.flags.writeable = False
+        return u, s, vh
 
     @property
     def n_blocks(self) -> int:

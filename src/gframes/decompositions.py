@@ -5,8 +5,8 @@ multiple of the sum of three g-orthonormal bases; g-Riesz families are
 linear combinations of two. General g-frames split into two normalized
 tight families, or into a g-ONB plus a g-Riesz family. All
 constructions run through the averaged-unitary splittings of the
-kernel module, each of which takes one SVD, and reconstruct the input
-exactly up to roundoff.
+kernel module, all read the frame's one SVD of T, and reconstruct the
+input exactly up to roundoff.
 
 Every returned component is certified on its own terms, with only the
 work its predicate needs: a g-ONB by ||S - I||_F <= TAU_CLASS on its
@@ -17,7 +17,6 @@ positive lower bound (one eigendecomposition of S each).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -38,14 +37,7 @@ from .errors import (
     NotGOnb,
     NotGRiesz,
 )
-from .kernel import (
-    _unitary_pair,
-    as_matrix,
-    frobenius_norm,
-    polar_decompose,
-    unitary_pair_from_contraction,
-    unitary_triple_from_small_norm,
-)
+from .kernel import _unitary_pair, _unitary_triple, as_matrix, frobenius_norm
 from .tolerances import TAU_HERM, TAU_RANK, TAU_RECON
 
 
@@ -105,6 +97,21 @@ def _require_frame(frame: GFrame) -> None:
         )
 
 
+def _require_square_frame(frame: GFrame) -> None:
+    _require_frame(frame)
+    if sum(frame.partition) != frame.h_dim:
+        raise DimensionMismatch(
+            f"block dimensions sum to {sum(frame.partition)}, need {frame.h_dim}"
+        )
+
+
+def _pair_split(frame: GFrame, kind: ComponentKind) -> GFrameDecomposition:
+    """a*(C1 + C2) with a = ||T||/2: the pair averaging to T/||T||."""
+    u, s, vh = frame._svd
+    a = float(s[0]) / 2.0
+    return _certified((a, a), _unitary_pair(u, s / s[0], vh), (kind,) * 2, frame)
+
+
 def decompose_three_gonb(frame: GFrame) -> GFrameDecomposition:
     """Write a g-frame with sum(d_i) = h_dim as a*(U1 + U2 + U3) with
     three g-ONB components, a = ||T||.
@@ -112,17 +119,11 @@ def decompose_three_gonb(frame: GFrame) -> GFrameDecomposition:
     T/(3a) has norm 1/3, so it is the mean of three unitaries; each
     unitary, cut back into blocks, is a g-ONB.
     """
-    _require_frame(frame)
-    if sum(frame.partition) != frame.h_dim:
-        raise DimensionMismatch(
-            f"block dimensions sum to {sum(frame.partition)}, need {frame.h_dim}"
-        )
-    t = frame.analysis_matrix()
-    a = math.sqrt(frame_bounds(frame).upper)  # ||T||, from the spectrum of S
-    u1, u2, u3 = unitary_triple_from_small_norm(t / (3.0 * a))
-    return _certified(
-        (a, a, a), (u1, u2, u3), (ComponentKind.G_ONB,) * 3, frame
-    )
+    _require_square_frame(frame)
+    u, s, vh = frame._svd
+    a = float(s[0])
+    triple = _unitary_triple(u, s / (3.0 * a), vh)
+    return _certified((a, a, a), triple, (ComponentKind.G_ONB,) * 3, frame)
 
 
 def decompose_two_gonb_combo(frame: GFrame) -> GFrameDecomposition:
@@ -134,10 +135,7 @@ def decompose_two_gonb_combo(frame: GFrame) -> GFrameDecomposition:
     """
     if not classify(frame).is_g_riesz:
         raise NotGRiesz("two-g-ONB combinations exist exactly for g-Riesz families")
-    norm = math.sqrt(frame_bounds(frame).upper)
-    u1, u2 = unitary_pair_from_contraction(frame.analysis_matrix() / norm)
-    a = norm / 2.0
-    return _certified((a, a), (u1, u2), (ComponentKind.G_ONB,) * 2, frame)
+    return _pair_split(frame, ComponentKind.G_ONB)
 
 
 def coisometry_image(theta: GFrame, k) -> GFrame:
@@ -171,16 +169,11 @@ def decompose_two_parseval(frame: GFrame) -> GFrameDecomposition:
 
     With T = V P polar and a = ||T||/2, the contraction P/(2a) extends
     to a unitary B, and V B, V B* stack two Parseval components whose
-    mean recovers T/(2a). One SVD T = U diag(s) W* gives all three: the
+    mean recovers T/(2a). The SVD T = U diag(s) W* gives all three: the
     polar factor V = U W*, ||T|| = s[0], and the eigenbasis W of P.
     """
     _require_frame(frame)
-    u, s, vh = np.linalg.svd(frame.analysis_matrix(), full_matrices=False)
-    a = float(s[0]) / 2.0
-    comp1, comp2 = _unitary_pair(u, s / s[0], vh)
-    return _certified(
-        (a, a), (comp1, comp2), (ComponentKind.NORMALIZED_TIGHT,) * 2, frame
-    )
+    return _pair_split(frame, ComponentKind.NORMALIZED_TIGHT)
 
 
 def decompose_gonb_plus_griesz(frame: GFrame) -> GFrameDecomposition:
@@ -191,16 +184,12 @@ def decompose_gonb_plus_griesz(frame: GFrame) -> GFrameDecomposition:
     as the g-Riesz part; P + I has spectrum >= 1, so the second
     component is always invertible.
     """
-    _require_frame(frame)
-    if sum(frame.partition) != frame.h_dim:
-        raise DimensionMismatch(
-            f"block dimensions sum to {sum(frame.partition)}, need {frame.h_dim}"
-        )
-    t = frame.analysis_matrix()
-    w = polar_decompose(t).isometry
+    _require_square_frame(frame)
+    u, _, vh = frame._svd
+    w = u @ vh
     return _certified(
         (1.0, 1.0),
-        (-w, t + w),
+        (-w, frame.analysis_matrix() + w),
         (ComponentKind.G_ONB, ComponentKind.G_RIESZ),
         frame,
     )

@@ -150,20 +150,29 @@ def unitary_pair_from_contraction(matrix, tol: float = TAU_NORM):
     return _unitary_pair(u, s, vh)
 
 
+def _unitary_triple(u, s, vh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Three unitaries averaging to A = u diag(s) vh with ||A|| <= 1/3.
+
+    U1 = u vh is the unitary polar factor of 3A; the remaining
+    correction (3A - U1)/2 = u diag((3s - 1)/2) vh is a contraction,
+    whose signs move into u, and splits into the other two. The sign is
+    +1 where 3s = 1, so I/3 splits as (I + iI - iI)/3.
+    """
+    correction = (3.0 * s - 1.0) / 2.0
+    sign = np.where(correction < 0.0, -1.0, 1.0)
+    return (u @ vh, *_unitary_pair(u * sign, np.abs(correction), vh))
+
+
 def unitary_triple_from_small_norm(matrix, tol: float = TAU_NORM):
     """Three unitaries averaging to an operator of norm at most 1/3.
 
-    U1 is the unitary polar factor of 3A; the remaining correction
-    (3A - U1)/2 is a contraction and splits into the other two. One SVD
-    A = u diag(s) vh gives all three: U1 = u vh, and the correction is
-    u diag((3s - 1)/2) vh, whose signs move into u. The sign is +1
-    where 3s = 1, so I/3 splits as (I + iI - iI)/3.
+    Returns (U1, U2, U3) with (U1 + U2 + U3)/3 equal to the input, which
+    must be square with operator norm at most 1/3 (plus `tol` slack);
+    one SVD gives all three.
     """
     a = as_matrix(matrix, "small-norm operator")
     _require_square(a, "small-norm operator")
     u, s, vh = np.linalg.svd(a)
     if s[0] > 1.0 / 3.0 + tol:
         raise NormTooLarge(f"operator norm {s[0]:.6g} exceeds 1/3")
-    correction = (3.0 * s - 1.0) / 2.0
-    sign = np.where(correction < 0.0, -1.0, 1.0)
-    return (u @ vh, *_unitary_pair(u * sign, np.abs(correction), vh))
+    return _unitary_triple(u, s, vh)

@@ -2,6 +2,7 @@
 
 import io
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -339,6 +340,18 @@ def test_selftest_fails_on_sabotaged_kernel_under_python_O():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == "1 False"
     assert "FAIL kernel psd square root: psd square root" in proc.stdout
+
+
+def test_cli_import_leaves_the_selftest_module_unloaded():
+    # every CLI call imports gframes.cli; only `selftest` needs the corpus
+    src = str(pathlib.Path(selftest.__file__).parents[1])
+    code = "import sys, gframes.cli; print('gframes.selftest' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); {code}"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_selftest_fails_on_weights_off_by_one_part_per_million(monkeypatch):

@@ -1,5 +1,8 @@
 """Structured splittings: averaged g-ONBs, Parseval pairs, coisometry images."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -78,12 +81,15 @@ def test_three_gonb_random_riesz():
 
 
 def test_three_gonb_scalar_is_operator_norm():
+    # a = s[0] from the SVD of T agrees with sqrt(B), B = lambda_max(S)
+    # from the eigh of S
     rng = np.random.default_rng(223)
-    frame = random_g_riesz(rng, 5, (1, 2, 2))
-    dec = decompose_three_gonb(frame)
-    assert dec.scalars[0] == pytest.approx(
-        np.linalg.norm(frame.analysis_matrix(), 2)
-    )
+    for scale in (1e-3, 1.0, 1e3):
+        for _ in range(10):
+            frame = scale_blocks(random_g_riesz(rng, 5, (1, 2, 2)), [scale] * 3)
+            a = decompose_three_gonb(frame).scalars[0]
+            assert a == pytest.approx(np.linalg.norm(frame.analysis_matrix(), 2))
+            assert a == pytest.approx(np.sqrt(frame_bounds(frame).upper), rel=1e-12)
 
 
 def test_three_gonb_scaling_covariance():
@@ -250,25 +256,56 @@ def test_one_eigh_of_s_and_one_svd_of_t_per_frame(monkeypatch):
 
 
 def test_each_certificate_runs_only_the_factorization_it_needs(monkeypatch):
-    # every splitting takes one SVD; g-ONB components are certified from
-    # their S alone, Parseval and g-Riesz components by one eigh of it
+    # the four splittings share the frame's one SVD of T: whichever runs
+    # first takes it, the others none. g-ONB components are certified
+    # from their S alone, Parseval and g-Riesz components by one eigh of it
     rng = np.random.default_rng(307)
-    frame = random_g_riesz(rng, 6, (2, 1, 3))
+    riesz = random_g_riesz(rng, 6, (2, 1, 3))
     onb = random_g_onb(rng, 6, (2, 1, 3))
     k = random_coisometry(rng, 3, 6)
+    component_eighs = {
+        decompose_three_gonb: {},
+        decompose_two_gonb_combo: {},
+        decompose_two_parseval: {"eigh": 2},
+        decompose_gonb_plus_griesz: {"eigh": 1},
+    }
     calls = count_factorizations(monkeypatch)
-    assert classify(frame).is_g_riesz
-    assert calls == {"eigh": 1}
-    for op, expected in (
-        (decompose_three_gonb, {"svd": 1}),
-        (decompose_two_gonb_combo, {"svd": 1}),
-        (decompose_two_parseval, {"svd": 1, "eigh": 2}),
-        (decompose_gonb_plus_griesz, {"svd": 1, "eigh": 1}),
-        (lambda _: coisometry_image(onb, k), {"eigh": 1}),
-    ):
+    for first in component_eighs:
+        frame = GFrame.from_stacked(riesz.analysis_matrix(), riesz.partition)
         calls.clear()
-        op(frame)
-        assert calls == expected, op
+        assert classify(frame).is_g_riesz
+        assert calls == {"eigh": 1}
+        for op in (first, *(op for op in component_eighs if op is not first)):
+            calls.clear()
+            op(frame)
+            expected = {**component_eighs[op], **({"svd": 1} if op is first else {})}
+            assert calls == expected, op
+    calls.clear()
+    coisometry_image(onb, k)
+    assert calls == {"eigh": 1}
+
+
+def test_the_svd_of_t_is_cached_read_only_and_not_copied(monkeypatch):
+    rng = np.random.default_rng(309)
+    frame = random_g_riesz(rng, 5, (2, 3), label="f")
+    twin = GFrame.from_stacked(frame.analysis_matrix(), frame.partition, label="f")
+    calls = count_factorizations(monkeypatch)
+    for op in (decompose_three_gonb, decompose_two_gonb_combo,
+               decompose_two_parseval, decompose_gonb_plus_griesz):
+        assert_certified(op(frame), frame)
+    assert calls["svd"] == 1
+    u, s, vh = frame._svd
+    t = frame.analysis_matrix()
+    assert frobenius_norm((u * s) @ vh - t) <= 1e-12 * frobenius_norm(t)
+    for part in (u, s, vh):
+        with pytest.raises(ValueError):
+            part.flat[0] = 0.0
+    # the cache is no field: equality, hash and repr ignore it
+    assert "_svd" in vars(frame) and "_svd" not in vars(twin)
+    assert frame == twin and hash(frame) == hash(twin) and repr(frame) == repr(twin)
+    for clone in (pickle.loads(pickle.dumps(frame)), copy.deepcopy(frame)):
+        assert clone == frame
+        assert not {"_svd", "_spectrum", "_operator"} & vars(clone).keys()
 
 
 def test_non_unitary_components_are_rejected(monkeypatch):
