@@ -19,7 +19,6 @@ from .core import (
     FrameBounds,
     GFrame,
     VectorFrame,
-    _ArrayValue,
     _spectrum_bounds,
     canonical_dual,
     classify,
@@ -39,6 +38,7 @@ from .errors import (
     ZeroWeight,
 )
 from .kernel import (
+    _ArrayValue,
     frobenius_norm,
     hermitian_defect,
     hermitian_part,
@@ -221,8 +221,8 @@ def weighted_bounds(frame: GFrame, weights) -> FrameBounds:
     return frame_bounds(scale_blocks(frame, np.abs(w.values)))
 
 
-@dataclass(frozen=True)
-class WeightedVectorFrame:
+@dataclass(frozen=True, eq=False)
+class WeightedVectorFrame(_ArrayValue):
     """An induced vector family with one weight per vector."""
 
     base: VectorFrame

@@ -7,7 +7,9 @@ time they are read. The frame operator is S = T* T, and the optimal
 frame bounds are its extreme eigenvalues. Each frame computes S, its
 eigendecomposition and the thin SVD of T once each, on first use: its
 bounds, classification, canonical dual and every S^-1 share the
-spectrum, and every decomposition splits the one SVD. Duals,
+spectrum, and every decomposition splits the one SVD. A tall T takes
+that SVD from the spectrum, with products by T and factorizations of
+d x d matrices only; a square T is factored directly. Duals,
 rescalings and the induced vector frame are each one product or row
 scaling of T. Every g-frame induces an ordinary vector frame by pulling
 the standard basis of each H_i back through the block adjoints, and all
@@ -16,7 +18,8 @@ frame-theoretic properties transfer across that bridge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import operator
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -24,6 +27,7 @@ import numpy as np
 
 from .errors import BadPartition, NonFinite, NotAFrame, ShapeMismatch
 from .kernel import (
+    _ArrayValue,
     as_matrix,
     frobenius_norm,
     hermitian_part,
@@ -40,17 +44,23 @@ class GFrame:
     read-only row views of T, built on first read. The frame operator
     S = T* T, its eigendecomposition and the thin SVD of T are each
     computed once, on first use, and shared by everything that needs
-    them; they are no fields, so they take no part in repr, equality,
-    hashing or pickling. Two frames are equal when h_dim, partition,
-    label and every entry of T agree.
+    them; the SVD of a tall T is read off the eigendecomposition. They
+    are no fields, so they take no part in repr, equality, hashing or
+    pickling. h_dim is stored as a Python int. Two frames are equal
+    when h_dim, partition, label and every entry of T agree.
     """
 
     h_dim: int
     label: str | None = None
 
     def __init__(self, h_dim: int, blocks, label: str | None = None):
-        if not isinstance(h_dim, int) or h_dim < 1:
+        try:
+            size = operator.index(h_dim)
+        except TypeError:
+            size = 0
+        if isinstance(h_dim, bool) or size < 1:
             raise ShapeMismatch(f"h_dim must be a positive integer, got {h_dim!r}")
+        h_dim = size
         blocks = [np.asarray(b) for b in blocks]
         if not blocks:
             raise ShapeMismatch("a g-frame needs at least one block")
@@ -135,8 +145,18 @@ class GFrame:
 
     @cached_property
     def _svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Thin SVD (u, s, vh) of T, s descending; read-only."""
-        u, s, vh = np.linalg.svd(self._stacked, full_matrices=False)
+        """Thin SVD (u, s, vh) of T, s descending; read-only.
+
+        A tall frame (more rows than h_dim, S invertible) is factored
+        from its cached spectrum by `_tall_svd`, with no factorization of
+        T. Any other T is factored directly, and so is a tall T whose
+        spectrum `_tall_svd` cannot carry.
+        """
+        t = self._stacked
+        factors = None
+        if t.shape[0] > t.shape[1] and self._spectrum[0][0] > TAU_RANK:
+            factors = _tall_svd(t, *self._spectrum)
+        u, s, vh = factors or np.linalg.svd(t, full_matrices=False)
         u.flags.writeable = s.flags.writeable = vh.flags.writeable = False
         return u, s, vh
 
@@ -155,6 +175,28 @@ class GFrame:
     def per_row(self, values) -> np.ndarray:
         """One value per block, repeated over that block's rows of T."""
         return np.repeat(np.asarray(values), self._partition)
+
+
+def _tall_svd(t: np.ndarray, eigs: np.ndarray, vecs: np.ndarray):
+    """Thin SVD of a tall T from eigh(T* T) = V L V*, L > 0, using only
+    products with T and factorizations of d x d matrices.
+
+    The first pass U0 = T V L^(-1/2) is orthonormal only up to
+    eps k(S), so one SVQB step re-orthogonalizes it: with the Gram
+    U0* U0 = W M W*, U1 = U0 W M^(-1/2) has orthonormal columns and
+    T = U1 B with B = M^(1/2) W* L^(1/2) V*. The SVD u_B s vh of B then
+    gives u = U1 u_B, as accurate as a direct SVD of T. Returns None
+    when U0 has lost half its orthogonality (k(S) near 1/eps): one step
+    is certain to restore it only while the Gram has condition <= 3.
+    """
+    root = np.sqrt(eigs)
+    u0 = t @ (vecs / root)
+    gram_eigs, w = np.linalg.eigh(u0.conj().T @ u0)
+    if np.abs(gram_eigs - 1.0).max() > 0.5:
+        return None
+    gram_root = np.sqrt(gram_eigs)
+    u_b, s, vh = np.linalg.svd((w.conj().T * gram_root[:, None]) @ (vecs * root).conj().T)
+    return u0 @ ((w / gram_root) @ u_b), s, vh
 
 
 def scale_blocks(frame: GFrame, factors) -> GFrame:
@@ -299,27 +341,6 @@ def canonical_dual(frame: GFrame) -> GFrame:
     s_inv = _inverse_frame_operator(frame)
     label = f"canonical dual of {frame.label}" if frame.label else None
     return GFrame.from_stacked(frame.analysis_matrix() @ s_inv, frame.partition, label)
-
-
-class _ArrayValue:
-    """Value semantics for a frozen dataclass (eq=False) of array fields:
-    == by np.array_equal on the init fields, a hash of their shapes, and
-    copies and pickles that rebuild through the constructor."""
-
-    def _init_values(self) -> tuple:
-        return tuple(getattr(self, f.name) for f in fields(self) if f.init)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        pairs = zip(self._init_values(), other._init_values())
-        return all(np.array_equal(a, b) for a, b in pairs)
-
-    def __hash__(self) -> int:
-        return hash(tuple(np.shape(v) for v in self._init_values()))
-
-    def __reduce__(self):
-        return (type(self), self._init_values())
 
 
 @dataclass(frozen=True, eq=False)

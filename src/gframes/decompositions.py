@@ -5,8 +5,10 @@ multiple of the sum of three g-orthonormal bases; g-Riesz families are
 linear combinations of two. General g-frames split into two normalized
 tight families, or into a g-ONB plus a g-Riesz family. All
 constructions run through the averaged-unitary splittings of the
-kernel module, all read the frame's one SVD of T, and reconstruct the
-input exactly up to roundoff.
+kernel module, all read the frame's one cached thin SVD of T, and
+reconstruct the input exactly up to roundoff. For an overcomplete frame
+that SVD comes from the eigendecomposition of S the frame already holds,
+so no n x d matrix is factored.
 
 Every returned component is certified on its own terms, with only the
 work its predicate needs: a g-ONB by ||S - I||_F <= TAU_CLASS on its

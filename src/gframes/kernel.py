@@ -8,7 +8,7 @@ Everything works on plain complex128 ndarrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -73,12 +73,38 @@ def spectral_range(matrix, tol: float = TAU_HERM) -> tuple[float, float]:
     return float(eigs[0]), float(eigs[-1])
 
 
-@dataclass(frozen=True)
-class PolarParts:
-    """Factors of M = isometry @ positive with positive = (M* M)^(1/2)."""
+class _ArrayValue:
+    """Value semantics for a frozen dataclass (eq=False) of array fields:
+    == by np.array_equal on the init fields, a hash of their shapes, and
+    copies and pickles that rebuild through the constructor."""
+
+    def _init_values(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in fields(self) if f.init)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        pairs = zip(self._init_values(), other._init_values())
+        return all(np.array_equal(a, b) for a, b in pairs)
+
+    def __hash__(self) -> int:
+        return hash(tuple(np.shape(v) for v in self._init_values()))
+
+    def __reduce__(self):
+        return (type(self), self._init_values())
+
+
+@dataclass(frozen=True, eq=False)
+class PolarParts(_ArrayValue):
+    """Factors of M = isometry @ positive with positive = (M* M)^(1/2);
+    both are stored as read-only complex128 copies."""
 
     isometry: np.ndarray
     positive: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "isometry", as_matrix(self.isometry, "isometry"))
+        object.__setattr__(self, "positive", as_matrix(self.positive, "positive"))
 
 
 def polar_decompose(matrix) -> PolarParts:
@@ -129,11 +155,12 @@ def _unitary_pair(u, s, vh) -> tuple[np.ndarray, np.ndarray]:
     the singular basis keeps P and the root exactly commuting; clipping
     the singular values at 1 absorbs inputs that exceed norm 1 by
     roundoff. For tall A the columns of W B and W B* are orthonormal.
+    Since vh vh* = I, W B = u diag(z) vh and W B* = u diag(conj(z)) vh
+    with z = s + i(1 - s^2)^(1/2): two products in all.
     """
     s = np.clip(s, 0.0, 1.0)
-    w = u @ vh
-    b = (vh.conj().T * (s + 1j * np.sqrt(1.0 - s**2))) @ vh
-    return w @ b, w @ b.conj().T
+    z = s + 1j * np.sqrt(1.0 - s**2)
+    return (u * z) @ vh, (u * z.conj()) @ vh
 
 
 def unitary_pair_from_contraction(matrix, tol: float = TAU_NORM):

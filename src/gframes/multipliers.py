@@ -27,7 +27,6 @@ import numpy as np
 
 from .core import (
     GFrame,
-    _ArrayValue,
     _inverse_frame_operator,
     _require_same_shape,
     canonical_dual,
@@ -47,7 +46,7 @@ from .errors import (
     Singular,
     SingularG,
 )
-from .kernel import as_matrix, frobenius_norm
+from .kernel import _ArrayValue, as_matrix, frobenius_norm
 from .tolerances import MAX_SERIES_TERMS, TAU_DUAL, TAU_INV, TAU_RANK
 
 

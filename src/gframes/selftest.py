@@ -247,6 +247,18 @@ def check_decompositions(rng, trials):
         frame = sampling.random_gframe(rng, *random_partition(rng))
         _check_decomposition(decompose_two_parseval(frame), frame,
                              "overcomplete decompose_two_parseval")
+        # singular values pinned at 1 and 1e-4 (k(S) = 1e8) on a strictly
+        # overcomplete frame: the Parseval components stay isometries to
+        # 1e-12, where a one-pass SVD from eigh(S) alone loses eps k(S)
+        dim, partition = random_partition(rng)
+        sv = rng.uniform(1e-4, 1.0, dim)
+        sv[:2] = 1.0, 1e-4
+        left = sampling.random_isometry(rng, sum(partition) + 1, dim)
+        frame = GFrame.from_stacked((left * sv) @ sampling.random_unitary(rng, dim),
+                                    (*partition, 1))
+        for component in decompose_two_parseval(frame).components:
+            _check(_isometry_defect(component.analysis_matrix()) <= 1e-12,
+                   "ill-conditioned decompose_two_parseval component is an isometry")
 
 
 def check_coisometry(rng, trials):

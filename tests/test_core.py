@@ -24,13 +24,15 @@ from gframes import (
     vector_frame_operator,
     verify_duality,
 )
+from gframes.core import _tall_svd
 from gframes.errors import BadPartition, NonFinite, NotAFrame, ShapeMismatch
-from gframes.kernel import frobenius_norm
+from gframes.kernel import frobenius_norm, operator_norm
 from gframes.sampling import (
     random_deficient,
     random_g_onb,
     random_g_riesz,
     random_gframe,
+    random_isometry,
     random_unitary,
 )
 from gframes.selftest import random_partition
@@ -348,6 +350,15 @@ def test_gframe_validates_blocks():
         scale_blocks(identity_gframe(2), [1.0])
 
 
+def test_gframe_h_dim_is_a_python_int_and_never_a_bool():
+    frame = GFrame(np.int64(3), (np.eye(3),))
+    assert frame.h_dim == 3 and type(frame.h_dim) is int
+    assert frame == GFrame(3, (np.eye(3),))
+    for bad in (True, np.True_, 3.0, "3", 0):
+        with pytest.raises(ShapeMismatch, match="h_dim must be a positive integer"):
+            GFrame(bad, (np.ones((1, 1)),))
+
+
 def test_gframe_names_the_failing_block():
     rng = np.random.default_rng(89)
     frame = random_gframe(rng, 5, [1, 2] * 1000)
@@ -407,6 +418,44 @@ def test_spectrum_is_computed_once_and_read_only(monkeypatch):
     assert rep.bounds == b and frame_bounds(dual).upper == pytest.approx(1 / b.lower)
     with pytest.raises(ValueError):
         s[0, 0] = 0.0
+
+
+def _tall_frame(rng, rows, singular_values):
+    d = len(singular_values)
+    t = (random_isometry(rng, rows, d) * singular_values) @ random_unitary(rng, d).conj().T
+    return GFrame.from_stacked(t, (rows,))
+
+
+def test_tall_svd_from_the_spectrum_is_as_accurate_as_a_direct_svd():
+    # sigma_min = 1.1e-5 keeps the smallest eigenvalue of S above TAU_RANK
+    rng = np.random.default_rng(111)
+    for kappa in (1e2, 1e4, 9e4):
+        for rows, d in ((12, 6), (40, 16)):
+            frame = _tall_frame(rng, rows, np.geomspace(1.1e-5 * kappa, 1.1e-5, d))
+            t = frame.analysis_matrix()
+            assert _tall_svd(t, *frame._spectrum) is not None
+            u, s, vh = frame._svd
+            assert operator_norm(u.conj().T @ u - np.eye(d)) <= 1e-13
+            assert operator_norm((u * s) @ vh - t) <= 1e-13 * operator_norm(t)
+            direct = np.linalg.svd(t, compute_uv=False)
+            assert np.all(np.abs(s - direct) <= 1e-10 * direct)
+
+
+def test_tall_svd_stays_accurate_when_the_spectrum_cannot_carry_it():
+    # k(S) near 1/eps: the computed smallest eigenvalue of S may not be
+    # positive, or U0 = T V L^-1/2 may lose half its orthogonality; either
+    # way T is factored directly, as accurately as at moderate k(S)
+    rng = np.random.default_rng(113)
+    paths = set()
+    for _ in range(20):
+        frame = _tall_frame(rng, 8, np.array([1e6, 1.0, 1e-2]))
+        t = frame.analysis_matrix()
+        eigs, vecs = frame._spectrum
+        paths.add("singular" if eigs[0] <= TAU_RANK else _tall_svd(t, eigs, vecs) is None)
+        u, s, vh = frame._svd
+        assert frobenius_norm(u.conj().T @ u - np.eye(3)) <= 1e-13
+        assert frobenius_norm((u * s) @ vh - t) <= 1e-13 * frobenius_norm(t)
+    assert paths == {"singular", True, False}
 
 
 def test_pickle_and_deepcopy_keep_the_frame():

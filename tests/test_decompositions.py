@@ -235,11 +235,13 @@ def test_two_parseval_rejects_non_frame():
 
 def test_one_eigh_of_s_and_one_svd_of_t_per_frame(monkeypatch):
     # bounds, classification, the canonical dual and ||T|| share the
-    # frame's one spectrum; the Parseval pair takes one SVD of T
+    # frame's one spectrum; the Parseval pair reads the thin SVD of the
+    # tall T off that spectrum with one eigh (the Gram of T V L^-1/2)
+    # and one svd, both d x d, and factors T itself not at all
     rng = np.random.default_rng(283)
     frame = random_gframe(rng, 6, (2, 1, 3, 2, 2))
     seen = []
-    for name in ("eigh", "eigvalsh", "svd"):
+    for name in ("eigh", "eigvalsh", "svd", "qr"):
         def recorded(a, *args, _name=name, _original=getattr(np.linalg, name), **kw):
             seen.append((_name, np.array(a)))
             return _original(a, *args, **kw)
@@ -248,11 +250,17 @@ def test_one_eigh_of_s_and_one_svd_of_t_per_frame(monkeypatch):
     frame_bounds(frame)
     classify(frame)
     canonical_dual(frame)
-    assert_certified(decompose_two_parseval(frame), frame)
+    dec = decompose_two_parseval(frame)
+    assert_certified(dec, frame)
     s, t = frame_operator(frame), frame.analysis_matrix()
-    assert [n for n, a in seen if a.shape == s.shape and np.array_equal(a, s)] == ["eigh"]
-    assert [n for n, a in seen if a.shape == t.shape and np.array_equal(a, t)] == ["svd"]
-    assert [n for n, _ in seen].count("svd") == 1
+    assert t.shape == (10, 6)
+    of_s = [n for n, a in seen if np.array_equal(a, s)]
+    of_components = [n for n, a in seen for c in dec.components
+                     if np.array_equal(a, frame_operator(c))]
+    assert of_s == ["eigh"] and of_components == ["eigh", "eigh"]
+    assert sorted((n, a.shape) for n, a in seen) == [
+        ("eigh", (6, 6))] * 4 + [("svd", (6, 6))]
+    assert not [n for n, a in seen if a.shape == t.shape]
 
 
 def test_each_certificate_runs_only_the_factorization_it_needs(monkeypatch):
@@ -286,26 +294,35 @@ def test_each_certificate_runs_only_the_factorization_it_needs(monkeypatch):
 
 
 def test_the_svd_of_t_is_cached_read_only_and_not_copied(monkeypatch):
+    # a square T is factored directly, a tall one from its spectrum; both
+    # are cached the same way
     rng = np.random.default_rng(309)
-    frame = random_g_riesz(rng, 5, (2, 3), label="f")
-    twin = GFrame.from_stacked(frame.analysis_matrix(), frame.partition, label="f")
+    riesz = random_g_riesz(rng, 5, (2, 3), label="f")
+    tall = random_gframe(rng, 5, (2, 3, 2), label="f")
     calls = count_factorizations(monkeypatch)
-    for op in (decompose_three_gonb, decompose_two_gonb_combo,
-               decompose_two_parseval, decompose_gonb_plus_griesz):
-        assert_certified(op(frame), frame)
-    assert calls["svd"] == 1
-    u, s, vh = frame._svd
-    t = frame.analysis_matrix()
-    assert frobenius_norm((u * s) @ vh - t) <= 1e-12 * frobenius_norm(t)
-    for part in (u, s, vh):
-        with pytest.raises(ValueError):
-            part.flat[0] = 0.0
-    # the cache is no field: equality, hash and repr ignore it
-    assert "_svd" in vars(frame) and "_svd" not in vars(twin)
-    assert frame == twin and hash(frame) == hash(twin) and repr(frame) == repr(twin)
-    for clone in (pickle.loads(pickle.dumps(frame)), copy.deepcopy(frame)):
-        assert clone == frame
-        assert not {"_svd", "_spectrum", "_operator"} & vars(clone).keys()
+    for frame, ops in (
+        (riesz, (decompose_three_gonb, decompose_two_gonb_combo,
+                 decompose_two_parseval, decompose_gonb_plus_griesz)),
+        (tall, (decompose_two_parseval,) * 2),
+    ):
+        twin = GFrame.from_stacked(frame.analysis_matrix(), frame.partition, label="f")
+        calls.clear()
+        for op in ops:
+            assert_certified(op(frame), frame)
+        assert calls["svd"] == 1 and calls["qr"] == 0
+        u, s, vh = frame._svd
+        t = frame.analysis_matrix()
+        assert frobenius_norm((u * s) @ vh - t) <= 1e-12 * frobenius_norm(t)
+        assert frobenius_norm(u.conj().T @ u - np.eye(5)) <= 1e-12
+        for part in (u, s, vh):
+            with pytest.raises(ValueError):
+                part.flat[0] = 0.0
+        # the cache is no field: equality, hash and repr ignore it
+        assert "_svd" in vars(frame) and "_svd" not in vars(twin)
+        assert frame == twin and hash(frame) == hash(twin) and repr(frame) == repr(twin)
+        for clone in (pickle.loads(pickle.dumps(frame)), copy.deepcopy(frame)):
+            assert clone == frame
+            assert not {"_svd", "_spectrum", "_operator"} & vars(clone).keys()
 
 
 def test_non_unitary_components_are_rejected(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import complex_gaussian, random_hermitian, random_unit
+from conftest import check_value_object, complex_gaussian, random_hermitian, random_unit
 from gframes.errors import (
     NegativeEigenvalue,
     NonFinite,
@@ -14,6 +14,7 @@ from gframes.errors import (
     ShapeMismatch,
 )
 from gframes.kernel import (
+    PolarParts,
     frobenius_norm,
     operator_norm,
     polar_decompose,
@@ -36,6 +37,13 @@ def test_polar_identity():
     parts = polar_decompose(np.eye(3))
     assert np.allclose(parts.isometry, np.eye(3))
     assert np.allclose(parts.positive, np.eye(3))
+
+
+def test_polar_parts_value_semantics():
+    parts = polar_decompose(np.eye(3))
+    changed = np.eye(3)
+    changed[1, 2] = 1e-9
+    check_value_object(parts, polar_decompose(np.eye(3)), PolarParts(changed, parts.positive))
 
 
 def test_polar_rotation_is_its_own_isometry():

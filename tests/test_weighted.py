@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import count_factorizations, identity_gframe
+from conftest import check_value_object, count_factorizations, identity_gframe
 from gframes import (
     ControlOperator,
     FrameClass,
@@ -112,6 +112,14 @@ def test_induced_weighted_bounds_match_block_weighted_bounds():
         vector_side = weighted_vector_frame_bounds(induced_weighted_frame(frame, w))
         assert vector_side.lower == pytest.approx(block_side.lower, abs=1e-12)
         assert vector_side.upper == pytest.approx(block_side.upper, abs=1e-12)
+
+
+def test_weighted_vector_frame_value_semantics():
+    frame = random_gframe(np.random.default_rng(76), 3, (2, 1))
+    wv = induced_weighted_frame(frame, [5.0, 7.0])
+    check_value_object(wv, induced_weighted_frame(frame, [5.0, 7.0]),
+                       induced_weighted_frame(frame, [5.0, 7.0 + 1e-9]))
+    assert wv != induced_weighted_frame(scale_blocks(frame, [1.0, 1.0 + 1e-9]), [5.0, 7.0])
 
 
 def test_weighted_vector_frame_rejects_count_mismatch():
