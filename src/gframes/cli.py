@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Every command reads a JSON instance document (see io.py), runs one
-library operation and emits either a human-readable summary or, with
---json, a machine-readable report. Exit codes: 0 success, 2 a checked
-hypothesis failed (the message names the violated inequality), 3 bad
-input (malformed file, schema violation, bad arguments), 1 anything
-else.
+library operation and builds one report. With --json the report is
+printed as JSON; otherwise the human-readable summary is rendered from
+that same report, so every text field is also a JSON field. Exit codes:
+0 success, 2 a checked hypothesis failed (the message names the violated
+inequality), 3 bad input (malformed or unreadable file, schema
+violation, bad arguments), 1 anything else.
 """
 
 from __future__ import annotations
@@ -77,66 +78,183 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(3)
 
 
-def _fmt_complex(z) -> str:
-    z = complex(z)
-    if z.imag == 0.0:
-        return f"{z.real:.6g}"
-    sign = "+" if z.imag >= 0 else "-"
-    return f"{z.real:.6g}{sign}{abs(z.imag):.6g}j"
-
-
-def _instance_inputs(inst: InstanceFile, path: str) -> dict:
-    return {
-        "path": path,
-        "label": inst.label,
-        "h_dim": inst.gframe.h_dim,
-        "partition": list(inst.gframe.partition),
-    }
-
-
 def _require(value, field: str, hint: str):
     if value is None:
         raise SchemaError(f"$.{field}", f"this command needs {hint}")
     return value
 
 
-def _ones(inst: InstanceFile) -> np.ndarray:
-    return np.ones(inst.gframe.n_blocks)
+def _numbers(text: str, kind, flag: str) -> list:
+    try:
+        return [kind(v) for v in text.split(",")]
+    except ValueError:
+        raise SchemaError(flag, f"expected comma-separated numbers, got {text!r}") from None
+
+
+def _load(path) -> InstanceFile:
+    try:
+        return load_instance(path)
+    except OSError as exc:  # a directory or an unreadable file, like a missing one
+        raise InputError(str(exc)) from None
 
 
 def _weights_or_ones(inst: InstanceFile) -> np.ndarray:
     if inst.weights is None:
-        return _ones(inst)
+        return np.ones(inst.gframe.n_blocks)
     return inst.weights.values
 
 
-def _emit(args, report: dict, lines: list[str]) -> None:
-    if args.json:
-        json.dump(report, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
-    else:
-        for line in lines:
-            print(line)
+def _header(operation: str, inst: InstanceFile, args) -> dict:
+    return {
+        "operation": operation,
+        "instance_digest": instance_digest(inst),
+        "inputs": {
+            "path": args.infile,
+            "label": inst.label,
+            "h_dim": inst.gframe.h_dim,
+            "partition": list(inst.gframe.partition),
+        },
+    }
 
 
-def _write_matrix_out(path: str, matrix) -> None:
-    doc = {"schema_version": 1, "matrix": matrix_document(matrix)}
+def _write_json(path: str, doc: dict) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(doc, handle, indent=2, sort_keys=True)
         handle.write("\n")
+
+
+# -- text summaries: rows of (literal prefix, value read off the report) ------
+
+
+def _ab(bounds: dict) -> str:
+    return f"A={bounds['lower']:.9g}  B={bounds['upper']:.9g}"
+
+
+def _interval(pair) -> str:
+    return f"[{pair[0]:.9g}, {pair[1]:.9g}]"
+
+
+def _yes(flag) -> str:
+    return "yes" if flag else "no"
+
+
+def _written(report: dict):
+    return report["written"] or None  # `--out ""` writes nothing
+
+
+def _complexes(pairs) -> str:
+    return ", ".join(
+        f"{re:.6g}" if im == 0.0 else f"{re:.6g}{'+' if im >= 0 else '-'}{abs(im):.6g}j"
+        for re, im in pairs
+    )
+
+
+_PROPERTIES = [("g-Bessel", "is_g_bessel"), ("g-frame", "is_g_frame"),
+               ("g-complete", "is_g_complete"), ("g-Riesz", "is_g_riesz"),
+               ("g-ONB", "is_g_onb")]
+
+# keyed by operation, else by its first word; a row whose value is None is skipped
+_TEXT = {
+    "classify": [
+        ("label:       ", lambda r: r["inputs"]["label"] or "-"),
+        ("h_dim:       ", lambda r: r["inputs"]["h_dim"]),
+        ("partition:   ", lambda r: r["inputs"]["partition"]),
+        ("bounds:      ", lambda r: _ab(r["bounds"])),
+        ("class:       ", lambda r: r["classification"]),
+        ("properties:  ", lambda r: ", ".join(n for n, key in _PROPERTIES if r[key])),
+        ("riesz:       ", lambda r: r["riesz_bounds"]
+         and "C={:.9g}  D={:.9g}".format(*r["riesz_bounds"])),
+    ],
+    "dual": [
+        ("dual bounds: ", lambda r: _ab(r["dual_bounds"])),
+        ("defect:      ", lambda r: f"{r['duality_defect']:.3e}"),
+        ("written:     ", _written),
+    ],
+    "decompose coisometry": [
+        ("image bounds: ", lambda r: _ab(r["image_bounds"])),
+        ("class:        ", lambda r: r["image_classification"]),
+        ("written:      ", _written),
+    ],
+    "decompose": [
+        ("scalars:    ", lambda r: _complexes(r["scalars"])),
+        ("components: ", lambda r: ", ".join(r["component_kinds"])),
+        ("residual:   ", lambda r: f"{r['reconstruction_residual']:.3e}"),
+        ("written:    ", _written),
+    ],
+    "multiply": [
+        ("companion:  ", lambda r: r["companion"]),
+        ("norm:       ", lambda r: f"{r['operator_norm']:.9g}"),
+        ("bound:      ", lambda r: f"{r['norm_bound']:.9g}"),
+        ("holds:      ", lambda r: _yes(r["bound_holds"])),
+        ("written:    ", _written),
+    ],
+    "invert": [
+        ("proposition: ", lambda r: r["proposition"]),
+        ("hypothesis:  ", lambda r: ", ".join(
+            f"{k}={v:.6g}" for k, v in sorted(r["hypothesis_values"].items()))),
+        ("bracket:     ", lambda r: _interval(r["inverse_norm_bracket"])),
+        ("observed:    ", lambda r: f"{r['inverse_norm_observed']:.9g}"),
+        ("terms:       ", lambda r: r["series_terms"]),
+        ("residual:    ", lambda r: f"{r['residual']:.3e}"),
+        ("written:     ", _written),
+    ],
+    "controlled arith": [
+        ("frame bounds in:      ", lambda r: _interval(r["frame_operator_bounds"])),
+        ("control bounds in:    ", lambda r: _interval(r["control_bounds"])),
+        ("controlled bounds in: ", lambda r: _interval(r["controlled_bounds"])),
+    ],
+    "controlled bounds": [
+        ("bounds:          ", _ab),
+        ("controlled frame: ", lambda r: _yes(r["is_controlled_frame"])),
+        ("form self-adjoint: ", lambda r: _yes(r["form_self_adjoint"])),
+    ],
+    "controlled commute": [
+        ("commutes: ", lambda r: _yes(r["holds"])),
+        ("defect:   ", lambda r: f"{r['defect']:.3e}"),
+    ],
+    "controlled equiv": [
+        ("controlled frame:            ", lambda r: _yes(r["controlled_frame"])),
+        ("g-frame + positive + commute: ", lambda r: _yes(r["gframe_positive_commuting"])),
+        ("criterion agrees:            ", lambda r: _yes(r["agree"])),
+    ],
+    "weighted from-control": [
+        ("weights:    ", lambda r: _complexes(r["weights"])),
+        ("multiplier: ", lambda r: _yes(r["is_weight_multiplier"])),
+    ],
+    "weighted bounds": [
+        ("bounds: ", _ab),
+        ("class:  ", lambda r: r["classification"]),
+    ],
+    "weighted equiv": [
+        ("", lambda r: "\n".join(f"{k}: {_yes(v)}" for k, v in r["statements"].items())),
+        ("unanimous: ", lambda r: _yes(r["unanimous"])),
+    ],
+}
+_TEXT["weighted dual"] = _TEXT["dual"]
+
+
+def _emit(args, report: dict) -> int:
+    if args.json:
+        json.dump(report, sys.stdout, indent=2, sort_keys=True)
+        sys.stdout.write("\n")
+        return 0
+    op = report["operation"]
+    for prefix, row in _TEXT.get(op) or _TEXT[op.split()[0]]:
+        value = row(report)
+        if value is not None:
+            print(f"{prefix}{value}")
+    return 0
 
 
 # -- commands --------------------------------------------------------------
 
 
 def _cmd_classify(args) -> int:
-    inst = load_instance(args.infile)
+    inst = _load(args.infile)
     report = classify(inst.gframe)
     b = report.bounds
-    out = {
-        "operation": "classify",
-        "instance_digest": instance_digest(inst),
-        "inputs": _instance_inputs(inst, args.infile),
+    return _emit(args, {
+        **_header("classify", inst, args),
         "bounds": {"lower": b.lower, "upper": b.upper},
         "classification": b.classification.value,
         "is_g_bessel": report.is_g_bessel,
@@ -147,57 +265,25 @@ def _cmd_classify(args) -> int:
         "is_tight": report.is_tight,
         "is_parseval": report.is_parseval,
         "riesz_bounds": list(report.riesz_bounds) if report.riesz_bounds else None,
-    }
-    flags = [
-        name
-        for name, on in [
-            ("g-Bessel", report.is_g_bessel),
-            ("g-frame", report.is_g_frame),
-            ("g-complete", report.is_g_complete),
-            ("g-Riesz", report.is_g_riesz),
-            ("g-ONB", report.is_g_onb),
-        ]
-        if on
-    ]
-    lines = [
-        f"label:       {inst.label or '-'}",
-        f"h_dim:       {inst.gframe.h_dim}",
-        f"partition:   {list(inst.gframe.partition)}",
-        f"bounds:      A={b.lower:.9g}  B={b.upper:.9g}",
-        f"class:       {b.classification.value}",
-        f"properties:  {', '.join(flags)}",
-    ]
-    if report.riesz_bounds:
-        lines.append(
-            f"riesz:       C={report.riesz_bounds[0]:.9g}  D={report.riesz_bounds[1]:.9g}"
-        )
-    _emit(args, out, lines)
-    return 0
+    })
 
 
-def _cmd_dual(args) -> int:
-    inst = load_instance(args.infile)
-    dual = canonical_dual(inst.gframe)
-    defect = duality_defect(inst.gframe, dual)
+def _dual_report(operation: str, inst: InstanceFile, args, dual, frame) -> int:
+    defect = duality_defect(frame, dual)
     bounds = frame_bounds(dual)
     if args.out:
         dump_instance(InstanceFile(gframe=dual), args.out)
-    out = {
-        "operation": "dual",
-        "instance_digest": instance_digest(inst),
-        "inputs": _instance_inputs(inst, args.infile),
+    return _emit(args, {
+        **_header(operation, inst, args),
         "dual_bounds": {"lower": bounds.lower, "upper": bounds.upper},
         "duality_defect": defect,
         "written": args.out,
-    }
-    lines = [
-        f"dual bounds: A={bounds.lower:.9g}  B={bounds.upper:.9g}",
-        f"defect:      {defect:.3e}",
-    ]
-    if args.out:
-        lines.append(f"written:     {args.out}")
-    _emit(args, out, lines)
-    return 0
+    })
+
+
+def _cmd_dual(args) -> int:
+    inst = _load(args.infile)
+    return _dual_report("dual", inst, args, canonical_dual(inst.gframe), inst.gframe)
 
 
 _DECOMPOSERS = {
@@ -209,7 +295,7 @@ _DECOMPOSERS = {
 
 
 def _cmd_decompose(args) -> int:
-    inst = load_instance(args.infile)
+    inst = _load(args.infile)
     started = time.perf_counter()
     if args.form == "coisometry":
         k = _require(inst.coisometry, "coisometry", "a coisometry matrix")
@@ -218,91 +304,57 @@ def _cmd_decompose(args) -> int:
         bounds = frame_bounds(image)
         if args.out:
             dump_instance(InstanceFile(gframe=image), args.out)
-        out = {
-            "operation": "decompose coisometry",
-            "instance_digest": instance_digest(inst),
-            "inputs": _instance_inputs(inst, args.infile),
+        return _emit(args, {
+            **_header("decompose coisometry", inst, args),
             "image_bounds": {"lower": bounds.lower, "upper": bounds.upper},
             "image_classification": bounds.classification.value,
             "written": args.out,
             "timing_seconds": elapsed,
-        }
-        lines = [
-            f"image bounds: A={bounds.lower:.9g}  B={bounds.upper:.9g}",
-            f"class:        {bounds.classification.value}",
-        ]
-        if args.out:
-            lines.append(f"written:      {args.out}")
-        _emit(args, out, lines)
-        return 0
+        })
 
     dec = _DECOMPOSERS[args.form](inst.gframe)
     elapsed = time.perf_counter() - started
+    scalars = [complex_pair(a) for a in dec.scalars]
+    kinds = [k.value for k in dec.component_kinds]
     if args.out:
-        doc = {
+        _write_json(args.out, {
             "schema_version": 1,
-            "scalars": [complex_pair(a) for a in dec.scalars],
-            "kinds": [k.value for k in dec.component_kinds],
+            "scalars": scalars,
+            "kinds": kinds,
             "components": [{"blocks": frame_document(c)} for c in dec.components],
-        }
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    out = {
-        "operation": f"decompose {args.form}",
-        "instance_digest": instance_digest(inst),
-        "inputs": _instance_inputs(inst, args.infile),
-        "scalars": [complex_pair(a) for a in dec.scalars],
-        "component_kinds": [k.value for k in dec.component_kinds],
+        })
+    return _emit(args, {
+        **_header(f"decompose {args.form}", inst, args),
+        "scalars": scalars,
+        "component_kinds": kinds,
         "reconstruction_residual": dec.reconstruction_residual,
         "written": args.out,
         "timing_seconds": elapsed,
-    }
-    lines = [
-        f"scalars:    {', '.join(_fmt_complex(a) for a in dec.scalars)}",
-        f"components: {', '.join(k.value for k in dec.component_kinds)}",
-        f"residual:   {dec.reconstruction_residual:.3e}",
-    ]
-    if args.out:
-        lines.append(f"written:    {args.out}")
-    _emit(args, out, lines)
-    return 0
+    })
 
 
 def _cmd_multiply(args) -> int:
-    inst = load_instance(args.infile)
+    inst = _load(args.infile)
     weights = _weights_or_ones(inst)
     companion = inst.companion or canonical_dual(inst.gframe)
     m_mat = multiplier(weights, inst.gframe, companion)
     bound = multiplier_norm_bound(weights, inst.gframe, companion)
     norm = operator_norm(m_mat)
     if args.out:
-        _write_matrix_out(args.out, m_mat)
-    out = {
-        "operation": "multiply",
-        "instance_digest": instance_digest(inst),
-        "inputs": _instance_inputs(inst, args.infile),
+        _write_json(args.out, {"schema_version": 1, "matrix": matrix_document(m_mat)})
+    return _emit(args, {
+        **_header("multiply", inst, args),
         "companion": "explicit" if inst.companion is not None else "canonical dual",
         "weights": [complex_pair(z) for z in np.asarray(weights)],
         "operator_norm": norm,
         "norm_bound": bound,
         "bound_holds": norm <= bound + 1e-9,
         "written": args.out,
-    }
-    lines = [
-        f"companion:  {out['companion']}",
-        f"norm:       {norm:.9g}",
-        f"bound:      {bound:.9g}",
-        f"holds:      {'yes' if out['bound_holds'] else 'no'}",
-    ]
-    if args.out:
-        lines.append(f"written:    {args.out}")
-    _emit(args, out, lines)
-    return 0
+    })
 
 
 def _cmd_invert(args) -> int:
-    inst = load_instance(args.infile)
+    inst = _load(args.infile)
     frame = inst.gframe
     weights = _weights_or_ones(inst)
     started = time.perf_counter()
@@ -337,44 +389,28 @@ def _cmd_invert(args) -> int:
         )
     elapsed = time.perf_counter() - started
     if args.out:
-        _write_matrix_out(args.out, m_inv)
-    observed = operator_norm(m_inv)
-    out = {
-        "operation": f"invert {args.method}",
-        "instance_digest": instance_digest(inst),
-        "inputs": _instance_inputs(inst, args.infile),
+        _write_json(args.out, {"schema_version": 1, "matrix": matrix_document(m_inv)})
+    return _emit(args, {
+        **_header(f"invert {args.method}", inst, args),
         "proposition": cert.proposition.value,
         "hypothesis_values": dict(cert.hypothesis_values),
         "inverse_norm_bracket": [cert.inverse_norm_lower, cert.inverse_norm_upper],
-        "inverse_norm_observed": observed,
+        "inverse_norm_observed": operator_norm(m_inv),
         "series_terms": cert.series_terms_for_tol,
         "residual": cert.residual,
         "written": args.out,
         "timing_seconds": elapsed,
-    }
-    hv = ", ".join(f"{k}={v:.6g}" for k, v in sorted(cert.hypothesis_values.items()))
-    lines = [
-        f"proposition: {cert.proposition.value}",
-        f"hypothesis:  {hv}",
-        f"bracket:     [{cert.inverse_norm_lower:.9g}, {cert.inverse_norm_upper:.9g}]",
-        f"observed:    {observed:.9g}",
-        f"terms:       {cert.series_terms_for_tol}",
-        f"residual:    {cert.residual:.3e}",
-    ]
-    if args.out:
-        lines.append(f"written:     {args.out}")
-    _emit(args, out, lines)
-    return 0
+    })
 
 
 def _cmd_controlled(args) -> int:
     if args.form == "arith":
         if args.values:
-            parts = [float(v) for v in args.values.split(",")]
+            parts = _numbers(args.values, float, "--values")
             if len(parts) != 6:
                 raise SchemaError("--values", "expected six comma-separated bounds")
         else:
-            inst = load_instance(_require(args.infile, "in", "an instance file"))
+            inst = _load(_require(args.infile, "in", "an instance file"))
             control = ControlOperator(
                 _require(inst.control, "control", "a control matrix")
             )
@@ -385,147 +421,72 @@ def _cmd_controlled(args) -> int:
             parts = [cb.lower, cb.upper, fb.lower, fb.upper,
                      control.bounds[0], control.bounds[1]]
         derived = controlled_bound_arithmetic(*parts)
-        out = {
+        return _emit(args, {
             "operation": "controlled arith",
             "inputs": {"values": parts},
             "frame_operator_bounds": list(derived.frame_operator_bounds),
             "control_bounds": list(derived.control_bounds),
             "controlled_bounds": list(derived.controlled_bounds),
-        }
-        lines = [
-            f"frame bounds in:      [{derived.frame_operator_bounds[0]:.9g}, {derived.frame_operator_bounds[1]:.9g}]",
-            f"control bounds in:    [{derived.control_bounds[0]:.9g}, {derived.control_bounds[1]:.9g}]",
-            f"controlled bounds in: [{derived.controlled_bounds[0]:.9g}, {derived.controlled_bounds[1]:.9g}]",
-        ]
-        _emit(args, out, lines)
-        return 0
+        })
 
-    inst = load_instance(_require(args.infile, "in", "an instance file"))
+    inst = _load(_require(args.infile, "in", "an instance file"))
     control = ControlOperator(_require(inst.control, "control", "a control matrix"))
-    base = {
-        "instance_digest": instance_digest(inst),
-        "inputs": _instance_inputs(inst, args.infile),
-    }
+    header = _header(f"controlled {args.form}", inst, args)
     if args.form == "bounds":
         cb = controlled_bounds(inst.gframe, control)
-        out = {
-            "operation": "controlled bounds",
-            **base,
+        return _emit(args, {
+            **header,
             "lower": cb.lower,
             "upper": cb.upper,
             "is_controlled_frame": cb.is_controlled_frame,
             "form_self_adjoint": cb.form_self_adjoint,
-        }
-        lines = [
-            f"bounds:          A={cb.lower:.9g}  B={cb.upper:.9g}",
-            f"controlled frame: {'yes' if cb.is_controlled_frame else 'no'}",
-            f"form self-adjoint: {'yes' if cb.form_self_adjoint else 'no'}",
-        ]
-    elif args.form == "commute":
+        })
+    if args.form == "commute":
         res = verify_commutation(inst.gframe, control)
-        out = {
-            "operation": "controlled commute",
-            **base,
-            "holds": res.holds,
-            "defect": res.defect,
-        }
-        lines = [
-            f"commutes: {'yes' if res.holds else 'no'}",
-            f"defect:   {res.defect:.3e}",
-        ]
-    else:  # equiv
-        lhs, rhs = controlled_equivalence(inst.gframe, control)
-        out = {
-            "operation": "controlled equiv",
-            **base,
-            "controlled_frame": lhs,
-            "gframe_positive_commuting": rhs,
-            "agree": lhs == rhs,
-        }
-        lines = [
-            f"controlled frame:            {'yes' if lhs else 'no'}",
-            f"g-frame + positive + commute: {'yes' if rhs else 'no'}",
-            f"criterion agrees:            {'yes' if lhs == rhs else 'no'}",
-        ]
-    _emit(args, out, lines)
-    return 0
+        return _emit(args, {**header, "holds": res.holds, "defect": res.defect})
+    lhs, rhs = controlled_equivalence(inst.gframe, control)  # equiv
+    return _emit(args, {
+        **header,
+        "controlled_frame": lhs,
+        "gframe_positive_commuting": rhs,
+        "agree": lhs == rhs,
+    })
 
 
 def _cmd_weighted(args) -> int:
-    inst = load_instance(args.infile)
-    base = {
-        "instance_digest": instance_digest(inst),
-        "inputs": _instance_inputs(inst, args.infile),
-    }
+    inst = _load(args.infile)
     if args.form == "from-control":
         control = ControlOperator(_require(inst.control, "control", "a control matrix"))
         weights, is_mult = weight_from_control(inst.gframe, control)
-        out = {
-            "operation": "weighted from-control",
-            **base,
+        return _emit(args, {
+            **_header("weighted from-control", inst, args),
             "weights": [complex_pair(z) for z in weights.values],
             "is_weight_multiplier": is_mult,
-        }
-        lines = [
-            f"weights:    {', '.join(_fmt_complex(z) for z in weights.values)}",
-            f"multiplier: {'yes' if is_mult else 'no'}",
-        ]
-        _emit(args, out, lines)
-        return 0
+        })
 
     w = _require(inst.weights, "weights", "a weight sequence").values
     if args.form == "bounds":
         wb = weighted_bounds(inst.gframe, w)
-        out = {
-            "operation": "weighted bounds",
-            **base,
+        return _emit(args, {
+            **_header("weighted bounds", inst, args),
             "lower": wb.lower,
             "upper": wb.upper,
             "classification": wb.classification.value,
-        }
-        lines = [
-            f"bounds: A={wb.lower:.9g}  B={wb.upper:.9g}",
-            f"class:  {wb.classification.value}",
-        ]
-    elif args.form == "dual":
-        dual = weighted_dual(inst.gframe, w)
-        scaled = scale_blocks(inst.gframe, w)
-        defect = duality_defect(scaled, dual)
-        bounds = frame_bounds(dual)
-        if args.out:
-            dump_instance(InstanceFile(gframe=dual), args.out)
-        out = {
-            "operation": "weighted dual",
-            **base,
-            "dual_bounds": {"lower": bounds.lower, "upper": bounds.upper},
-            "duality_defect": defect,
-            "written": args.out,
-        }
-        lines = [
-            f"dual bounds: A={bounds.lower:.9g}  B={bounds.upper:.9g}",
-            f"defect:      {defect:.3e}",
-        ]
-        if args.out:
-            lines.append(f"written:     {args.out}")
-    else:  # equiv
-        w_alt = inst.weights_alt.values if inst.weights_alt is not None else w
-        suite = weighted_equivalence_suite(inst.gframe, w, w_alt)
-        out = {
-            "operation": "weighted equiv",
-            **base,
-            "statements": dict(suite._asdict()),
-            "unanimous": suite.unanimous,
-        }
-        lines = [
-            f"{name}: {'yes' if value else 'no'}"
-            for name, value in suite._asdict().items()
-        ] + [f"unanimous: {'yes' if suite.unanimous else 'no'}"]
-    _emit(args, out, lines)
-    return 0
+        })
+    if args.form == "dual":
+        return _dual_report("weighted dual", inst, args,
+                            weighted_dual(inst.gframe, w), scale_blocks(inst.gframe, w))
+    w_alt = inst.weights_alt.values if inst.weights_alt is not None else w  # equiv
+    suite = weighted_equivalence_suite(inst.gframe, w, w_alt)
+    return _emit(args, {
+        **_header("weighted equiv", inst, args),
+        "statements": dict(suite._asdict()),
+        "unanimous": suite.unanimous,
+    })
 
 
 def _cmd_generate(args) -> int:
-    partition = tuple(int(p) for p in args.partition.split(","))
+    partition = tuple(_numbers(args.partition, int, "--partition"))
     inst = generate(args.kind, args.dim, partition, args.seed)
     text = serialize_instance(inst, compact=args.compact)
     if args.out:
@@ -623,10 +584,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except FileNotFoundError as exc:
-        print(f"gframes: input error: {exc}", file=sys.stderr)
-        return 3
-    except InputError as exc:
+    except (FileNotFoundError, InputError) as exc:  # also an --out in a missing directory
         print(f"gframes: input error: {exc}", file=sys.stderr)
         return 3
     except HypothesisError as exc:

@@ -82,13 +82,6 @@ class GFrame:
             raise NonFinite(f"block {i} contains NaN or infinite entries")
 
     @classmethod
-    def from_blocks(cls, blocks, label: str | None = None) -> "GFrame":
-        blocks = [np.atleast_2d(np.asarray(b)) for b in blocks]
-        if not blocks:
-            raise ShapeMismatch("a g-frame needs at least one block")
-        return cls(h_dim=int(blocks[0].shape[1]), blocks=tuple(blocks), label=label)
-
-    @classmethod
     def from_stacked(cls, stacked, partition, label: str | None = None) -> "GFrame":
         """The family whose analysis matrix is `stacked`, cut into blocks of
         the given row sizes."""

@@ -244,7 +244,9 @@ def check_decompositions(rng, trials):
         for op in (decompose_three_gonb, decompose_two_gonb_combo,
                    decompose_gonb_plus_griesz, decompose_two_parseval):
             _check_decomposition(op(riesz), riesz, op.__name__)
-        frame = sampling.random_gframe(rng, *random_partition(rng))
+        # a one-row block keeps the frame strictly overcomplete (tall T)
+        dim, partition = random_partition(rng)
+        frame = sampling.random_gframe(rng, dim, (*partition, 1))
         _check_decomposition(decompose_two_parseval(frame), frame,
                              "overcomplete decompose_two_parseval")
         # singular values pinned at 1 and 1e-4 (k(S) = 1e8) on a strictly

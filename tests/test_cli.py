@@ -11,6 +11,7 @@ import pytest
 
 from gframes import selftest
 from gframes.cli import main
+from gframes.controlled import WeightedEquivalence
 from gframes.io import instance_digest, load_instance, matrix_document
 from gframes.multipliers import WeightSequence
 
@@ -242,6 +243,12 @@ def test_controlled_arith_rejects_wrong_count(capsys):
     assert "six" in err
 
 
+def test_controlled_arith_rejects_non_numeric_values(capsys):
+    code, _, err = run(capsys, "controlled", "arith", "--values", "2,3,1,1,2,x")
+    assert code == 3
+    assert "input error: --values" in err
+
+
 def test_weighted_bounds_and_dual(tmp_path, capsys):
     path = write_doc(tmp_path, weights=[[2.0, 0.0], [3.0, 0.0]])
     code, out, _ = run(capsys, "weighted", "bounds", "--in", path, "--json")
@@ -287,6 +294,167 @@ def test_weighted_bounds_needs_weights(tmp_path, capsys):
     assert "weights" in err
 
 
+# -- text summaries ----------------------------------------------------------------
+
+
+def _ref_yes(flag):
+    return "yes" if flag else "no"
+
+
+def _ref_complexes(pairs):
+    out = []
+    for re_, im in pairs:
+        out.append(f"{re_:.6g}" if im == 0.0
+                   else f"{re_:.6g}{'+' if im >= 0 else '-'}{abs(im):.6g}j")
+    return ", ".join(out)
+
+
+def reference_text(report, statement_order):
+    """The text summary of a --json report, with each format string the
+    summaries were first written with."""
+    r, op = report, report["operation"]
+    if op == "classify":
+        b = r["bounds"]
+        flags = [name for name, key in [
+            ("g-Bessel", "is_g_bessel"), ("g-frame", "is_g_frame"),
+            ("g-complete", "is_g_complete"), ("g-Riesz", "is_g_riesz"),
+            ("g-ONB", "is_g_onb")] if r[key]]
+        lines = [
+            f"label:       {r['inputs']['label'] or '-'}",
+            f"h_dim:       {r['inputs']['h_dim']}",
+            f"partition:   {r['inputs']['partition']}",
+            f"bounds:      A={b['lower']:.9g}  B={b['upper']:.9g}",
+            f"class:       {r['classification']}",
+            f"properties:  {', '.join(flags)}",
+        ]
+        if r["riesz_bounds"]:
+            c, d = r["riesz_bounds"]
+            lines.append(f"riesz:       C={c:.9g}  D={d:.9g}")
+        return lines
+    if op in ("dual", "weighted dual"):
+        b = r["dual_bounds"]
+        lines = [f"dual bounds: A={b['lower']:.9g}  B={b['upper']:.9g}",
+                 f"defect:      {r['duality_defect']:.3e}"]
+        return lines + ([f"written:     {r['written']}"] if r["written"] else [])
+    if op == "decompose coisometry":
+        b = r["image_bounds"]
+        lines = [f"image bounds: A={b['lower']:.9g}  B={b['upper']:.9g}",
+                 f"class:        {r['image_classification']}"]
+        return lines + ([f"written:      {r['written']}"] if r["written"] else [])
+    if op.startswith("decompose "):
+        lines = [f"scalars:    {_ref_complexes(r['scalars'])}",
+                 f"components: {', '.join(r['component_kinds'])}",
+                 f"residual:   {r['reconstruction_residual']:.3e}"]
+        return lines + ([f"written:    {r['written']}"] if r["written"] else [])
+    if op == "multiply":
+        lines = [f"companion:  {r['companion']}",
+                 f"norm:       {r['operator_norm']:.9g}",
+                 f"bound:      {r['norm_bound']:.9g}",
+                 f"holds:      {_ref_yes(r['bound_holds'])}"]
+        return lines + ([f"written:    {r['written']}"] if r["written"] else [])
+    if op.startswith("invert "):
+        hv = ", ".join(f"{k}={v:.6g}" for k, v in sorted(r["hypothesis_values"].items()))
+        lo, hi = r["inverse_norm_bracket"]
+        lines = [f"proposition: {r['proposition']}",
+                 f"hypothesis:  {hv}",
+                 f"bracket:     [{lo:.9g}, {hi:.9g}]",
+                 f"observed:    {r['inverse_norm_observed']:.9g}",
+                 f"terms:       {r['series_terms']}",
+                 f"residual:    {r['residual']:.3e}"]
+        return lines + ([f"written:     {r['written']}"] if r["written"] else [])
+    if op == "controlled arith":
+        (f0, f1), (c0, c1), (k0, k1) = (r["frame_operator_bounds"],
+                                        r["control_bounds"], r["controlled_bounds"])
+        return [f"frame bounds in:      [{f0:.9g}, {f1:.9g}]",
+                f"control bounds in:    [{c0:.9g}, {c1:.9g}]",
+                f"controlled bounds in: [{k0:.9g}, {k1:.9g}]"]
+    if op == "controlled bounds":
+        return [f"bounds:          A={r['lower']:.9g}  B={r['upper']:.9g}",
+                f"controlled frame: {_ref_yes(r['is_controlled_frame'])}",
+                f"form self-adjoint: {_ref_yes(r['form_self_adjoint'])}"]
+    if op == "controlled commute":
+        return [f"commutes: {_ref_yes(r['holds'])}", f"defect:   {r['defect']:.3e}"]
+    if op == "controlled equiv":
+        return [f"controlled frame:            {_ref_yes(r['controlled_frame'])}",
+                f"g-frame + positive + commute: {_ref_yes(r['gframe_positive_commuting'])}",
+                f"criterion agrees:            {_ref_yes(r['agree'])}"]
+    if op == "weighted from-control":
+        return [f"weights:    {_ref_complexes(r['weights'])}",
+                f"multiplier: {_ref_yes(r['is_weight_multiplier'])}"]
+    if op == "weighted bounds":
+        return [f"bounds: A={r['lower']:.9g}  B={r['upper']:.9g}",
+                f"class:  {r['classification']}"]
+    if op == "weighted equiv":
+        return [f"{name}: {_ref_yes(r['statements'][name])}" for name in statement_order] + [
+            f"unanimous: {_ref_yes(r['unanimous'])}"]
+    raise AssertionError(f"no reference layout for {op!r}")
+
+
+def test_text_summary_renders_the_json_report(tmp_path, capsys):
+    generated = tmp_path / "generated.json"
+    assert main(["generate", "--kind", "g_riesz", "--dim", "3", "--partition",
+                 "1,2", "--seed", "4", "--out", str(generated)]) == 0
+    capsys.readouterr()
+    riesz = json.loads(generated.read_text())
+    riesz["weights"] = [[0.9, 0.05], [1.1, 0.0]]
+    riesz_path = tmp_path / "riesz.json"
+    riesz_path.write_text(json.dumps(riesz))
+    tall = write_doc(tmp_path, "tall.json", label=None, blocks=[
+        {"dim": 2, "matrix": [[[1.0, 0.0], [0.5, 0.0]], [[0.0, 0.0], [1.0, -0.25]]]},
+        {"dim": 1, "matrix": [[[0.25, 0.5], [0.0, 0.0]]]},
+    ])
+    pair = write_doc(
+        tmp_path, "pair.json",
+        weights=[[2.0, 0.0], [3.0, -1.5]],
+        control=matrix_document(np.diag([2.0, 3.0])),
+        coisometry=matrix_document([[0.6, 0.8]]),
+    )
+    positive = write_doc(tmp_path, "positive.json", weights=[[2.0, 0.0], [3.0, 0.0]],
+                         weights_alt=[[1.0, 0.0], [1.0, 0.0]],
+                         bijection=matrix_document(np.diag([2.0, 4.0])))
+    cases = [
+        ("classify", "--in", str(riesz_path)),
+        ("classify", "--in", tall),
+        ("dual", "--in", str(riesz_path), "--out"),
+        ("dual", "--in", tall),
+        ("decompose", "two-parseval", "--in", str(riesz_path), "--out"),
+        ("decompose", "three-onb", "--in", str(riesz_path)),
+        ("decompose", "coisometry", "--in", pair, "--out"),
+        ("decompose", "coisometry", "--in", pair),
+        ("multiply", "--in", pair, "--out"),
+        ("multiply", "--in", str(riesz_path)),
+        ("invert", "dual-neumann", "--in", str(riesz_path), "--out"),
+        ("invert", "bijection", "--in", positive),
+        ("controlled", "bounds", "--in", pair),
+        ("controlled", "commute", "--in", pair),
+        ("controlled", "equiv", "--in", pair),
+        ("controlled", "arith", "--in", pair),
+        ("controlled", "arith", "--values", "2,3,1,1.5,2,3"),
+        ("weighted", "bounds", "--in", positive),
+        ("weighted", "dual", "--in", positive, "--out"),
+        ("weighted", "dual", "--in", positive),
+        ("weighted", "equiv", "--in", positive),
+        ("weighted", "from-control", "--in", pair),
+    ]
+    for n, case in enumerate(cases):
+        argv = list(case)
+        if argv[-1] == "--out":
+            argv.append(str(tmp_path / f"out{n}.json"))
+        assert main(argv + ["--json"]) == 0, argv
+        report = json.loads(capsys.readouterr().out)
+        written = tmp_path / f"out{n}.json"
+        if "--out" in argv:
+            json_bytes = written.read_bytes()
+            written.unlink()
+        assert main(argv) == 0, argv
+        out, err = capsys.readouterr()
+        assert err == ""
+        expected = reference_text(report, WeightedEquivalence._fields)
+        assert out == "".join(line + "\n" for line in expected), argv
+        if "--out" in argv:
+            assert written.read_bytes() == json_bytes
+
+
 # -- generate and selftest -------------------------------------------------------------
 
 
@@ -310,6 +478,13 @@ def test_generate_out_reports_digest(tmp_path, capsys):
     assert "written:" in out
     inst = load_instance(target)
     assert instance_digest(inst)[:16] in out
+
+
+def test_generate_rejects_non_numeric_partition(capsys):
+    code, out, err = run(capsys, "generate", "--kind", "parseval", "--dim", "2",
+                         "--partition", "1,x")
+    assert code == 3 and out == ""
+    assert "input error: --partition" in err
 
 
 def test_selftest_passes(capsys):
@@ -376,6 +551,20 @@ def test_missing_file_exits_3(capsys):
     code, _, err = run(capsys, "classify", "--in", "/nonexistent/never.json")
     assert code == 3
     assert "input error" in err
+
+
+def test_unreadable_input_path_exits_3(tmp_path, capsys):
+    code, out, err = run(capsys, "classify", "--in", str(tmp_path))
+    assert code == 3 and out == ""
+    assert "input error" in err
+
+
+def test_out_naming_a_directory_is_not_reported_as_an_input_error(tmp_path, capsys):
+    # only reading --in is mapped to exit 3; a failed --out write propagates
+    path = write_doc(tmp_path)
+    with pytest.raises(IsADirectoryError):
+        main(["dual", "--in", path, "--out", str(tmp_path)])
+    assert capsys.readouterr().out == ""
 
 
 def test_malformed_document_exits_3(tmp_path, capsys):
