@@ -5,8 +5,8 @@ library operation and builds one report. With --json the report is
 printed as JSON; otherwise the human-readable summary is rendered from
 that same report, so every text field is also a JSON field. Exit codes:
 0 success, 2 a checked hypothesis failed (the message names the violated
-inequality), 3 bad input (malformed or unreadable file, schema
-violation, bad arguments), 1 anything else.
+inequality), 3 bad input or output (malformed or unreadable file, schema
+violation, bad arguments, an --out that cannot be written), 1 anything else.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -115,6 +116,17 @@ def _header(operation: str, inst: InstanceFile, args) -> dict:
             "partition": list(inst.gframe.partition),
         },
     }
+
+
+class _OutputError(Exception):
+    """An --out file could not be written."""
+
+
+def _write_out(write, *args, **kwargs) -> None:
+    try:
+        write(*args, **kwargs)
+    except OSError as exc:  # --out only: a broken pipe on stdout is no output error
+        raise _OutputError(exc) from None
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -272,7 +284,7 @@ def _dual_report(operation: str, inst: InstanceFile, args, dual, frame) -> int:
     defect = duality_defect(frame, dual)
     bounds = frame_bounds(dual)
     if args.out:
-        dump_instance(InstanceFile(gframe=dual), args.out)
+        _write_out(dump_instance, InstanceFile(gframe=dual), args.out)
     return _emit(args, {
         **_header(operation, inst, args),
         "dual_bounds": {"lower": bounds.lower, "upper": bounds.upper},
@@ -303,7 +315,7 @@ def _cmd_decompose(args) -> int:
         elapsed = time.perf_counter() - started
         bounds = frame_bounds(image)
         if args.out:
-            dump_instance(InstanceFile(gframe=image), args.out)
+            _write_out(dump_instance, InstanceFile(gframe=image), args.out)
         return _emit(args, {
             **_header("decompose coisometry", inst, args),
             "image_bounds": {"lower": bounds.lower, "upper": bounds.upper},
@@ -317,7 +329,7 @@ def _cmd_decompose(args) -> int:
     scalars = [complex_pair(a) for a in dec.scalars]
     kinds = [k.value for k in dec.component_kinds]
     if args.out:
-        _write_json(args.out, {
+        _write_out(_write_json, args.out, {
             "schema_version": 1,
             "scalars": scalars,
             "kinds": kinds,
@@ -341,7 +353,7 @@ def _cmd_multiply(args) -> int:
     bound = multiplier_norm_bound(weights, inst.gframe, companion)
     norm = operator_norm(m_mat)
     if args.out:
-        _write_json(args.out, {"schema_version": 1, "matrix": matrix_document(m_mat)})
+        _write_out(_write_json, args.out, {"schema_version": 1, "matrix": matrix_document(m_mat)})
     return _emit(args, {
         **_header("multiply", inst, args),
         "companion": "explicit" if inst.companion is not None else "canonical dual",
@@ -389,7 +401,7 @@ def _cmd_invert(args) -> int:
         )
     elapsed = time.perf_counter() - started
     if args.out:
-        _write_json(args.out, {"schema_version": 1, "matrix": matrix_document(m_inv)})
+        _write_out(_write_json, args.out, {"schema_version": 1, "matrix": matrix_document(m_inv)})
     return _emit(args, {
         **_header(f"invert {args.method}", inst, args),
         "proposition": cert.proposition.value,
@@ -490,8 +502,7 @@ def _cmd_generate(args) -> int:
     inst = generate(args.kind, args.dim, partition, args.seed)
     text = serialize_instance(inst, compact=args.compact)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write_out(Path(args.out).write_text, text, encoding="utf-8")
         print(f"written: {args.out} ({instance_digest(inst)[:16]})")
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
@@ -584,8 +595,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (FileNotFoundError, InputError) as exc:  # also an --out in a missing directory
+    except InputError as exc:
         print(f"gframes: input error: {exc}", file=sys.stderr)
+        return 3
+    except _OutputError as exc:
+        print(f"gframes: output error: {exc}", file=sys.stderr)
         return 3
     except HypothesisError as exc:
         print(f"gframes: {exc}", file=sys.stderr)

@@ -302,10 +302,9 @@ def weighted_dual(frame: GFrame, weights) -> GFrame:
     if w.semi_norm_bounds is None:
         raise ZeroWeight("weights must be bounded away from zero")
     dual = canonical_dual(frame)
-    return GFrame.from_stacked(
+    return frame._with_rows(
         frame.per_row(1.0 / w.values)[:, None] * dual.analysis_matrix(),
-        frame.partition,
-        label=f"weighted dual of {frame.label}" if frame.label else None,
+        f"weighted dual of {frame.label}" if frame.label else None,
     )
 
 

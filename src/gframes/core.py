@@ -10,10 +10,12 @@ bounds, classification, canonical dual and every S^-1 share the
 spectrum, and every decomposition splits the one SVD. A tall T takes
 that SVD from the spectrum, with products by T and factorizations of
 d x d matrices only; a square T is factored directly. Duals,
-rescalings and the induced vector frame are each one product or row
-scaling of T. Every g-frame induces an ordinary vector frame by pulling
-the standard basis of each H_i back through the block adjoints, and all
-frame-theoretic properties transfer across that bridge.
+rescalings and decomposition components are each one product or row
+scaling of T, and the new frame keeps that product as its T, with no
+copy; `from_stacked` copies and checks caller input. Every g-frame
+induces an ordinary vector frame by pulling the standard basis of each
+H_i back through the block adjoints, and all frame-theoretic
+properties transfer across that bridge.
 """
 
 from __future__ import annotations
@@ -83,14 +85,23 @@ class GFrame:
 
     @classmethod
     def from_stacked(cls, stacked, partition, label: str | None = None) -> "GFrame":
-        """The family whose analysis matrix is `stacked`, cut into blocks of
-        the given row sizes."""
+        """The family whose analysis matrix is a checked copy of `stacked`,
+        cut into blocks of the given row sizes."""
         t = as_matrix(stacked, "analysis matrix")
         sizes = np.asarray(partition).astype(int)
         if sizes.ndim != 1 or np.any(sizes < 1) or sizes.sum() != t.shape[0]:
             raise BadPartition(f"partition {sizes.tolist()} does not tile {t.shape[0]} rows")
         frame = object.__new__(cls)
         frame._store(t.shape[1], t, tuple(sizes.tolist()), label)
+        return frame
+
+    def _with_rows(self, t: np.ndarray, label: str | None = None) -> "GFrame":
+        """The frame with this partition whose analysis matrix is `t`, a
+        product the library has just computed: kept and frozen, not copied."""
+        if not np.isfinite(t).all():
+            raise NonFinite("analysis matrix contains NaN or infinite entries")
+        frame = object.__new__(type(self))
+        frame._store(t.shape[1], t, self._partition, label)
         return frame
 
     def _store(self, h_dim: int, stacked: np.ndarray, sizes: tuple[int, ...], label) -> None:
@@ -199,11 +210,7 @@ def scale_blocks(frame: GFrame, factors) -> GFrame:
         raise ShapeMismatch(
             f"{c.size} factors for {frame.n_blocks} blocks"
         )
-    return GFrame.from_stacked(
-        frame.per_row(c)[:, None] * frame.analysis_matrix(),
-        frame.partition,
-        label=frame.label,
-    )
+    return frame._with_rows(frame.per_row(c)[:, None] * frame.analysis_matrix(), frame.label)
 
 
 class FrameClass(Enum):
@@ -333,7 +340,7 @@ def canonical_dual(frame: GFrame) -> GFrame:
     """
     s_inv = _inverse_frame_operator(frame)
     label = f"canonical dual of {frame.label}" if frame.label else None
-    return GFrame.from_stacked(frame.analysis_matrix() @ s_inv, frame.partition, label)
+    return frame._with_rows(frame.analysis_matrix() @ s_inv, label)
 
 
 @dataclass(frozen=True, eq=False)

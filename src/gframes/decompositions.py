@@ -69,9 +69,7 @@ def _component_matches(kind: ComponentKind, frame: GFrame) -> bool:
 
 def _certified(scalars, stacked_components, kinds, frame: GFrame) -> GFrameDecomposition:
     target = frame.analysis_matrix()
-    components = tuple(
-        GFrame.from_stacked(m, frame.partition) for m in stacked_components
-    )
+    components = tuple(frame._with_rows(m) for m in stacked_components)
     recon = sum(s * m for s, m in zip(scalars, stacked_components))
     residual = frobenius_norm(recon - target)
     if residual > TAU_RECON * (1.0 + frobenius_norm(target)):
@@ -156,10 +154,9 @@ def coisometry_image(theta: GFrame, k) -> GFrame:
     defect = frobenius_norm(k_mat @ k_mat.conj().T - np.eye(k_mat.shape[0]))
     if defect > TAU_HERM:
         raise NotCoisometry(f"K K* differs from identity by {defect:.3e}")
-    image = GFrame.from_stacked(
+    image = theta._with_rows(
         theta.analysis_matrix() @ k_mat.conj().T,
-        theta.partition,
-        label=f"coisometry image of {theta.label}" if theta.label else None,
+        f"coisometry image of {theta.label}" if theta.label else None,
     )
     if frame_bounds(image).classification is not FrameClass.PARSEVAL:
         raise GFrameError("coisometry image failed Parseval certification")

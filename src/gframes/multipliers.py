@@ -259,7 +259,7 @@ def invert_via_bijection(weights, frame: GFrame, g_matrix):
     bounds = frame_bounds(frame)
     if bounds.lower <= TAU_RANK:
         raise NotAFrame("the weighted family needs a g-frame to invert against")
-    companion = GFrame.from_stacked(frame.analysis_matrix() @ g, frame.partition)
+    companion = frame._with_rows(frame.analysis_matrix() @ g)
     m_mat = multiplier(w, frame, companion)
     s_w_inv, s_w_eigs = _weighted_inverse(frame, w)
     m_inv = sign * (np.linalg.inv(g) @ s_w_inv)
@@ -362,9 +362,7 @@ def invert_bessel_perturb(weights, frame: GFrame, companion: GFrame,
     if bounds.lower <= TAU_RANK:
         raise NotAFrame("the base family must be a g-frame")
     a_l, b_l = bounds.lower, bounds.upper
-    diff = GFrame.from_stacked(
-        companion.analysis_matrix() - frame.analysis_matrix(), frame.partition
-    )
+    diff = frame._with_rows(companion.analysis_matrix() - frame.analysis_matrix())
     b_diff = frame_bounds(diff).upper
     spread = b_w * math.sqrt(b_l * b_diff)
     contraction = spread / (a_w * a_l)
@@ -389,10 +387,9 @@ def _validated_mu(w: WeightSequence, companion: GFrame, reference: GFrame,
     # the swapped multiplier sum_i m_i Theta_i* Lambda_i is M(conj m)*,
     # so its perturbation is measured with conjugated weights
     m = w.values.conj() if swapped else w.values
-    pert = GFrame.from_stacked(
+    pert = companion._with_rows(
         companion.per_row(m)[:, None] * companion.analysis_matrix()
-        - reference.analysis_matrix(),
-        companion.partition,
+        - reference.analysis_matrix()
     )
     mu_actual = frame_bounds(pert).upper
     hvals["mu_computed"] = mu_actual

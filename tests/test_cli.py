@@ -559,12 +559,26 @@ def test_unreadable_input_path_exits_3(tmp_path, capsys):
     assert "input error" in err
 
 
-def test_out_naming_a_directory_is_not_reported_as_an_input_error(tmp_path, capsys):
-    # only reading --in is mapped to exit 3; a failed --out write propagates
+def test_unwritable_out_is_an_output_error_exit_3(tmp_path, capsys, monkeypatch):
+    # a directory and a path in a missing directory, through each --out writer:
+    # the instance writer, the JSON document writer and generate's text writer
     path = write_doc(tmp_path)
-    with pytest.raises(IsADirectoryError):
-        main(["dual", "--in", path, "--out", str(tmp_path)])
-    assert capsys.readouterr().out == ""
+    commands = (["dual", "--in", path], ["decompose", "two-parseval", "--in", path],
+                ["generate", "--kind", "g_riesz", "--dim", "2", "--partition", "1,1"])
+    for out in (str(tmp_path), str(tmp_path / "missing" / "out.json")):
+        for argv in commands:
+            code, stdout, err = run(capsys, *argv, "--out", out)
+            assert (code, stdout) == (3, "")
+            assert err.startswith("gframes: output error: ") and "input error" not in err
+
+    class BrokenStdout(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    # stdout is not an --out file: a broken pipe there is not reported as one
+    monkeypatch.setattr(sys, "stdout", BrokenStdout())
+    with pytest.raises(BrokenPipeError):
+        main(["classify", "--in", path])
 
 
 def test_malformed_document_exits_3(tmp_path, capsys):

@@ -14,20 +14,30 @@ from gframes import (
     GFrame,
     canonical_dual,
     classify,
+    coisometry_image,
+    decompose_two_parseval,
     duality_defect,
     frame_bounds,
     frame_operator,
     gframe_from_vector_frame,
     induced_frame,
+    invert_bessel_perturb,
+    invert_mu_perturb,
+    invert_via_bijection,
     VectorFrame,
     scale_blocks,
     vector_frame_operator,
     verify_duality,
+    weighted_dual,
 )
 from gframes.core import _tall_svd
 from gframes.errors import BadPartition, NonFinite, NotAFrame, ShapeMismatch
 from gframes.kernel import frobenius_norm, operator_norm
 from gframes.sampling import (
+    bessel_perturb_instance,
+    bijection_instance,
+    mu_perturb_instance,
+    random_coisometry,
     random_deficient,
     random_g_onb,
     random_g_riesz,
@@ -339,6 +349,57 @@ def test_from_stacked_rejects_bad_partition():
         GFrame.from_stacked(np.ones((3, 2)), [3, 0])
     with pytest.raises(BadPartition):
         gframe_from_vector_frame(induced_frame(identity_gframe(2)), [3])
+
+
+def test_from_stacked_copies_caller_input():
+    a = complex_gaussian(np.random.default_rng(107), 5, 3)
+    frame = GFrame.from_stacked(a, (2, 3))
+    t = frame.analysis_matrix()
+    assert a.flags.writeable and not t.flags.writeable and not np.shares_memory(a, t)
+    before = t.copy()
+    a[0, 0] = 7.0
+    assert np.array_equal(t, before)
+
+
+def test_adopted_products_still_reject_non_finite_entries():
+    frame = random_gframe(np.random.default_rng(109), 3, (1, 2, 1))
+    for bad in (np.inf, np.nan):
+        with pytest.raises(NonFinite, match="^analysis matrix contains NaN or infinite entries$"):
+            scale_blocks(frame, [bad, 1.0, 1.0])
+
+
+def test_library_products_are_adopted_not_copied(monkeypatch):
+    # a dual, rescaling, decomposition component, coisometry image or
+    # inversion companion keeps the product it is computed from: no copy
+    # and no second partition check through from_stacked
+    rng = np.random.default_rng(113)
+    frame = random_gframe(rng, 4, (2, 1, 2), label="f")
+    onb = random_g_onb(rng, 4, (2, 2))
+    k = random_coisometry(rng, 3, 4)
+    instances = [
+        (invert_via_bijection, bijection_instance(rng, 4, (2, 1, 1))),
+        (invert_bessel_perturb, bessel_perturb_instance(rng, 4, (2, 1, 1))),
+        (invert_mu_perturb, mu_perturb_instance(rng, 4, (2, 1, 1))),
+    ]
+    original = GFrame.from_stacked.__func__
+    calls = []
+
+    def counted(cls, *args, **kwargs):
+        calls.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(GFrame, "from_stacked", classmethod(counted))
+    made = [
+        canonical_dual(frame),
+        scale_blocks(frame, [2.0, 1j, 0.5]),
+        weighted_dual(frame, [2.0, 1.0, 0.5]),
+        *decompose_two_parseval(frame).components,
+        coisometry_image(onb, k),
+    ]
+    for invert, args in instances:
+        invert(*args)
+    assert calls == []
+    assert all(not f.analysis_matrix().flags.writeable for f in made)
 
 
 def test_gframe_validates_blocks():
