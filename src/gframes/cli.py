@@ -68,7 +68,7 @@ from .multipliers import (
     multiplier,
     multiplier_norm_bound,
 )
-from .tolerances import TAU_INV
+from .tolerances import TAU_BOUND, TAU_INV, Margin
 
 
 class _Parser(argparse.ArgumentParser):
@@ -360,7 +360,7 @@ def _cmd_multiply(args) -> int:
         "weights": [complex_pair(z) for z in np.asarray(weights)],
         "operator_norm": norm,
         "norm_bound": bound,
-        "bound_holds": norm <= bound + 1e-9,
+        "bound_holds": Margin.defect(norm - bound, TAU_BOUND, 1.0 + bound).holds,
         "written": args.out,
     })
 

@@ -45,7 +45,7 @@ from .kernel import (
     as_matrix,
 )
 from .multipliers import WeightSequence, _weights_for, multiplier
-from .tolerances import TAU_COMM, TAU_EIG, TAU_HERM, TAU_INV, TAU_RANK
+from .tolerances import TAU_COMM, TAU_EIG, TAU_EXACT, TAU_HERM, TAU_INDUCED, TAU_INV, Margin
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,7 +66,7 @@ class ControlOperator(_ArrayValue):
         m = as_matrix(self.matrix, "control operator")
         if m.shape[0] != m.shape[1]:
             raise ShapeMismatch(f"control operator must be square, got {m.shape}")
-        self_adjoint = hermitian_defect(m) <= TAU_HERM
+        self_adjoint = Margin.defect(hermitian_defect(m), TAU_HERM).holds
         bounds = None
         if self_adjoint:
             # |eigenvalues| of (C + C*)/2 are within TAU_HERM/2 of C's singular values
@@ -75,13 +75,14 @@ class ControlOperator(_ArrayValue):
             sv = np.abs(eigs)
         else:
             sv = np.linalg.svd(m, compute_uv=False)
-        if sv.min() ** 2 <= TAU_RANK:
+        if not Margin.above_floor(sv.min() ** 2):
             raise Singular(
                 f"control operator is not invertible: sigma_min {sv.min():.3e}"
             )
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "is_self_adjoint", self_adjoint)
-        object.__setattr__(self, "is_positive", self_adjoint and bounds[0] > TAU_RANK)
+        positive = self_adjoint and Margin.above_floor(bounds[0]).holds
+        object.__setattr__(self, "is_positive", positive)
         object.__setattr__(self, "bounds", bounds)
         object.__setattr__(self, "norm", float(sv.max()))
 
@@ -120,12 +121,11 @@ class ControlledBounds:
 
 def controlled_bounds(frame: GFrame, control: ControlOperator) -> ControlledBounds:
     s_c = controlled_frame_operator(frame, control)
-    defect = hermitian_defect(s_c)
+    self_adjoint = Margin.defect(hermitian_defect(s_c), TAU_HERM).holds
     eigs = np.linalg.eigvalsh(hermitian_part(s_c))
     lower, upper = float(eigs[0]), float(eigs[-1])
-    if defect > TAU_HERM:
-        return ControlledBounds(lower, upper, False, False)
-    return ControlledBounds(lower, upper, lower > TAU_RANK, True)
+    is_frame = self_adjoint and Margin.above_floor(lower).holds
+    return ControlledBounds(lower, upper, is_frame, self_adjoint)
 
 
 class CommutationResult(NamedTuple):
@@ -137,10 +137,10 @@ def verify_commutation(frame: GFrame, control: ControlOperator) -> CommutationRe
     """Whether S C* = C S within a scale-relative tolerance."""
     s = frame_operator(frame)
     c = control.matrix
-    defect = frobenius_norm(s @ c.conj().T - c @ s)
     # ||S|| = lambda_max(S), read from the frame's spectrum
     scale = 1.0 + frame_bounds(frame).upper * control.norm
-    return CommutationResult(defect <= TAU_COMM * scale, float(defect))
+    defect = Margin.defect(frobenius_norm(s @ c.conj().T - c @ s), TAU_COMM, scale)
+    return CommutationResult(defect.holds, defect.value)
 
 
 def controlled_equivalence(frame: GFrame, control: ControlOperator) -> tuple[bool, bool]:
@@ -201,7 +201,7 @@ def induced_controlled_frame(frame: GFrame, control: ControlOperator):
     # sum_j psi_j (C psi_j)*, with the psi_j as the columns of psi.T
     acc = psi.T @ (psi.conj() @ control.matrix.conj().T)
     s_c = controlled_frame_operator(frame, control)
-    holds = frobenius_norm(acc - s_c) <= 1e-10 * (1.0 + frobenius_norm(s_c))
+    holds = Margin.defect(frobenius_norm(acc - s_c), TAU_INDUCED, 1.0 + frobenius_norm(s_c)).holds
     return vframe, holds
 
 
@@ -271,7 +271,7 @@ def weight_from_control(frame: GFrame, control: ControlOperator):
         target = c @ synthesis
         w_i = complex(np.vdot(synthesis, target) / norm2)
         residual = frobenius_norm(target - w_i * synthesis)
-        if residual > TAU_EIG * (1.0 + frobenius_norm(target)):
+        if not Margin.defect(residual, TAU_EIG, 1.0 + frobenius_norm(target)):
             raise NotEigenRelation(
                 f"control operator is not scalar on block {i}: residual {residual:.3e}"
             )
@@ -286,8 +286,8 @@ def weight_from_control(frame: GFrame, control: ControlOperator):
         )
     dual = canonical_dual(frame)
     recovered = multiplier(weights, frame, dual)
-    is_multiplier = frobenius_norm(c - recovered) <= TAU_INV * (1.0 + frobenius_norm(c))
-    return weights, is_multiplier
+    match = Margin.defect(frobenius_norm(c - recovered), TAU_INV, 1.0 + frobenius_norm(c))
+    return weights, match.holds
 
 
 def weighted_dual(frame: GFrame, weights) -> GFrame:
@@ -299,7 +299,8 @@ def weighted_dual(frame: GFrame, weights) -> GFrame:
     w = _weights_for(frame, weights)
     if not w.is_real:
         raise NonPositiveWeight("weights must be real")
-    if w.semi_norm_bounds is None:
+    # the reciprocal of a subnormal weight overflows
+    if w.semi_norm_bounds is None or w.semi_norm_bounds[0] < np.finfo(float).tiny:
         raise ZeroWeight("weights must be bounded away from zero")
     dual = canonical_dual(frame)
     return frame._with_rows(
@@ -327,16 +328,16 @@ def weighted_multiplier_as_frame_operator(frame: GFrame, weights):
     w = _positive_weights(frame, weights)
     m_mat = multiplier(w, frame, frame)
     scaled = frame_operator(scale_blocks(frame, np.sqrt(w.values.real)))
-    match_defect = frobenius_norm(m_mat - scaled)
-    sa_defect = hermitian_defect(m_mat)
-    eigs = np.linalg.eigvalsh(hermitian_part(m_mat))
+    match = Margin.defect(frobenius_norm(m_mat - scaled), TAU_EXACT, 1.0 + frobenius_norm(scaled))
+    self_adjoint = Margin.defect(hermitian_defect(m_mat), TAU_HERM)
+    lower = Margin.above_floor(float(np.linalg.eigvalsh(hermitian_part(m_mat))[0]))
     checks = WeightedOperatorChecks(
-        matches_scaled_frame_operator=match_defect <= 1e-12 * (1.0 + frobenius_norm(scaled)),
-        match_defect=float(match_defect),
-        self_adjoint=sa_defect <= TAU_HERM,
-        self_adjoint_defect=float(sa_defect),
-        lower_eigenvalue=float(eigs[0]),
-        invertible=eigs[0] > TAU_RANK,
+        matches_scaled_frame_operator=match.holds,
+        match_defect=match.value,
+        self_adjoint=self_adjoint.holds,
+        self_adjoint_defect=self_adjoint.value,
+        lower_eigenvalue=lower.value,
+        invertible=lower.holds,
     )
     return m_mat, checks
 
@@ -370,17 +371,17 @@ def weighted_equivalence_suite(frame: GFrame, weights, weights_alt) -> WeightedE
 
     def _mult_invertible(seq: WeightSequence) -> bool:
         m_mat = multiplier(seq, frame, frame)
-        if hermitian_defect(m_mat) > TAU_HERM:
+        if not Margin.defect(hermitian_defect(m_mat), TAU_HERM):
             return False
-        return float(np.linalg.eigvalsh(hermitian_part(m_mat))[0]) > TAU_RANK
+        return Margin.above_floor(float(np.linalg.eigvalsh(hermitian_part(m_mat))[0])).holds
 
-    # (iii) and (iv) read the one spectrum of {sqrt(w_i) Lambda_i}
-    sqrt_scaled = scale_blocks(frame, np.sqrt(w.values.real))
+    # (iii) and (iv) are one test on the spectrum of {sqrt(w_i) Lambda_i}
+    sqrt_scaled_frame = classify(scale_blocks(frame, np.sqrt(w.values.real))).is_g_frame
     return WeightedEquivalence(
         frame=classify(frame).is_g_frame,
         multiplier_invertible=_mult_invertible(w),
-        linear_weight_bounds=frame_bounds(sqrt_scaled).lower > TAU_RANK,
-        sqrt_scaled_frame=classify(sqrt_scaled).is_g_frame,
+        linear_weight_bounds=sqrt_scaled_frame,
+        sqrt_scaled_frame=sqrt_scaled_frame,
         alt_multiplier_invertible=_mult_invertible(w_alt),
         scaled_frame=classify(scale_blocks(frame, w.values.real)).is_g_frame,
     )

@@ -34,7 +34,7 @@ from .kernel import (
     frobenius_norm,
     hermitian_part,
 )
-from .tolerances import TAU_CLASS, TAU_DUAL, TAU_RANK
+from .tolerances import TAU_CLASS, TAU_DUAL, Margin
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -88,11 +88,16 @@ class GFrame:
         """The family whose analysis matrix is a checked copy of `stacked`,
         cut into blocks of the given row sizes."""
         t = as_matrix(stacked, "analysis matrix")
-        sizes = np.asarray(partition).astype(int)
-        if sizes.ndim != 1 or np.any(sizes < 1) or sizes.sum() != t.shape[0]:
-            raise BadPartition(f"partition {sizes.tolist()} does not tile {t.shape[0]} rows")
+        try:  # integer sizes only, as for h_dim: no bool, float or str
+            sizes = [p if isinstance(p, bool) else operator.index(p) for p in partition]
+        except TypeError:
+            sizes = None
+        if (sizes is None or np.ndim(partition) != 1
+                or any(isinstance(p, bool) or p < 1 for p in sizes) or sum(sizes) != t.shape[0]):
+            shown = partition if sizes is None else sizes
+            raise BadPartition(f"partition {shown} does not tile {t.shape[0]} rows")
         frame = object.__new__(cls)
-        frame._store(t.shape[1], t, tuple(sizes.tolist()), label)
+        frame._store(t.shape[1], t, tuple(sizes), label)
         return frame
 
     def _with_rows(self, t: np.ndarray, label: str | None = None) -> "GFrame":
@@ -158,7 +163,7 @@ class GFrame:
         """
         t = self._stacked
         factors = None
-        if t.shape[0] > t.shape[1] and self._spectrum[0][0] > TAU_RANK:
+        if t.shape[0] > t.shape[1] and Margin.above_floor(self._spectrum[0][0]):
             factors = _tall_svd(t, *self._spectrum)
         u, s, vh = factors or np.linalg.svd(t, full_matrices=False)
         u.flags.writeable = s.flags.writeable = vh.flags.writeable = False
@@ -210,6 +215,8 @@ def scale_blocks(frame: GFrame, factors) -> GFrame:
         raise ShapeMismatch(
             f"{c.size} factors for {frame.n_blocks} blocks"
         )
+    if not np.isfinite(c).all():  # rejected before inf * 0 can form a NaN
+        raise NonFinite("analysis matrix contains NaN or infinite entries")
     return frame._with_rows(frame.per_row(c)[:, None] * frame.analysis_matrix(), frame.label)
 
 
@@ -239,10 +246,10 @@ class FrameBounds:
 
 
 def _classify_bounds(lower: float, upper: float) -> FrameClass:
-    if lower <= TAU_RANK:
+    if not Margin.above_floor(lower):
         return FrameClass.BESSEL_ONLY
-    if upper - lower <= TAU_CLASS * upper:
-        if abs(upper - 1.0) <= TAU_CLASS:
+    if Margin.defect(upper - lower, TAU_CLASS, upper):
+        if Margin.defect(abs(upper - 1.0), TAU_CLASS):
             return FrameClass.PARSEVAL
         return FrameClass.TIGHT
     return FrameClass.G_FRAME
@@ -268,10 +275,20 @@ def frame_bounds(frame: GFrame) -> FrameBounds:
     return _spectrum_bounds(frame._spectrum[0])
 
 
+def _require_frame(
+    frame: GFrame, message: str = "the family has no positive lower frame bound (got {:.3e})"
+) -> FrameBounds:
+    """The frame's bounds; NotAFrame(message.format(lower)) at the rank floor."""
+    bounds = frame_bounds(frame)
+    if not Margin.above_floor(bounds.lower):
+        raise NotAFrame(message.format(bounds.lower))
+    return bounds
+
+
 def _inverse_frame_operator(frame: GFrame) -> np.ndarray:
     """S^-1 from the frame's spectrum; NotAFrame when S is singular."""
     eigs, vecs = frame._spectrum
-    if eigs[0] <= TAU_RANK:
+    if not Margin.above_floor(eigs[0]):
         raise NotAFrame(
             f"cannot form a dual: smallest frame-operator eigenvalue {eigs[0]:.3e}"
         )
@@ -300,7 +317,7 @@ class ClassificationReport:
 def is_g_onb(frame: GFrame) -> bool:
     """T is square and ||S - I||_F <= TAU_CLASS; reads S, factors nothing."""
     return sum(frame.partition) == frame.h_dim and (
-        frobenius_norm(frame._operator - np.eye(frame.h_dim)) <= TAU_CLASS
+        Margin.defect(frobenius_norm(frame._operator - np.eye(frame.h_dim)), TAU_CLASS).holds
     )
 
 
@@ -315,16 +332,15 @@ def classify(frame: GFrame) -> ClassificationReport:
     the extreme eigenvalues of S and are read from its spectrum. The
     whole report costs the frame's one eigendecomposition.
     """
-    # derive rank facts from the same spectrum that produced the bounds,
-    # so the report booleans can never disagree with each other
-    eigs = frame._spectrum[0]
-    bounds = _spectrum_bounds(eigs)
-    is_frame = bounds.lower > TAU_RANK
+    # S has h_dim eigenvalues, so T has full column rank (g-complete)
+    # exactly when the smallest clears the rank floor (g-frame)
+    bounds = frame_bounds(frame)
+    is_frame = Margin.above_floor(bounds.lower).holds
     is_riesz = is_frame and sum(frame.partition) == frame.h_dim
     return ClassificationReport(
         is_g_bessel=True,
         is_g_frame=is_frame,
-        is_g_complete=int(np.count_nonzero(eigs > TAU_RANK)) == frame.h_dim,
+        is_g_complete=is_frame,
         is_g_riesz=is_riesz,
         is_g_onb=is_g_onb(frame),
         bounds=bounds,
@@ -427,6 +443,6 @@ def duality_defect(frame: GFrame, dual: GFrame) -> float:
     return frobenius_norm(acc - np.eye(frame.h_dim))
 
 
-def verify_duality(frame: GFrame, dual: GFrame, tol: float = TAU_DUAL) -> bool:
-    """True iff the pair reconstructs the identity within `tol`."""
-    return duality_defect(frame, dual) <= tol
+def verify_duality(frame: GFrame, dual: GFrame) -> bool:
+    """True iff the pair reconstructs the identity within TAU_DUAL."""
+    return Margin.defect(duality_defect(frame, dual), TAU_DUAL).holds

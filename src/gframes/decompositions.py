@@ -13,8 +13,8 @@ so no n x d matrix is factored.
 Every returned component is certified on its own terms, with only the
 work its predicate needs: a g-ONB by ||S - I||_F <= TAU_CLASS on its
 frame operator S (no factorization), a normalized tight component by
-its Parseval bounds and a g-Riesz component by a square T with a
-positive lower bound (one eigendecomposition of S each).
+its Parseval bounds and a g-Riesz component by `classify` (a square T
+with a positive lower bound; one eigendecomposition of S each).
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import numpy as np
 from .core import (
     FrameClass,
     GFrame,
+    _require_frame,
     classify,
     frame_bounds,
     is_g_onb,
@@ -34,13 +35,12 @@ from .core import (
 from .errors import (
     DimensionMismatch,
     GFrameError,
-    NotAFrame,
     NotCoisometry,
     NotGOnb,
     NotGRiesz,
 )
 from .kernel import _unitary_pair, _unitary_triple, as_matrix, frobenius_norm
-from .tolerances import TAU_HERM, TAU_RANK, TAU_RECON
+from .tolerances import TAU_HERM, TAU_RECON, Margin
 
 
 class ComponentKind(Enum):
@@ -64,7 +64,7 @@ def _component_matches(kind: ComponentKind, frame: GFrame) -> bool:
         return is_g_onb(frame)
     if kind is ComponentKind.NORMALIZED_TIGHT:
         return frame_bounds(frame).classification is FrameClass.PARSEVAL
-    return sum(frame.partition) == frame.h_dim and frame_bounds(frame).lower > TAU_RANK
+    return classify(frame).is_g_riesz
 
 
 def _certified(scalars, stacked_components, kinds, frame: GFrame) -> GFrameDecomposition:
@@ -72,7 +72,7 @@ def _certified(scalars, stacked_components, kinds, frame: GFrame) -> GFrameDecom
     components = tuple(frame._with_rows(m) for m in stacked_components)
     recon = sum(s * m for s, m in zip(scalars, stacked_components))
     residual = frobenius_norm(recon - target)
-    if residual > TAU_RECON * (1.0 + frobenius_norm(target)):
+    if not Margin.defect(residual, TAU_RECON, 1.0 + frobenius_norm(target)):
         raise GFrameError(
             f"decomposition failed to reconstruct: residual {residual:.3e}"
         )
@@ -87,14 +87,6 @@ def _certified(scalars, stacked_components, kinds, frame: GFrame) -> GFrameDecom
         component_kinds=tuple(kinds),
         reconstruction_residual=residual,
     )
-
-
-def _require_frame(frame: GFrame) -> None:
-    bounds = frame_bounds(frame)
-    if bounds.lower <= TAU_RANK:
-        raise NotAFrame(
-            f"the family has no positive lower frame bound (got {bounds.lower:.3e})"
-        )
 
 
 def _require_square_frame(frame: GFrame) -> None:
@@ -152,7 +144,7 @@ def coisometry_image(theta: GFrame, k) -> GFrame:
             f"coisometry has {k_mat.shape[1]} columns, expected {theta.h_dim}"
         )
     defect = frobenius_norm(k_mat @ k_mat.conj().T - np.eye(k_mat.shape[0]))
-    if defect > TAU_HERM:
+    if not Margin.defect(defect, TAU_HERM):
         raise NotCoisometry(f"K K* differs from identity by {defect:.3e}")
     image = theta._with_rows(
         theta.analysis_matrix() @ k_mat.conj().T,

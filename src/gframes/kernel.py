@@ -19,7 +19,7 @@ from .errors import (
     NotHermitian,
     ShapeMismatch,
 )
-from .tolerances import TAU_HERM, TAU_NORM, TAU_PSD
+from .tolerances import TAU_HERM, TAU_NORM, TAU_PSD, Margin
 
 
 def as_matrix(value, name: str = "matrix") -> np.ndarray:
@@ -35,9 +35,23 @@ def as_matrix(value, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def _require_square(a: np.ndarray, name: str) -> None:
+def _square_matrix(value, name: str) -> np.ndarray:
+    """`as_matrix`, and ShapeMismatch unless the result is square."""
+    a = as_matrix(value, name)
     if a.shape[0] != a.shape[1]:
         raise ShapeMismatch(f"{name} must be square, got shape {a.shape}")
+    return a
+
+
+def _hermitian_input(matrix, name: str) -> np.ndarray:
+    """(M + M*)/2 of a square input whose self-adjoint defect is within TAU_HERM."""
+    a = _square_matrix(matrix, name)
+    defect = Margin.defect(hermitian_defect(a), TAU_HERM)
+    if not defect:
+        raise NotHermitian(
+            f"matrix is not self-adjoint: defect {defect.value:.3e} exceeds {defect.threshold:.1e}"
+        )
+    return hermitian_part(a)
 
 
 def frobenius_norm(a) -> float:
@@ -56,20 +70,13 @@ def hermitian_defect(a: np.ndarray) -> float:
     return frobenius_norm(a - a.conj().T)
 
 
-def spectral_range(matrix, tol: float = TAU_HERM) -> tuple[float, float]:
+def spectral_range(matrix) -> tuple[float, float]:
     """Smallest and largest eigenvalue of a self-adjoint matrix.
 
-    Rejects matrices whose self-adjoint defect exceeds `tol`; the
+    Rejects matrices whose self-adjoint defect exceeds TAU_HERM; the
     eigenvalues are those of the symmetrized matrix (M + M*)/2.
     """
-    a = as_matrix(matrix, "spectral_range input")
-    _require_square(a, "spectral_range input")
-    defect = hermitian_defect(a)
-    if defect > tol:
-        raise NotHermitian(
-            f"matrix is not self-adjoint: defect {defect:.3e} exceeds {tol:.1e}"
-        )
-    eigs = np.linalg.eigvalsh(hermitian_part(a))
+    eigs = np.linalg.eigvalsh(_hermitian_input(matrix, "spectral_range input"))
     return float(eigs[0]), float(eigs[-1])
 
 
@@ -126,21 +133,14 @@ def polar_decompose(matrix) -> PolarParts:
     return PolarParts(isometry=isometry, positive=positive)
 
 
-def psd_sqrt(matrix, tol_herm: float = TAU_HERM, tol_psd: float = TAU_PSD) -> np.ndarray:
+def psd_sqrt(matrix) -> np.ndarray:
     """Positive square root of a self-adjoint PSD matrix.
 
-    Eigenvalues in [-tol_psd, 0) are treated as roundoff and clamped to
-    zero; anything below -tol_psd is rejected.
+    Eigenvalues in [-TAU_PSD, 0) are treated as roundoff and clamped to
+    zero; anything below -TAU_PSD is rejected.
     """
-    a = as_matrix(matrix, "psd_sqrt input")
-    _require_square(a, "psd_sqrt input")
-    defect = hermitian_defect(a)
-    if defect > tol_herm:
-        raise NotHermitian(
-            f"matrix is not self-adjoint: defect {defect:.3e} exceeds {tol_herm:.1e}"
-        )
-    eigs, vecs = np.linalg.eigh(hermitian_part(a))
-    if eigs[0] < -tol_psd:
+    eigs, vecs = np.linalg.eigh(_hermitian_input(matrix, "psd_sqrt input"))
+    if not Margin.defect(-eigs[0], TAU_PSD):
         raise NegativeEigenvalue(
             f"matrix is not PSD: smallest eigenvalue {eigs[0]:.3e}"
         )
@@ -163,16 +163,14 @@ def _unitary_pair(u, s, vh) -> tuple[np.ndarray, np.ndarray]:
     return (u * z) @ vh, (u * z.conj()) @ vh
 
 
-def unitary_pair_from_contraction(matrix, tol: float = TAU_NORM):
+def unitary_pair_from_contraction(matrix):
     """Two unitaries averaging to a given contraction.
 
     Returns (U1, U2) with (U1 + U2)/2 equal to the input, which must be
-    square with operator norm at most 1 (plus `tol` slack).
+    square with operator norm at most 1 (plus TAU_NORM slack).
     """
-    a = as_matrix(matrix, "contraction")
-    _require_square(a, "contraction")
-    u, s, vh = np.linalg.svd(a)
-    if s[0] > 1.0 + tol:
+    u, s, vh = np.linalg.svd(_square_matrix(matrix, "contraction"))
+    if not Margin.defect(s[0], 1.0 + TAU_NORM):
         raise NormTooLarge(f"operator norm {s[0]:.6g} exceeds 1")
     return _unitary_pair(u, s, vh)
 
@@ -190,16 +188,14 @@ def _unitary_triple(u, s, vh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (u @ vh, *_unitary_pair(u * sign, np.abs(correction), vh))
 
 
-def unitary_triple_from_small_norm(matrix, tol: float = TAU_NORM):
+def unitary_triple_from_small_norm(matrix):
     """Three unitaries averaging to an operator of norm at most 1/3.
 
     Returns (U1, U2, U3) with (U1 + U2 + U3)/3 equal to the input, which
-    must be square with operator norm at most 1/3 (plus `tol` slack);
+    must be square with operator norm at most 1/3 (plus TAU_NORM slack);
     one SVD gives all three.
     """
-    a = as_matrix(matrix, "small-norm operator")
-    _require_square(a, "small-norm operator")
-    u, s, vh = np.linalg.svd(a)
-    if s[0] > 1.0 / 3.0 + tol:
+    u, s, vh = np.linalg.svd(_square_matrix(matrix, "small-norm operator"))
+    if not Margin.defect(s[0], 1.0 / 3.0 + TAU_NORM):
         raise NormTooLarge(f"operator norm {s[0]:.6g} exceeds 1/3")
     return _unitary_triple(u, s, vh)

@@ -28,6 +28,7 @@ import numpy as np
 from .core import (
     GFrame,
     _inverse_frame_operator,
+    _require_frame,
     _require_same_shape,
     canonical_dual,
     duality_defect,
@@ -40,14 +41,13 @@ from .errors import (
     MixedSigns,
     NonFinite,
     NonPositiveInput,
-    NotAFrame,
     NotDual,
     ShapeMismatch,
     Singular,
     SingularG,
 )
-from .kernel import _ArrayValue, as_matrix, frobenius_norm
-from .tolerances import MAX_SERIES_TERMS, TAU_DUAL, TAU_INV, TAU_RANK
+from .kernel import _ArrayValue, _square_matrix, as_matrix, frobenius_norm
+from .tolerances import MAX_SERIES_TERMS, TAU_DUAL, TAU_EXACT, TAU_INV, Margin
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,7 +231,7 @@ def _weighted_inverse(frame: GFrame, w: WeightSequence):
     from the one eigh of the frame {sqrt|m_i| Lambda_i}."""
     scaled = scale_blocks(frame, np.sqrt(np.abs(w.values)))
     eigs = scaled._spectrum[0]
-    if eigs[0] <= TAU_RANK:
+    if not Margin.above_floor(eigs[0]):
         raise Singular(
             f"matrix is numerically singular: smallest eigenvalue {eigs[0]:.3e}"
         )
@@ -254,11 +254,9 @@ def invert_via_bijection(weights, frame: GFrame, g_matrix):
             f"bijection operator has shape {g.shape}, expected square of size {frame.h_dim}"
         )
     sv = np.linalg.svd(g, compute_uv=False)
-    if sv[-1] ** 2 <= TAU_RANK:
+    if not Margin.above_floor(sv[-1] ** 2):
         raise SingularG(f"bijection operator is singular: sigma_min {sv[-1]:.3e}")
-    bounds = frame_bounds(frame)
-    if bounds.lower <= TAU_RANK:
-        raise NotAFrame("the weighted family needs a g-frame to invert against")
+    bounds = _require_frame(frame, "the weighted family needs a g-frame to invert against")
     companion = frame._with_rows(frame.analysis_matrix() @ g)
     m_mat = multiplier(w, frame, companion)
     s_w_inv, s_w_eigs = _weighted_inverse(frame, w)
@@ -294,7 +292,7 @@ def invert_dual_neumann(weights, frame: GFrame, dual: GFrame,
     tol = _require_tol(tol)
     w = _weights_for(frame, weights)
     delta = duality_defect(frame, dual)
-    if delta > TAU_DUAL:
+    if not Margin.defect(delta, TAU_DUAL):
         raise NotDual("the companion family is not a dual of the frame")
     b_frame = frame_bounds(frame).upper
     b_dual = frame_bounds(dual).upper
@@ -323,9 +321,7 @@ def invert_canonical_dual(weights, frame: GFrame,
     """
     tol = _require_tol(tol)
     w = _weights_for(frame, weights)
-    bounds = frame_bounds(frame)
-    if bounds.lower <= TAU_RANK:
-        raise NotAFrame("cannot form a canonical dual of a non-frame")
+    bounds = _require_frame(frame, "cannot form a canonical dual of a non-frame")
     lam = float(np.max(np.abs(1.0 - w.values)))
     threshold = math.sqrt(bounds.lower / bounds.upper)
     hvals = {"lambda": lam, "A_Lambda": bounds.lower, "B_Lambda": bounds.upper}
@@ -358,9 +354,7 @@ def invert_bessel_perturb(weights, frame: GFrame, companion: GFrame,
     _require_same_shape(frame, companion)
     sign = _definite_sign(w)
     a_w, b_w = w.semi_norm_bounds
-    bounds = frame_bounds(frame)
-    if bounds.lower <= TAU_RANK:
-        raise NotAFrame("the base family must be a g-frame")
+    bounds = _require_frame(frame, "the base family must be a g-frame")
     a_l, b_l = bounds.lower, bounds.upper
     diff = frame._with_rows(companion.analysis_matrix() - frame.analysis_matrix())
     b_diff = frame_bounds(diff).upper
@@ -396,7 +390,7 @@ def _validated_mu(w: WeightSequence, companion: GFrame, reference: GFrame,
     if mu is None:
         return mu_actual
     mu = float(mu)
-    if mu < mu_actual * (1.0 - 1e-12) - 1e-12:
+    if not Margin.defect(mu_actual * (1.0 - TAU_EXACT) - TAU_EXACT, mu):
         raise HypothesisFailed(
             "supplied mu must dominate the perturbation bound",
             {**hvals, "mu": mu},
@@ -419,9 +413,7 @@ def invert_mu_perturb(weights, frame: GFrame, companion: GFrame,
     tol = _require_tol(tol)
     w = _weights_for(frame, weights)
     _require_same_shape(frame, companion)
-    bounds = frame_bounds(frame)
-    if bounds.lower <= TAU_RANK:
-        raise NotAFrame("the base family must be a g-frame")
+    bounds = _require_frame(frame, "the base family must be a g-frame")
     a_l, b_l = bounds.lower, bounds.upper
     hvals = {"A_Lambda": a_l, "B_Lambda": b_l}
     mu_used = _validated_mu(w, companion, frame, swapped, mu, hvals)
@@ -456,7 +448,7 @@ def invert_dual_mu_perturb(weights, frame: GFrame, dual: GFrame, companion: GFra
     w = _weights_for(frame, weights)
     _require_same_shape(frame, companion)
     delta = duality_defect(frame, dual)
-    if delta > TAU_DUAL:
+    if not Margin.defect(delta, TAU_DUAL):
         raise NotDual("the dual family is not a dual of the frame")
     b_l = frame_bounds(frame).upper
     hvals = {"B_Lambda": b_l, "duality_defect": delta}
@@ -480,10 +472,7 @@ def lower_bound_from_invertible(m_matrix, b_other: float) -> float:
     """
     if not (b_other > 0.0) or not math.isfinite(b_other):
         raise NonPositiveInput(f"Bessel bound must be a positive real, got {b_other!r}")
-    m = as_matrix(m_matrix, "multiplier")
-    if m.shape[0] != m.shape[1]:
-        raise ShapeMismatch(f"multiplier must be square, got shape {m.shape}")
-    sv = np.linalg.svd(m, compute_uv=False)
-    if sv[-1] ** 2 <= TAU_RANK:
+    sv = np.linalg.svd(_square_matrix(m_matrix, "multiplier"), compute_uv=False)
+    if not Margin.above_floor(sv[-1] ** 2):
         raise Singular(f"multiplier is not invertible: sigma_min {sv[-1]:.3e}")
     return float(sv[-1] ** 2) / float(b_other)

@@ -12,8 +12,10 @@ import pytest
 from gframes import selftest
 from gframes.cli import main
 from gframes.controlled import WeightedEquivalence
-from gframes.io import instance_digest, load_instance, matrix_document
+from gframes.core import scale_blocks
+from gframes.io import InstanceFile, dump_instance, instance_digest, load_instance, matrix_document
 from gframes.multipliers import WeightSequence
+from gframes.sampling import random_gframe
 
 IDENTITY_DOC = {
     "schema_version": 1,
@@ -132,6 +134,20 @@ def test_multiply_defaults_to_canonical_dual(tmp_path, capsys):
     assert report["companion"] == "canonical dual"
     assert report["bound_holds"]
     assert report["operator_norm"] == pytest.approx(3.0)
+
+
+def test_multiply_bound_holds_at_scale(tmp_path, capsys):
+    # a frame as its own companion with unit weights has ||M|| = B exactly,
+    # so at scale 1e4 (B ~ 3e8) rounding alone exceeds an absolute slack
+    path = tmp_path / "scaled.json"
+    for seed in range(10):
+        frame = scale_blocks(random_gframe(np.random.default_rng(seed), 6, (2, 1, 3)), [1e4] * 3)
+        dump_instance(InstanceFile(frame, WeightSequence(np.ones(3)), companion=frame), path)
+        code, out, _ = run(capsys, "multiply", "--in", str(path), "--json")
+        report = json.loads(out)
+        assert code == 0
+        assert report["operator_norm"] == pytest.approx(report["norm_bound"], rel=1e-12)
+        assert report["bound_holds"], seed
 
 
 def test_invert_dual_neumann_report(tmp_path, capsys):

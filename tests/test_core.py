@@ -349,6 +349,11 @@ def test_from_stacked_rejects_bad_partition():
         GFrame.from_stacked(np.ones((3, 2)), [3, 0])
     with pytest.raises(BadPartition):
         gframe_from_vector_frame(induced_frame(identity_gframe(2)), [3])
+    # sizes must be integers: no float, digit string or bool is cast to one
+    for partition in ([1.5, 3.7], ["1", "3"], [True, 3]):
+        with pytest.raises(BadPartition):
+            GFrame.from_stacked(np.ones((4, 2)), partition)
+    assert GFrame.from_stacked(np.ones((4, 2)), np.array([1, 3])).partition == (1, 3)
 
 
 def test_from_stacked_copies_caller_input():
@@ -363,9 +368,12 @@ def test_from_stacked_copies_caller_input():
 
 def test_adopted_products_still_reject_non_finite_entries():
     frame = random_gframe(np.random.default_rng(109), 3, (1, 2, 1))
-    for bad in (np.inf, np.nan):
+    cases = [(frame, [bad, 1.0, 1.0]) for bad in (np.inf, np.nan)]
+    # an infinite factor on a block with zero entries would form inf * 0
+    cases.append((identity_gframe(2), [np.inf, 1.0]))
+    for base, factors in cases:
         with pytest.raises(NonFinite, match="^analysis matrix contains NaN or infinite entries$"):
-            scale_blocks(frame, [bad, 1.0, 1.0])
+            scale_blocks(base, factors)
 
 
 def test_library_products_are_adopted_not_copied(monkeypatch):

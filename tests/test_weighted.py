@@ -230,6 +230,8 @@ def test_weighted_dual_rejects_zero_and_complex_weights():
     frame = identity_gframe(2)
     with pytest.raises(ZeroWeight):
         weighted_dual(frame, [1.0, 0.0])
+    with pytest.raises(ZeroWeight):  # subnormal: its reciprocal overflows
+        weighted_dual(frame, [1e-320, 1.0])
     with pytest.raises(NonPositiveWeight):
         weighted_dual(frame, [1.0, 1.0j])
 
