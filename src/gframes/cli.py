@@ -7,6 +7,13 @@ that same report, so every text field is also a JSON field. Exit codes:
 0 success, 2 a checked hypothesis failed (the message names the violated
 inequality), 3 bad input or output (malformed or unreadable file, schema
 violation, bad arguments, an --out that cannot be written), 1 anything else.
+
+Each command loads only the library modules it runs: the module level
+imports what every command needs, and each handler imports the rest.
+The modules loaded that late (multipliers, controlled, decompositions,
+sampling) call other modules' public functions through the module, as
+`core.frame_bounds(f)`, so a function replaced in its home module after
+`import gframes.cli` is replaced for them too.
 """
 
 from __future__ import annotations
@@ -19,31 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .controlled import (
-    ControlOperator,
-    controlled_bound_arithmetic,
-    controlled_bounds,
-    controlled_equivalence,
-    verify_commutation,
-    weight_from_control,
-    weighted_bounds,
-    weighted_dual,
-    weighted_equivalence_suite,
-)
-from .core import (
-    canonical_dual,
-    classify,
-    duality_defect,
-    frame_bounds,
-    scale_blocks,
-)
-from .decompositions import (
-    coisometry_image,
-    decompose_gonb_plus_griesz,
-    decompose_three_gonb,
-    decompose_two_gonb_combo,
-    decompose_two_parseval,
-)
+from .core import canonical_dual, classify, duality_defect, frame_bounds, scale_blocks
 from .errors import GFrameError, HypothesisError, InputError, SchemaError
 from .io import (
     GENERATE_KINDS,
@@ -58,16 +41,6 @@ from .io import (
     serialize_instance,
 )
 from .kernel import operator_norm
-from .multipliers import (
-    invert_bessel_perturb,
-    invert_canonical_dual,
-    invert_dual_mu_perturb,
-    invert_dual_neumann,
-    invert_mu_perturb,
-    invert_via_bijection,
-    multiplier,
-    multiplier_norm_bound,
-)
 from .tolerances import TAU_BOUND, TAU_INV, Margin
 
 
@@ -298,20 +271,23 @@ def _cmd_dual(args) -> int:
     return _dual_report("dual", inst, args, canonical_dual(inst.gframe), inst.gframe)
 
 
+# form -> the decompositions function that computes it
 _DECOMPOSERS = {
-    "three-onb": decompose_three_gonb,
-    "two-onb": decompose_two_gonb_combo,
-    "two-parseval": decompose_two_parseval,
-    "onb-plus-riesz": decompose_gonb_plus_griesz,
+    "three-onb": "decompose_three_gonb",
+    "two-onb": "decompose_two_gonb_combo",
+    "two-parseval": "decompose_two_parseval",
+    "onb-plus-riesz": "decompose_gonb_plus_griesz",
 }
 
 
 def _cmd_decompose(args) -> int:
+    from . import decompositions
+
     inst = _load(args.infile)
     started = time.perf_counter()
     if args.form == "coisometry":
         k = _require(inst.coisometry, "coisometry", "a coisometry matrix")
-        image = coisometry_image(inst.gframe, k)
+        image = decompositions.coisometry_image(inst.gframe, k)
         elapsed = time.perf_counter() - started
         bounds = frame_bounds(image)
         if args.out:
@@ -324,7 +300,7 @@ def _cmd_decompose(args) -> int:
             "timing_seconds": elapsed,
         })
 
-    dec = _DECOMPOSERS[args.form](inst.gframe)
+    dec = getattr(decompositions, _DECOMPOSERS[args.form])(inst.gframe)
     elapsed = time.perf_counter() - started
     scalars = [complex_pair(a) for a in dec.scalars]
     kinds = [k.value for k in dec.component_kinds]
@@ -346,11 +322,13 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_multiply(args) -> int:
+    from . import multipliers
+
     inst = _load(args.infile)
     weights = _weights_or_ones(inst)
     companion = inst.companion or canonical_dual(inst.gframe)
-    m_mat = multiplier(weights, inst.gframe, companion)
-    bound = multiplier_norm_bound(weights, inst.gframe, companion)
+    m_mat = multipliers.multiplier(weights, inst.gframe, companion)
+    bound = multipliers.multiplier_norm_bound(weights, inst.gframe, companion)
     norm = operator_norm(m_mat)
     if args.out:
         _write_out(_write_json, args.out, {"schema_version": 1, "matrix": matrix_document(m_mat)})
@@ -366,36 +344,38 @@ def _cmd_multiply(args) -> int:
 
 
 def _cmd_invert(args) -> int:
+    from . import multipliers
+
     inst = _load(args.infile)
     frame = inst.gframe
     weights = _weights_or_ones(inst)
     started = time.perf_counter()
     if args.method == "bijection":
         g = _require(inst.bijection, "bijection", "an invertible matrix G")
-        m_inv, cert = invert_via_bijection(weights, frame, g)
+        m_inv, cert = multipliers.invert_via_bijection(weights, frame, g)
     elif args.method == "dual-neumann":
         dual = inst.dual or canonical_dual(frame)
-        m_inv, cert = invert_dual_neumann(
+        m_inv, cert = multipliers.invert_dual_neumann(
             weights, frame, dual, tol=args.tol, swapped=args.swapped
         )
     elif args.method == "canonical":
-        m_inv, cert = invert_canonical_dual(
+        m_inv, cert = multipliers.invert_canonical_dual(
             weights, frame, tol=args.tol, swapped=args.swapped
         )
     elif args.method == "bessel-perturb":
         companion = _require(inst.companion, "companion", "a companion family")
-        m_inv, cert = invert_bessel_perturb(
+        m_inv, cert = multipliers.invert_bessel_perturb(
             weights, frame, companion, tol=args.tol, swapped=args.swapped
         )
     elif args.method == "mu-perturb":
         companion = _require(inst.companion, "companion", "a companion family")
-        m_inv, cert = invert_mu_perturb(
+        m_inv, cert = multipliers.invert_mu_perturb(
             weights, frame, companion, tol=args.tol, swapped=args.swapped, mu=args.mu
         )
     else:  # dual-mu
         companion = _require(inst.companion, "companion", "a companion family")
         dual = inst.dual or canonical_dual(frame)
-        m_inv, cert = invert_dual_mu_perturb(
+        m_inv, cert = multipliers.invert_dual_mu_perturb(
             weights, frame, dual, companion,
             tol=args.tol, swapped=args.swapped, mu=args.mu,
         )
@@ -416,6 +396,8 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_controlled(args) -> int:
+    from . import controlled
+
     if args.form == "arith":
         if args.values:
             parts = _numbers(args.values, float, "--values")
@@ -423,16 +405,16 @@ def _cmd_controlled(args) -> int:
                 raise SchemaError("--values", "expected six comma-separated bounds")
         else:
             inst = _load(_require(args.infile, "in", "an instance file"))
-            control = ControlOperator(
+            control = controlled.ControlOperator(
                 _require(inst.control, "control", "a control matrix")
             )
-            cb = controlled_bounds(inst.gframe, control)
+            cb = controlled.controlled_bounds(inst.gframe, control)
             fb = frame_bounds(inst.gframe)
             if control.bounds is None:
                 raise SchemaError("$.control", "control operator must be self-adjoint")
             parts = [cb.lower, cb.upper, fb.lower, fb.upper,
                      control.bounds[0], control.bounds[1]]
-        derived = controlled_bound_arithmetic(*parts)
+        derived = controlled.controlled_bound_arithmetic(*parts)
         return _emit(args, {
             "operation": "controlled arith",
             "inputs": {"values": parts},
@@ -442,10 +424,10 @@ def _cmd_controlled(args) -> int:
         })
 
     inst = _load(_require(args.infile, "in", "an instance file"))
-    control = ControlOperator(_require(inst.control, "control", "a control matrix"))
+    control = controlled.ControlOperator(_require(inst.control, "control", "a control matrix"))
     header = _header(f"controlled {args.form}", inst, args)
     if args.form == "bounds":
-        cb = controlled_bounds(inst.gframe, control)
+        cb = controlled.controlled_bounds(inst.gframe, control)
         return _emit(args, {
             **header,
             "lower": cb.lower,
@@ -454,9 +436,9 @@ def _cmd_controlled(args) -> int:
             "form_self_adjoint": cb.form_self_adjoint,
         })
     if args.form == "commute":
-        res = verify_commutation(inst.gframe, control)
+        res = controlled.verify_commutation(inst.gframe, control)
         return _emit(args, {**header, "holds": res.holds, "defect": res.defect})
-    lhs, rhs = controlled_equivalence(inst.gframe, control)  # equiv
+    lhs, rhs = controlled.controlled_equivalence(inst.gframe, control)  # equiv
     return _emit(args, {
         **header,
         "controlled_frame": lhs,
@@ -466,10 +448,13 @@ def _cmd_controlled(args) -> int:
 
 
 def _cmd_weighted(args) -> int:
+    from . import controlled
+
     inst = _load(args.infile)
     if args.form == "from-control":
-        control = ControlOperator(_require(inst.control, "control", "a control matrix"))
-        weights, is_mult = weight_from_control(inst.gframe, control)
+        control = controlled.ControlOperator(
+            _require(inst.control, "control", "a control matrix"))
+        weights, is_mult = controlled.weight_from_control(inst.gframe, control)
         return _emit(args, {
             **_header("weighted from-control", inst, args),
             "weights": [complex_pair(z) for z in weights.values],
@@ -478,7 +463,7 @@ def _cmd_weighted(args) -> int:
 
     w = _require(inst.weights, "weights", "a weight sequence").values
     if args.form == "bounds":
-        wb = weighted_bounds(inst.gframe, w)
+        wb = controlled.weighted_bounds(inst.gframe, w)
         return _emit(args, {
             **_header("weighted bounds", inst, args),
             "lower": wb.lower,
@@ -487,9 +472,9 @@ def _cmd_weighted(args) -> int:
         })
     if args.form == "dual":
         return _dual_report("weighted dual", inst, args,
-                            weighted_dual(inst.gframe, w), scale_blocks(inst.gframe, w))
+                            controlled.weighted_dual(inst.gframe, w), scale_blocks(inst.gframe, w))
     w_alt = inst.weights_alt.values if inst.weights_alt is not None else w  # equiv
-    suite = weighted_equivalence_suite(inst.gframe, w, w_alt)
+    suite = controlled.weighted_equivalence_suite(inst.gframe, w, w_alt)
     return _emit(args, {
         **_header("weighted equiv", inst, args),
         "statements": dict(suite._asdict()),
@@ -510,7 +495,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    from .selftest import run_selftest  # compiled only when it runs
+    from .selftest import run_selftest
 
     return 0 if run_selftest(seed=args.seed) else 1
 

@@ -15,18 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (
-    FrameBounds,
-    GFrame,
-    VectorFrame,
-    _spectrum_bounds,
-    canonical_dual,
-    classify,
-    frame_bounds,
-    frame_operator,
-    induced_frame,
-    scale_blocks,
-)
+from . import core, kernel, multipliers
+from .core import FrameBounds, GFrame, VectorFrame, _spectrum_bounds
 from .errors import (
     NonPositiveInput,
     NonPositiveWeight,
@@ -37,14 +27,8 @@ from .errors import (
     ZeroBlock,
     ZeroWeight,
 )
-from .kernel import (
-    _ArrayValue,
-    frobenius_norm,
-    hermitian_defect,
-    hermitian_part,
-    as_matrix,
-)
-from .multipliers import WeightSequence, _weights_for, multiplier
+from .kernel import _ArrayValue
+from .multipliers import WeightSequence, _weights_for
 from .tolerances import TAU_COMM, TAU_EIG, TAU_EXACT, TAU_HERM, TAU_INDUCED, TAU_INV, Margin
 
 
@@ -63,14 +47,14 @@ class ControlOperator(_ArrayValue):
     norm: float = field(init=False)
 
     def __post_init__(self):
-        m = as_matrix(self.matrix, "control operator")
+        m = kernel.as_matrix(self.matrix, "control operator")
         if m.shape[0] != m.shape[1]:
             raise ShapeMismatch(f"control operator must be square, got {m.shape}")
-        self_adjoint = Margin.defect(hermitian_defect(m), TAU_HERM).holds
+        self_adjoint = Margin.defect(kernel.hermitian_defect(m), TAU_HERM).holds
         bounds = None
         if self_adjoint:
             # |eigenvalues| of (C + C*)/2 are within TAU_HERM/2 of C's singular values
-            eigs = np.linalg.eigvalsh(hermitian_part(m))
+            eigs = np.linalg.eigvalsh(kernel.hermitian_part(m))
             bounds = (float(eigs[0]), float(eigs[-1]))
             sv = np.abs(eigs)
         else:
@@ -101,7 +85,7 @@ def _require_control_shape(frame: GFrame, control: ControlOperator) -> None:
 def controlled_frame_operator(frame: GFrame, control: ControlOperator) -> np.ndarray:
     """S_C = S C*, the operator behind the controlled frame form."""
     _require_control_shape(frame, control)
-    return frame_operator(frame) @ control.matrix.conj().T
+    return core.frame_operator(frame) @ control.matrix.conj().T
 
 
 @dataclass(frozen=True)
@@ -121,8 +105,8 @@ class ControlledBounds:
 
 def controlled_bounds(frame: GFrame, control: ControlOperator) -> ControlledBounds:
     s_c = controlled_frame_operator(frame, control)
-    self_adjoint = Margin.defect(hermitian_defect(s_c), TAU_HERM).holds
-    eigs = np.linalg.eigvalsh(hermitian_part(s_c))
+    self_adjoint = Margin.defect(kernel.hermitian_defect(s_c), TAU_HERM).holds
+    eigs = np.linalg.eigvalsh(kernel.hermitian_part(s_c))
     lower, upper = float(eigs[0]), float(eigs[-1])
     is_frame = self_adjoint and Margin.above_floor(lower).holds
     return ControlledBounds(lower, upper, is_frame, self_adjoint)
@@ -135,11 +119,11 @@ class CommutationResult(NamedTuple):
 
 def verify_commutation(frame: GFrame, control: ControlOperator) -> CommutationResult:
     """Whether S C* = C S within a scale-relative tolerance."""
-    s = frame_operator(frame)
+    s = core.frame_operator(frame)
     c = control.matrix
     # ||S|| = lambda_max(S), read from the frame's spectrum
-    scale = 1.0 + frame_bounds(frame).upper * control.norm
-    defect = Margin.defect(frobenius_norm(s @ c.conj().T - c @ s), TAU_COMM, scale)
+    scale = 1.0 + core.frame_bounds(frame).upper * control.norm
+    defect = Margin.defect(kernel.frobenius_norm(s @ c.conj().T - c @ s), TAU_COMM, scale)
     return CommutationResult(defect.holds, defect.value)
 
 
@@ -154,7 +138,7 @@ def controlled_equivalence(frame: GFrame, control: ControlOperator) -> tuple[boo
         raise NotSelfAdjoint("the criterion applies to self-adjoint control operators")
     lhs = controlled_bounds(frame, control).is_controlled_frame
     rhs = (
-        classify(frame).is_g_frame
+        core.classify(frame).is_g_frame
         and control.is_positive
         and verify_commutation(frame, control).holds
     )
@@ -196,12 +180,13 @@ def induced_controlled_frame(frame: GFrame, control: ControlOperator):
     identity.
     """
     _require_control_shape(frame, control)
-    vframe = induced_frame(frame)
+    vframe = core.induced_frame(frame)
     psi = vframe.vectors
     # sum_j psi_j (C psi_j)*, with the psi_j as the columns of psi.T
     acc = psi.T @ (psi.conj() @ control.matrix.conj().T)
     s_c = controlled_frame_operator(frame, control)
-    holds = Margin.defect(frobenius_norm(acc - s_c), TAU_INDUCED, 1.0 + frobenius_norm(s_c)).holds
+    holds = Margin.defect(kernel.frobenius_norm(acc - s_c), TAU_INDUCED,
+                          1.0 + kernel.frobenius_norm(s_c)).holds
     return vframe, holds
 
 
@@ -218,7 +203,7 @@ def _positive_weights(frame: GFrame, weights) -> WeightSequence:
 def weighted_bounds(frame: GFrame, weights) -> FrameBounds:
     """Optimal bounds of sum_i |w_i|^2 Lambda_i* Lambda_i."""
     w = _weights_for(frame, weights)
-    return frame_bounds(scale_blocks(frame, np.abs(w.values)))
+    return core.frame_bounds(core.scale_blocks(frame, np.abs(w.values)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,14 +225,14 @@ def weighted_vector_frame_bounds(wvframe: WeightedVectorFrame) -> FrameBounds:
     """Optimal bounds of sum_j |w_j|^2 psi_j psi_j*."""
     x = wvframe.base.vectors
     moduli2 = np.abs(wvframe.weights) ** 2
-    op = hermitian_part((x.T * moduli2) @ x.conj())
+    op = kernel.hermitian_part((x.T * moduli2) @ x.conj())
     return _spectrum_bounds(np.linalg.eigvalsh(op))
 
 
 def induced_weighted_frame(frame: GFrame, weights) -> WeightedVectorFrame:
     """Induced vectors with the block weight replicated across each block."""
     w = _weights_for(frame, weights)
-    return WeightedVectorFrame(base=induced_frame(frame), weights=frame.per_row(w.values))
+    return WeightedVectorFrame(base=core.induced_frame(frame), weights=frame.per_row(w.values))
 
 
 def weight_from_control(frame: GFrame, control: ControlOperator):
@@ -270,8 +255,8 @@ def weight_from_control(frame: GFrame, control: ControlOperator):
             raise ZeroBlock(f"block {i} is zero; its weight is undefined")
         target = c @ synthesis
         w_i = complex(np.vdot(synthesis, target) / norm2)
-        residual = frobenius_norm(target - w_i * synthesis)
-        if not Margin.defect(residual, TAU_EIG, 1.0 + frobenius_norm(target)):
+        residual = kernel.frobenius_norm(target - w_i * synthesis)
+        if not Margin.defect(residual, TAU_EIG, 1.0 + kernel.frobenius_norm(target)):
             raise NotEigenRelation(
                 f"control operator is not scalar on block {i}: residual {residual:.3e}"
             )
@@ -284,9 +269,10 @@ def weight_from_control(frame: GFrame, control: ControlOperator):
             "extracted weights must be positive; the control operator is not "
             "positive on some block range"
         )
-    dual = canonical_dual(frame)
-    recovered = multiplier(weights, frame, dual)
-    match = Margin.defect(frobenius_norm(c - recovered), TAU_INV, 1.0 + frobenius_norm(c))
+    dual = core.canonical_dual(frame)
+    recovered = multipliers.multiplier(weights, frame, dual)
+    match = Margin.defect(kernel.frobenius_norm(c - recovered), TAU_INV,
+                          1.0 + kernel.frobenius_norm(c))
     return weights, match.holds
 
 
@@ -302,7 +288,7 @@ def weighted_dual(frame: GFrame, weights) -> GFrame:
     # the reciprocal of a subnormal weight overflows
     if w.semi_norm_bounds is None or w.semi_norm_bounds[0] < np.finfo(float).tiny:
         raise ZeroWeight("weights must be bounded away from zero")
-    dual = canonical_dual(frame)
+    dual = core.canonical_dual(frame)
     return frame._with_rows(
         frame.per_row(1.0 / w.values)[:, None] * dual.analysis_matrix(),
         f"weighted dual of {frame.label}" if frame.label else None,
@@ -326,11 +312,12 @@ def weighted_multiplier_as_frame_operator(frame: GFrame, weights):
     record that identity, self-adjointness and invertibility.
     """
     w = _positive_weights(frame, weights)
-    m_mat = multiplier(w, frame, frame)
-    scaled = frame_operator(scale_blocks(frame, np.sqrt(w.values.real)))
-    match = Margin.defect(frobenius_norm(m_mat - scaled), TAU_EXACT, 1.0 + frobenius_norm(scaled))
-    self_adjoint = Margin.defect(hermitian_defect(m_mat), TAU_HERM)
-    lower = Margin.above_floor(float(np.linalg.eigvalsh(hermitian_part(m_mat))[0]))
+    m_mat = multipliers.multiplier(w, frame, frame)
+    scaled = core.frame_operator(core.scale_blocks(frame, np.sqrt(w.values.real)))
+    match = Margin.defect(kernel.frobenius_norm(m_mat - scaled), TAU_EXACT,
+                          1.0 + kernel.frobenius_norm(scaled))
+    self_adjoint = Margin.defect(kernel.hermitian_defect(m_mat), TAU_HERM)
+    lower = Margin.above_floor(float(np.linalg.eigvalsh(kernel.hermitian_part(m_mat))[0]))
     checks = WeightedOperatorChecks(
         matches_scaled_frame_operator=match.holds,
         match_defect=match.value,
@@ -370,18 +357,20 @@ def weighted_equivalence_suite(frame: GFrame, weights, weights_alt) -> WeightedE
     w_alt = _positive_weights(frame, weights_alt)
 
     def _mult_invertible(seq: WeightSequence) -> bool:
-        m_mat = multiplier(seq, frame, frame)
-        if not Margin.defect(hermitian_defect(m_mat), TAU_HERM):
+        m_mat = multipliers.multiplier(seq, frame, frame)
+        if not Margin.defect(kernel.hermitian_defect(m_mat), TAU_HERM):
             return False
-        return Margin.above_floor(float(np.linalg.eigvalsh(hermitian_part(m_mat))[0])).holds
+        lowest = np.linalg.eigvalsh(kernel.hermitian_part(m_mat))[0]
+        return Margin.above_floor(float(lowest)).holds
 
     # (iii) and (iv) are one test on the spectrum of {sqrt(w_i) Lambda_i}
-    sqrt_scaled_frame = classify(scale_blocks(frame, np.sqrt(w.values.real))).is_g_frame
+    sqrt_scaled = core.scale_blocks(frame, np.sqrt(w.values.real))
+    sqrt_scaled_frame = core.classify(sqrt_scaled).is_g_frame
     return WeightedEquivalence(
-        frame=classify(frame).is_g_frame,
+        frame=core.classify(frame).is_g_frame,
         multiplier_invertible=_mult_invertible(w),
         linear_weight_bounds=sqrt_scaled_frame,
         sqrt_scaled_frame=sqrt_scaled_frame,
         alt_multiplier_invertible=_mult_invertible(w_alt),
-        scaled_frame=classify(scale_blocks(frame, w.values.real)).is_g_frame,
+        scaled_frame=core.classify(core.scale_blocks(frame, w.values.real)).is_g_frame,
     )

@@ -44,12 +44,13 @@ class GFrame:
     The stored form is the stacked analysis matrix T (sum d_i x h_dim,
     complex128, read-only) with its row partition. `blocks` are
     read-only row views of T, built on first read. The frame operator
-    S = T* T, its eigendecomposition and the thin SVD of T are each
-    computed once, on first use, and shared by everything that needs
-    them; the SVD of a tall T is read off the eigendecomposition. They
-    are no fields, so they take no part in repr, equality, hashing or
-    pickling. h_dim is stored as a Python int. Two frames are equal
-    when h_dim, partition, label and every entry of T agree.
+    S = T* T, its eigendecomposition, the bounds read off it and the
+    thin SVD of T are each computed once, on first use, and shared by
+    everything that needs them; the SVD of a tall T is read off the
+    eigendecomposition. They are no fields, so they take no part in
+    repr, equality, hashing or pickling. h_dim is stored as a Python
+    int. Two frames are equal when h_dim, partition, label and every
+    entry of T agree.
     """
 
     h_dim: int
@@ -139,9 +140,13 @@ class GFrame:
 
     @cached_property
     def _operator(self) -> np.ndarray:
-        """S = T* T, symmetrized against roundoff; read-only."""
+        """S = T* T, symmetrized against roundoff; read-only. NonFinite
+        when a finite T has entries so large that S overflows."""
         t = self._stacked
-        s = hermitian_part(t.conj().T @ t)
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = hermitian_part(t.conj().T @ t)
+        if not np.isfinite(s).all():
+            raise NonFinite("frame operator S = T* T overflows: entries of T are too large")
         s.flags.writeable = False
         return s
 
@@ -151,6 +156,11 @@ class GFrame:
         eigs, vecs = np.linalg.eigh(self._operator)
         eigs.flags.writeable = vecs.flags.writeable = False
         return eigs, vecs
+
+    @cached_property
+    def _bounds(self) -> FrameBounds:
+        """Optimal bounds and classification, read off the spectrum."""
+        return _spectrum_bounds(self._spectrum[0])
 
     @cached_property
     def _svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -271,8 +281,11 @@ def frame_operator(frame: GFrame) -> np.ndarray:
 
 
 def frame_bounds(frame: GFrame) -> FrameBounds:
-    """Optimal frame bounds from the spectrum of the frame operator."""
-    return _spectrum_bounds(frame._spectrum[0])
+    """Optimal frame bounds from the spectrum of the frame operator.
+
+    The frame's own value, computed once per frame.
+    """
+    return frame._bounds
 
 
 def _require_frame(

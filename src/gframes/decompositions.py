@@ -24,14 +24,8 @@ from enum import Enum
 
 import numpy as np
 
-from .core import (
-    FrameClass,
-    GFrame,
-    _require_frame,
-    classify,
-    frame_bounds,
-    is_g_onb,
-)
+from . import core, kernel
+from .core import FrameClass, GFrame, _require_frame
 from .errors import (
     DimensionMismatch,
     GFrameError,
@@ -39,7 +33,7 @@ from .errors import (
     NotGOnb,
     NotGRiesz,
 )
-from .kernel import _unitary_pair, _unitary_triple, as_matrix, frobenius_norm
+from .kernel import _unitary_pair, _unitary_triple
 from .tolerances import TAU_HERM, TAU_RECON, Margin
 
 
@@ -61,18 +55,18 @@ class GFrameDecomposition:
 
 def _component_matches(kind: ComponentKind, frame: GFrame) -> bool:
     if kind is ComponentKind.G_ONB:
-        return is_g_onb(frame)
+        return core.is_g_onb(frame)
     if kind is ComponentKind.NORMALIZED_TIGHT:
-        return frame_bounds(frame).classification is FrameClass.PARSEVAL
-    return classify(frame).is_g_riesz
+        return core.frame_bounds(frame).classification is FrameClass.PARSEVAL
+    return core.classify(frame).is_g_riesz
 
 
 def _certified(scalars, stacked_components, kinds, frame: GFrame) -> GFrameDecomposition:
     target = frame.analysis_matrix()
     components = tuple(frame._with_rows(m) for m in stacked_components)
     recon = sum(s * m for s, m in zip(scalars, stacked_components))
-    residual = frobenius_norm(recon - target)
-    if not Margin.defect(residual, TAU_RECON, 1.0 + frobenius_norm(target)):
+    residual = kernel.frobenius_norm(recon - target)
+    if not Margin.defect(residual, TAU_RECON, 1.0 + kernel.frobenius_norm(target)):
         raise GFrameError(
             f"decomposition failed to reconstruct: residual {residual:.3e}"
         )
@@ -125,7 +119,7 @@ def decompose_two_gonb_combo(frame: GFrame) -> GFrameDecomposition:
     rejected. Here a = ||T||/2 and the pair comes from splitting the
     contraction T/||T||.
     """
-    if not classify(frame).is_g_riesz:
+    if not core.classify(frame).is_g_riesz:
         raise NotGRiesz("two-g-ONB combinations exist exactly for g-Riesz families")
     return _pair_split(frame, ComponentKind.G_ONB)
 
@@ -136,21 +130,21 @@ def coisometry_image(theta: GFrame, k) -> GFrame:
     K must satisfy K K* = I on the target space; the image is a
     normalized tight (Parseval) g-frame there.
     """
-    if not is_g_onb(theta):
+    if not core.is_g_onb(theta):
         raise NotGOnb("the family to push forward must be a g-ONB")
-    k_mat = as_matrix(k, "coisometry")
+    k_mat = kernel.as_matrix(k, "coisometry")
     if k_mat.shape[1] != theta.h_dim:
         raise NotCoisometry(
             f"coisometry has {k_mat.shape[1]} columns, expected {theta.h_dim}"
         )
-    defect = frobenius_norm(k_mat @ k_mat.conj().T - np.eye(k_mat.shape[0]))
+    defect = kernel.frobenius_norm(k_mat @ k_mat.conj().T - np.eye(k_mat.shape[0]))
     if not Margin.defect(defect, TAU_HERM):
         raise NotCoisometry(f"K K* differs from identity by {defect:.3e}")
     image = theta._with_rows(
         theta.analysis_matrix() @ k_mat.conj().T,
         f"coisometry image of {theta.label}" if theta.label else None,
     )
-    if frame_bounds(image).classification is not FrameClass.PARSEVAL:
+    if core.frame_bounds(image).classification is not FrameClass.PARSEVAL:
         raise GFrameError("coisometry image failed Parseval certification")
     return image
 

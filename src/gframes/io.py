@@ -12,13 +12,15 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import sampling
 from .core import GFrame, classify, frame_bounds, FrameClass
 from .errors import InfeasibleKind, SchemaError
-from .multipliers import WeightSequence
+
+if TYPE_CHECKING:  # loaded where weights are parsed or generated
+    from .multipliers import WeightSequence
 
 SCHEMA_VERSION = 1
 
@@ -133,6 +135,8 @@ def _parse_blocks(node, path, h_dim: int) -> list[np.ndarray]:
 
 
 def _parse_weights(node, path, count: int) -> WeightSequence:
+    from .multipliers import WeightSequence
+
     _expect(isinstance(node, list), path, "expected a list of [re, im] pairs")
     _expect(len(node) == count, path,
             f"expected one weight per block ({count}), got {len(node)}")
@@ -293,6 +297,9 @@ def generate(kind: str, dim: int, partition, seed: int) -> InstanceFile:
         raise InfeasibleKind(f"invalid partition {list(partition)!r}")
     if not isinstance(dim, int) or dim < 1:
         raise InfeasibleKind(f"dimension must be a positive integer, got {dim!r}")
+    from . import sampling
+    from .multipliers import WeightSequence
+
     rng = np.random.default_rng(seed)
     label = f"{kind} d={dim} partition={list(sizes)} seed={seed}"
 

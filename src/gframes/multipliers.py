@@ -25,16 +25,8 @@ from enum import Enum
 
 import numpy as np
 
-from .core import (
-    GFrame,
-    _inverse_frame_operator,
-    _require_frame,
-    _require_same_shape,
-    canonical_dual,
-    duality_defect,
-    frame_bounds,
-    scale_blocks,
-)
+from . import core, kernel
+from .core import GFrame, _inverse_frame_operator, _require_frame, _require_same_shape
 from .errors import (
     HypothesisFailed,
     MaxIterations,
@@ -46,7 +38,7 @@ from .errors import (
     Singular,
     SingularG,
 )
-from .kernel import _ArrayValue, _square_matrix, as_matrix, frobenius_norm
+from .kernel import _ArrayValue, _square_matrix
 from .tolerances import MAX_SERIES_TERMS, TAU_DUAL, TAU_EXACT, TAU_INV, Margin
 
 
@@ -146,8 +138,8 @@ def multiplier_norm_bound(weights, frame: GFrame, companion: GFrame) -> float:
     """||M|| <= sqrt(B_Lambda B_Theta) ||m||_inf with optimal upper bounds."""
     _require_same_shape(frame, companion)
     w = _weights_for(frame, weights)
-    b_frame = frame_bounds(frame).upper
-    b_comp = frame_bounds(companion).upper
+    b_frame = core.frame_bounds(frame).upper
+    b_comp = core.frame_bounds(companion).upper
     return math.sqrt(b_frame * b_comp) * w.norm_inf
 
 
@@ -199,7 +191,7 @@ def _series_sum(base: np.ndarray, ratio: np.ndarray, n_terms: int) -> np.ndarray
 
 
 def _residual(m_mat: np.ndarray, m_inv: np.ndarray) -> float:
-    return frobenius_norm(m_mat @ m_inv - np.eye(m_mat.shape[0]))
+    return kernel.frobenius_norm(m_mat @ m_inv - np.eye(m_mat.shape[0]))
 
 
 def _certified_series(m_mat, base, ratio, contraction, tail_tol, proposition, hvals, bracket):
@@ -229,7 +221,7 @@ def _oriented(w: WeightSequence, frame: GFrame, companion: GFrame, swapped: bool
 def _weighted_inverse(frame: GFrame, w: WeightSequence):
     """S_w^-1 and the spectrum of S_w = sum_i |m_i| Lambda_i* Lambda_i, both
     from the one eigh of the frame {sqrt|m_i| Lambda_i}."""
-    scaled = scale_blocks(frame, np.sqrt(np.abs(w.values)))
+    scaled = core.scale_blocks(frame, np.sqrt(np.abs(w.values)))
     eigs = scaled._spectrum[0]
     if not Margin.above_floor(eigs[0]):
         raise Singular(
@@ -248,7 +240,7 @@ def invert_via_bijection(weights, frame: GFrame, g_matrix):
     """
     w = _weights_for(frame, weights)
     sign = _definite_sign(w)
-    g = as_matrix(g_matrix, "bijection operator")
+    g = kernel.as_matrix(g_matrix, "bijection operator")
     if g.shape != (frame.h_dim, frame.h_dim):
         raise ShapeMismatch(
             f"bijection operator has shape {g.shape}, expected square of size {frame.h_dim}"
@@ -291,11 +283,11 @@ def invert_dual_neumann(weights, frame: GFrame, dual: GFrame,
     """
     tol = _require_tol(tol)
     w = _weights_for(frame, weights)
-    delta = duality_defect(frame, dual)
+    delta = core.duality_defect(frame, dual)
     if not Margin.defect(delta, TAU_DUAL):
         raise NotDual("the companion family is not a dual of the frame")
-    b_frame = frame_bounds(frame).upper
-    b_dual = frame_bounds(dual).upper
+    b_frame = core.frame_bounds(frame).upper
+    b_dual = core.frame_bounds(dual).upper
     lam = float(np.max(np.abs(1.0 - w.values)))
     q = lam * math.sqrt(b_frame * b_dual)
     hvals = {"lambda": lam, "B_Lambda": b_frame, "B_dual": b_dual, "duality_defect": delta}
@@ -329,8 +321,8 @@ def invert_canonical_dual(weights, frame: GFrame,
         raise HypothesisFailed(
             "lambda < sqrt(A_Lambda/B_Lambda)", {**hvals, "threshold": threshold}
         )
-    dual = canonical_dual(frame)
-    hvals["duality_defect"] = delta = duality_defect(frame, dual)
+    dual = core.canonical_dual(frame)
+    hvals["duality_defect"] = delta = core.duality_defect(frame, dual)
     m_mat = _oriented(w, frame, dual, swapped)
     eye = np.eye(frame.h_dim, dtype=np.complex128)
     c = lam * math.sqrt(bounds.upper / bounds.lower) + delta
@@ -357,7 +349,7 @@ def invert_bessel_perturb(weights, frame: GFrame, companion: GFrame,
     bounds = _require_frame(frame, "the base family must be a g-frame")
     a_l, b_l = bounds.lower, bounds.upper
     diff = frame._with_rows(companion.analysis_matrix() - frame.analysis_matrix())
-    b_diff = frame_bounds(diff).upper
+    b_diff = core.frame_bounds(diff).upper
     spread = b_w * math.sqrt(b_l * b_diff)
     contraction = spread / (a_w * a_l)
     hvals = {"a": a_w, "b": b_w, "A_Lambda": a_l, "B_Lambda": b_l, "B_diff": b_diff,
@@ -385,7 +377,7 @@ def _validated_mu(w: WeightSequence, companion: GFrame, reference: GFrame,
         companion.per_row(m)[:, None] * companion.analysis_matrix()
         - reference.analysis_matrix()
     )
-    mu_actual = frame_bounds(pert).upper
+    mu_actual = core.frame_bounds(pert).upper
     hvals["mu_computed"] = mu_actual
     if mu is None:
         return mu_actual
@@ -424,8 +416,8 @@ def invert_mu_perturb(weights, frame: GFrame, companion: GFrame,
     s_inv = _inverse_frame_operator(frame)
     m_mat = _oriented(w, frame, companion, swapped)
     # the weighted companion inherits a positive lower bound; record it
-    hvals["mTheta_lower"] = frame_bounds(
-        scale_blocks(companion, np.abs(w.values))
+    hvals["mTheta_lower"] = core.frame_bounds(
+        core.scale_blocks(companion, np.abs(w.values))
     ).lower
     return _certified_series(
         m_mat, s_inv, np.eye(frame.h_dim) - s_inv @ m_mat, root / a_l, tol * a_l,
@@ -447,10 +439,10 @@ def invert_dual_mu_perturb(weights, frame: GFrame, dual: GFrame, companion: GFra
     tol = _require_tol(tol)
     w = _weights_for(frame, weights)
     _require_same_shape(frame, companion)
-    delta = duality_defect(frame, dual)
+    delta = core.duality_defect(frame, dual)
     if not Margin.defect(delta, TAU_DUAL):
         raise NotDual("the dual family is not a dual of the frame")
-    b_l = frame_bounds(frame).upper
+    b_l = core.frame_bounds(frame).upper
     hvals = {"B_Lambda": b_l, "duality_defect": delta}
     mu_used = _validated_mu(w, companion, dual, swapped, mu, hvals)
     hvals["mu"] = mu_used

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import core, kernel
 from .controlled import ControlOperator
-from .core import GFrame, canonical_dual, frame_bounds, frame_operator
+from .core import GFrame
 from .errors import InfeasibleKind
-from .kernel import operator_norm
 
 
 def _complex_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -48,7 +48,7 @@ def random_coisometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndar
 
 def random_contraction(rng: np.random.Generator, n: int, max_norm: float = 1.0) -> np.ndarray:
     a = _complex_gaussian(rng, n, n)
-    return a * (max_norm * rng.uniform(0.1, 1.0) / operator_norm(a))
+    return a * (max_norm * rng.uniform(0.1, 1.0) / kernel.operator_norm(a))
 
 
 def _partition_total(dim: int, partition) -> int:
@@ -114,7 +114,7 @@ def random_deficient(rng: np.random.Generator, dim: int, partition,
 
 def random_control_commuting(rng: np.random.Generator, frame: GFrame) -> ControlOperator:
     """A positive control operator commuting with S: a polynomial in S."""
-    s = frame_operator(frame)
+    s = core.frame_operator(frame)
     c0, c1, c2 = rng.uniform(0.2, 1.0, 3)
     c = c0 * np.eye(frame.h_dim) + c1 * s + c2 * (s @ s)
     return ControlOperator(c)
@@ -174,9 +174,9 @@ def dual_perturb_instance(rng: np.random.Generator, dim: int, partition,
                           frac: float = 0.5):
     """(weights, frame, dual) with lambda*sqrt(B_Lambda*B_dual) <= frac."""
     frame = random_gframe(rng, dim, partition)
-    dual = canonical_dual(frame)
-    b_frame = frame_bounds(frame).upper
-    b_dual = frame_bounds(dual).upper
+    dual = core.canonical_dual(frame)
+    b_frame = core.frame_bounds(frame).upper
+    b_dual = core.frame_bounds(dual).upper
     lam = frac / np.sqrt(b_frame * b_dual)
     n = len(list(partition))
     weights = 1.0 + rng.uniform(-lam, lam, n)
@@ -187,7 +187,7 @@ def canonical_dual_instance(rng: np.random.Generator, dim: int, partition,
                             frac: float = 0.5):
     """(weights, frame) with lambda <= frac*sqrt(A_Lambda/B_Lambda)."""
     frame = random_gframe(rng, dim, partition)
-    bounds = frame_bounds(frame)
+    bounds = core.frame_bounds(frame)
     lam = frac * np.sqrt(bounds.lower / bounds.upper)
     n = len(list(partition))
     weights = 1.0 + rng.uniform(-lam, lam, n)
@@ -198,14 +198,14 @@ def _scaled_perturbation(rng, frame: GFrame, target_upper: float) -> np.ndarray:
     """A stacked Gaussian perturbation with optimal upper bound target_upper."""
     blocks = tuple(_complex_gaussian(rng, *b.shape) for b in frame.blocks)
     raw = GFrame(frame.h_dim, blocks)
-    return np.sqrt(target_upper / frame_bounds(raw).upper) * raw.analysis_matrix()
+    return np.sqrt(target_upper / core.frame_bounds(raw).upper) * raw.analysis_matrix()
 
 
 def bessel_perturb_instance(rng: np.random.Generator, dim: int, partition,
                             negative: bool = False, frac: float = 0.25):
     """(weights, frame, companion) satisfying both perturbation inequalities."""
     frame = random_gframe(rng, dim, partition)
-    bounds = frame_bounds(frame)
+    bounds = core.frame_bounds(frame)
     n = len(list(partition))
     sign = -1.0 if negative else 1.0
     weights = sign * rng.uniform(0.9, 1.1, n)
@@ -222,7 +222,7 @@ def mu_perturb_instance(rng: np.random.Generator, dim: int, partition,
                         frac: float = 0.25):
     """(weights, frame, companion) with mu <= frac*A_Lambda^2/B_Lambda."""
     frame = random_gframe(rng, dim, partition)
-    bounds = frame_bounds(frame)
+    bounds = core.frame_bounds(frame)
     n = len(list(partition))
     weights = rng.uniform(0.7, 1.4, n)
     target = frac * bounds.lower**2 / bounds.upper
@@ -238,8 +238,8 @@ def dual_mu_perturb_instance(rng: np.random.Generator, dim: int, partition,
                              frac: float = 0.25):
     """(weights, frame, dual, companion) with mu <= frac/B_Lambda."""
     frame = random_gframe(rng, dim, partition)
-    dual = canonical_dual(frame)
-    b_frame = frame_bounds(frame).upper
+    dual = core.canonical_dual(frame)
+    b_frame = core.frame_bounds(frame).upper
     n = len(list(partition))
     weights = rng.uniform(0.7, 1.4, n)
     target = frac / b_frame

@@ -533,16 +533,46 @@ def test_selftest_fails_on_sabotaged_kernel_under_python_O():
     assert "FAIL kernel psd square root: psd square root" in proc.stdout
 
 
-def test_cli_import_leaves_the_selftest_module_unloaded():
-    # every CLI call imports gframes.cli; only `selftest` needs the corpus
+BASE_MODULES = {"gframes", "gframes.cli", "gframes.core", "gframes.errors", "gframes.io",
+                "gframes.kernel", "gframes.tolerances"}
+FOOTPRINT = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import gframes.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [gframes.cli.main(argv) for argv in json.loads(sys.argv[2])]
+print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "gframes")]))
+"""
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    # one fresh interpreter per case: `import gframes.cli`, then its commands
+    plain, weighted, controlled = (write_doc(tmp_path, f"{name}.json", **extra) for name, extra in (
+        ("plain", {}), ("weighted", {"weights": [[2.0, 0.0], [1.0, 0.0]]}),
+        ("controlled", {"control": [[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [3.0, 0.0]]]})))
+    generate = ["generate", "--kind", "weighted", "--dim", "2", "--partition", "1,1",
+                "--out", str(tmp_path / "generated.json")]
+    cases = [
+        ([], set()),
+        ([["classify", "--in", plain], ["dual", "--in", plain]], set()),
+        ([["decompose", "three-onb", "--in", plain]], {"decompositions"}),
+        ([["multiply", "--in", plain], ["invert", "canonical", "--in", plain]], {"multipliers"}),
+        ([["weighted", "bounds", "--in", weighted], ["controlled", "bounds", "--in", controlled]],
+         {"controlled", "multipliers"}),
+        ([generate], {"sampling", "controlled", "multipliers"}),
+        ([["classify", "--in", weighted]], {"multipliers"}),
+        ([["selftest"]], {"controlled", "decompositions", "multipliers", "sampling", "selftest"}),
+    ]
     src = str(pathlib.Path(selftest.__file__).parents[1])
-    code = "import sys, gframes.cli; print('gframes.selftest' in sys.modules)"
-    proc = subprocess.run(
-        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); {code}"],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    for argvs, added in cases:
+        proc = subprocess.run([sys.executable, "-c", FOOTPRINT, src, json.dumps(argvs)],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        codes, loaded = json.loads(proc.stdout)
+        assert codes == [0] * len(argvs)
+        assert set(loaded) == BASE_MODULES | {f"gframes.{m}" for m in added}, argvs
+    package = pathlib.Path(selftest.__file__).parent  # selftest loads every module
+    assert set(loaded) == {"gframes"} | {f"gframes.{p.stem}" for p in package.glob("[!_]*.py")}
 
 
 def test_selftest_fails_on_weights_off_by_one_part_per_million(monkeypatch):
@@ -595,6 +625,15 @@ def test_unwritable_out_is_an_output_error_exit_3(tmp_path, capsys, monkeypatch)
     monkeypatch.setattr(sys, "stdout", BrokenStdout())
     with pytest.raises(BrokenPipeError):
         main(["classify", "--in", path])
+
+
+def test_overflowing_frame_operator_exits_3(tmp_path, capsys):
+    # valid JSON numbers, but S = T* T overflows a double
+    huge = [{"dim": 1, "matrix": [[[1e160, 0.0], [0.0, 0.0]]]},
+            {"dim": 1, "matrix": [[[0.0, 0.0], [1e160, 0.0]]]}]
+    code, out, err = run(capsys, "classify", "--in", write_doc(tmp_path, blocks=huge))
+    assert (code, out) == (3, "")
+    assert err.startswith("gframes: input error: frame operator S = T* T overflows")
 
 
 def test_malformed_document_exits_3(tmp_path, capsys):

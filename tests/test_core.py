@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -376,6 +377,16 @@ def test_adopted_products_still_reject_non_finite_entries():
             scale_blocks(base, factors)
 
 
+def test_overflowing_frame_operator_is_a_typed_error():
+    # T is finite, but S = T* T overflows; under -W error the matmul
+    # warning must not escape either
+    frame = scale_blocks(random_gframe(np.random.default_rng(1), 3, (1, 2, 1)), [1e160] * 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite, match="^frame operator S = T\\* T overflows"):
+            classify(frame)
+
+
 def test_library_products_are_adopted_not_copied(monkeypatch):
     # a dual, rescaling, decomposition component, coisometry image or
     # inversion companion keeps the product it is computed from: no copy
@@ -484,7 +495,8 @@ def test_spectrum_is_computed_once_and_read_only(monkeypatch):
     dual = canonical_dual(frame)
     assert calls == ["eigh"]
     assert frame_operator(frame) is s
-    assert rep.bounds == b and frame_bounds(dual).upper == pytest.approx(1 / b.lower)
+    assert frame_bounds(frame) is b and rep.bounds is b
+    assert frame_bounds(dual).upper == pytest.approx(1 / b.lower)
     with pytest.raises(ValueError):
         s[0, 0] = 0.0
 
@@ -532,7 +544,7 @@ def test_pickle_and_deepcopy_keep_the_frame():
     frame = random_gframe(rng, 4, (2, 2, 1), label="f")
     bounds = frame_bounds(frame)
     for twin in (pickle.loads(pickle.dumps(frame)), copy.deepcopy(frame)):
-        assert twin == frame
+        assert twin == frame and "_bounds" not in vars(twin)  # caches are not copied
         assert frame_bounds(twin) == bounds
         assert not twin.analysis_matrix().flags.writeable
         assert all(np.shares_memory(b, twin.analysis_matrix()) for b in twin.blocks)
