@@ -18,6 +18,7 @@ import numpy as np
 from . import core, kernel, multipliers
 from .core import FrameBounds, GFrame, VectorFrame, _spectrum_bounds
 from .errors import (
+    NonFinite,
     NonPositiveInput,
     NonPositiveWeight,
     NotEigenRelation,
@@ -253,6 +254,8 @@ def weight_from_control(frame: GFrame, control: ControlOperator):
         norm2 = float(np.vdot(synthesis, synthesis).real)
         if norm2 == 0.0:
             raise ZeroBlock(f"block {i} is zero; its weight is undefined")
+        if not np.isfinite(norm2):
+            raise NonFinite(f"block {i} is too large: its squared norm overflows")
         target = c @ synthesis
         w_i = complex(np.vdot(synthesis, target) / norm2)
         residual = kernel.frobenius_norm(target - w_i * synthesis)

@@ -33,21 +33,6 @@ GENERATE_KINDS = (
     "weighted",
 )
 
-_TOP_LEVEL_KEYS = {
-    "schema_version",
-    "h_dim",
-    "label",
-    "blocks",
-    "weights",
-    "weights_alt",
-    "control",
-    "companion",
-    "dual",
-    "bijection",
-    "coisometry",
-}
-
-
 @dataclass(frozen=True)
 class InstanceFile:
     """A parsed instance document."""
@@ -144,13 +129,58 @@ def _parse_weights(node, path, count: int) -> WeightSequence:
     return WeightSequence(np.array(values, dtype=np.complex128))
 
 
-def _parse_subframe(node, path, h_dim: int, label: str | None = None) -> GFrame:
+def _parse_subframe(node, path, h_dim: int) -> GFrame:
     _expect(isinstance(node, dict), path, "expected an object with a 'blocks' key")
     extra = set(node) - {"blocks"}
     _expect(not extra, path, f"unknown keys {sorted(extra)}")
     _expect("blocks" in node, f"{path}.blocks", "missing")
     blocks = _parse_blocks(node["blocks"], f"{path}.blocks", h_dim)
-    return GFrame(h_dim, tuple(blocks), label=label)
+    return GFrame(h_dim, tuple(blocks))
+
+
+# -- serialization -------------------------------------------------------------
+
+
+def complex_pair(z) -> list[float]:
+    z = complex(z)
+    return [float(z.real), float(z.imag)]
+
+
+def matrix_document(matrix) -> list:
+    return [[complex_pair(z) for z in row] for row in np.asarray(matrix)]
+
+
+def frame_document(frame: GFrame) -> list:
+    """The `blocks` list of an instance document: one {dim, matrix} per block."""
+    return [
+        {"dim": int(b.shape[0]), "matrix": matrix_document(b)}
+        for b in frame.blocks
+    ]
+
+
+def _weights_document(weights: WeightSequence) -> list:
+    return [complex_pair(z) for z in weights.values]
+
+
+def _subframe_document(frame: GFrame) -> dict:
+    return {"blocks": frame_document(frame)}
+
+
+# The optional payloads in parse order, which decides the error reported for
+# a document with several malformed ones:
+# key -> (parse(node, path, h_dim, n_blocks), dump(value))
+_PAYLOADS = {
+    "weights": (lambda node, path, h, n: _parse_weights(node, path, n), _weights_document),
+    "weights_alt": (lambda node, path, h, n: _parse_weights(node, path, n), _weights_document),
+    "control": (lambda node, path, h, n: _parse_matrix(node, path, rows=h, cols=h),
+                matrix_document),
+    "bijection": (lambda node, path, h, n: _parse_matrix(node, path, rows=h, cols=h),
+                  matrix_document),
+    "coisometry": (lambda node, path, h, n: _parse_matrix(node, path, cols=h), matrix_document),
+    "companion": (lambda node, path, h, n: _parse_subframe(node, path, h), _subframe_document),
+    "dual": (lambda node, path, h, n: _parse_subframe(node, path, h), _subframe_document),
+}
+_TOP_LEVEL_KEYS = {"schema_version", "h_dim", "label", "blocks", *_PAYLOADS}
 
 
 def parse_instance(text: str) -> InstanceFile:
@@ -176,64 +206,14 @@ def parse_instance(text: str) -> InstanceFile:
     blocks = _parse_blocks(doc["blocks"], "$.blocks", h_dim)
     gframe = GFrame(h_dim, tuple(blocks), label=label)
 
-    weights = None
-    if "weights" in doc:
-        weights = _parse_weights(doc["weights"], "$.weights", len(blocks))
-    weights_alt = None
-    if "weights_alt" in doc:
-        weights_alt = _parse_weights(doc["weights_alt"], "$.weights_alt", len(blocks))
-    control = None
-    if "control" in doc:
-        control = _parse_matrix(doc["control"], "$.control", rows=h_dim, cols=h_dim)
-    bijection = None
-    if "bijection" in doc:
-        bijection = _parse_matrix(doc["bijection"], "$.bijection",
-                                  rows=h_dim, cols=h_dim)
-    coisometry = None
-    if "coisometry" in doc:
-        coisometry = _parse_matrix(doc["coisometry"], "$.coisometry", cols=h_dim)
-    companion = None
-    if "companion" in doc:
-        companion = _parse_subframe(doc["companion"], "$.companion", h_dim)
-    dual = None
-    if "dual" in doc:
-        dual = _parse_subframe(doc["dual"], "$.dual", h_dim)
-
-    return InstanceFile(
-        gframe=gframe,
-        weights=weights,
-        weights_alt=weights_alt,
-        control=control,
-        companion=companion,
-        dual=dual,
-        bijection=bijection,
-        coisometry=coisometry,
-    )
+    payloads = {key: parse(doc[key], f"$.{key}", h_dim, len(blocks))
+                for key, (parse, _) in _PAYLOADS.items() if key in doc}
+    return InstanceFile(gframe=gframe, **payloads)
 
 
 def load_instance(path) -> InstanceFile:
     with open(path, "r", encoding="utf-8") as handle:
         return parse_instance(handle.read())
-
-
-# -- serialization -------------------------------------------------------------
-
-
-def complex_pair(z) -> list[float]:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
-
-
-def matrix_document(matrix) -> list:
-    return [[complex_pair(z) for z in row] for row in np.asarray(matrix)]
-
-
-def frame_document(frame: GFrame) -> list:
-    """The `blocks` list of an instance document: one {dim, matrix} per block."""
-    return [
-        {"dim": int(b.shape[0]), "matrix": matrix_document(b)}
-        for b in frame.blocks
-    ]
 
 
 def instance_document(inst: InstanceFile) -> dict:
@@ -244,20 +224,10 @@ def instance_document(inst: InstanceFile) -> dict:
     }
     if inst.gframe.label is not None:
         doc["label"] = inst.gframe.label
-    if inst.weights is not None:
-        doc["weights"] = [complex_pair(z) for z in inst.weights.values]
-    if inst.weights_alt is not None:
-        doc["weights_alt"] = [complex_pair(z) for z in inst.weights_alt.values]
-    if inst.control is not None:
-        doc["control"] = matrix_document(inst.control)
-    if inst.companion is not None:
-        doc["companion"] = {"blocks": frame_document(inst.companion)}
-    if inst.dual is not None:
-        doc["dual"] = {"blocks": frame_document(inst.dual)}
-    if inst.bijection is not None:
-        doc["bijection"] = matrix_document(inst.bijection)
-    if inst.coisometry is not None:
-        doc["coisometry"] = matrix_document(inst.coisometry)
+    for key, (_, dump) in _PAYLOADS.items():
+        value = getattr(inst, key)
+        if value is not None:
+            doc[key] = dump(value)
     return doc
 
 

@@ -213,6 +213,14 @@ def _certified_series(m_mat, base, ratio, contraction, tail_tol, proposition, hv
     return m_inv, cert
 
 
+def _neumann_series(m_mat, c, tol, proposition, hvals):
+    """Sum M^-1 = sum_k (I - M)^k for ||I - M|| <= c < 1 and certify it;
+    ||M^-1|| then lies in [1/(1 + c), 1/(1 - c)]."""
+    eye = np.eye(m_mat.shape[0], dtype=np.complex128)
+    return _certified_series(m_mat, eye, eye - m_mat, c, tol, proposition, hvals,
+                             (1.0 / (1.0 + c), 1.0 / (1.0 - c)))
+
+
 def _oriented(w: WeightSequence, frame: GFrame, companion: GFrame, swapped: bool):
     """M, or the (companion, frame) multiplier sum_i m_i Theta_i* Lambda_i when `swapped`."""
     return multiplier(w, companion, frame) if swapped else multiplier(w, frame, companion)
@@ -296,10 +304,7 @@ def invert_dual_neumann(weights, frame: GFrame, dual: GFrame,
             "lambda*sqrt(B_Lambda*B_dual) < 1", {**hvals, "contraction": q}
         )
     m_mat = _oriented(w, frame, dual, swapped)
-    eye = np.eye(frame.h_dim, dtype=np.complex128)
-    c = q + delta
-    return _certified_series(m_mat, eye, eye - m_mat, c, tol, Proposition.P34_DUAL_PERTURB,
-                             hvals, (1.0 / (1.0 + c), 1.0 / (1.0 - c)))
+    return _neumann_series(m_mat, q + delta, tol, Proposition.P34_DUAL_PERTURB, hvals)
 
 
 def invert_canonical_dual(weights, frame: GFrame,
@@ -324,10 +329,8 @@ def invert_canonical_dual(weights, frame: GFrame,
     dual = core.canonical_dual(frame)
     hvals["duality_defect"] = delta = core.duality_defect(frame, dual)
     m_mat = _oriented(w, frame, dual, swapped)
-    eye = np.eye(frame.h_dim, dtype=np.complex128)
     c = lam * math.sqrt(bounds.upper / bounds.lower) + delta
-    return _certified_series(m_mat, eye, eye - m_mat, c, tol, Proposition.C35_CANONICAL_DUAL,
-                             hvals, (1.0 / (1.0 + c), 1.0 / (1.0 - c)))
+    return _neumann_series(m_mat, c, tol, Proposition.C35_CANONICAL_DUAL, hvals)
 
 
 def invert_bessel_perturb(weights, frame: GFrame, companion: GFrame,
@@ -449,10 +452,8 @@ def invert_dual_mu_perturb(weights, frame: GFrame, dual: GFrame, companion: GFra
     if mu_used >= 1.0 / b_l:
         raise HypothesisFailed("mu < 1/B_Lambda", hvals)
     m_mat = _oriented(w, frame, companion, swapped)
-    eye = np.eye(frame.h_dim, dtype=np.complex128)
     c = math.sqrt(mu_used * b_l) + delta
-    return _certified_series(m_mat, eye, eye - m_mat, c, tol, Proposition.P38_DUAL_MU_PERTURB,
-                             hvals, (1.0 / (1.0 + c), 1.0 / (1.0 - c)))
+    return _neumann_series(m_mat, c, tol, Proposition.P38_DUAL_MU_PERTURB, hvals)
 
 
 def lower_bound_from_invertible(m_matrix, b_other: float) -> float:

@@ -24,10 +24,7 @@ def _complex_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndar
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     """Haar-distributed unitary via phase-fixed QR."""
-    q, r = np.linalg.qr(_complex_gaussian(rng, n, n))
-    diag = np.diagonal(r)
-    phases = np.where(np.abs(diag) > 0, diag / np.abs(diag), 1.0)
-    return q * phases.conj()
+    return random_isometry(rng, n, n)
 
 
 def random_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

@@ -13,9 +13,16 @@ from gframes import selftest
 from gframes.cli import main
 from gframes.controlled import WeightedEquivalence
 from gframes.core import scale_blocks
-from gframes.io import InstanceFile, dump_instance, instance_digest, load_instance, matrix_document
+from gframes.io import (
+    InstanceFile,
+    dump_instance,
+    frame_document,
+    instance_digest,
+    load_instance,
+    matrix_document,
+)
 from gframes.multipliers import WeightSequence
-from gframes.sampling import random_gframe
+from gframes.sampling import eigenblock_control_instance, random_gframe
 
 IDENTITY_DOC = {
     "schema_version": 1,
@@ -301,6 +308,16 @@ def test_weighted_from_control(tmp_path, capsys):
     assert code == 0
     assert "2, 3" in out
     assert "multiplier: yes" in out
+
+
+def test_weighted_from_control_block_too_large_exits_3(tmp_path, capsys):
+    frame, control, _ = eigenblock_control_instance(np.random.default_rng(3), (2, 1, 2))
+    huge = scale_blocks(frame, [1e160] * 3)
+    path = write_doc(tmp_path, h_dim=5, blocks=frame_document(huge),
+                     control=matrix_document(control.matrix))
+    code, out, err = run(capsys, "weighted", "from-control", "--in", path)
+    assert (code, out) == (3, "")
+    assert err == "gframes: input error: block 0 is too large: its squared norm overflows\n"
 
 
 def test_weighted_bounds_needs_weights(tmp_path, capsys):

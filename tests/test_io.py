@@ -151,6 +151,16 @@ def test_parse_rejects_misshaped_control_and_subframes():
     expect_schema_error(json.dumps(doc), "$.dual")
 
 
+def test_earliest_malformed_payload_in_parse_order_is_reported():
+    order = ("weights", "weights_alt", "control", "bijection", "coisometry", "companion", "dual")
+    for i, early in enumerate(order):
+        for late in order[i + 1:]:
+            # the later payload comes first in the document: parse order decides
+            with pytest.raises(SchemaError) as exc:
+                parse_instance(identity_text(**{late: "x", early: "x"}))
+            assert exc.value.path == f"$.{early}", (early, late)
+
+
 # -- serialization --------------------------------------------------------------
 
 

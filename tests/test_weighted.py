@@ -1,5 +1,7 @@
 """Weighted families: scaled bounds, duals, and the six-way equivalence."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from gframes import (
     weighted_vector_frame_bounds,
 )
 from gframes.errors import (
+    NonFinite,
     NonPositiveWeight,
     NotEigenRelation,
     NotSelfAdjoint,
@@ -175,6 +178,15 @@ def test_weight_from_control_rejects_zero_block():
     frame = GFrame(2, (np.array([[1.0, 0.0]]), np.array([[0.0, 0.0]])))
     with pytest.raises(ZeroBlock):
         weight_from_control(frame, ControlOperator(np.eye(2)))
+
+
+def test_weight_from_control_rejects_block_too_large_to_square():
+    frame, control, _ = eigenblock_control_instance(np.random.default_rng(3), (2, 1, 2))
+    huge = scale_blocks(frame, [1e160] * 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite, match="block 0 is too large"):
+            weight_from_control(huge, control)
 
 
 # -- weighted duals ---------------------------------------------------------------
