@@ -224,10 +224,10 @@ class WeightedVectorFrame(_ArrayValue):
 
 def weighted_vector_frame_bounds(wvframe: WeightedVectorFrame) -> FrameBounds:
     """Optimal bounds of sum_j |w_j|^2 psi_j psi_j*."""
-    x = wvframe.base.vectors
-    moduli2 = np.abs(wvframe.weights) ** 2
-    op = kernel.hermitian_part((x.T * moduli2) @ x.conj())
-    return _spectrum_bounds(np.linalg.eigvalsh(op))
+    # the operator is the conjugate of Y* Y with rows y_j = |w_j| psi_j,
+    # and a conjugate has the same spectrum
+    y = np.abs(wvframe.weights)[:, None] * wvframe.base.vectors
+    return _spectrum_bounds(np.linalg.eigvalsh(kernel.gram(y)))
 
 
 def induced_weighted_frame(frame: GFrame, weights) -> WeightedVectorFrame:

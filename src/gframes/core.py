@@ -3,8 +3,10 @@
 A g-frame on H = C^d is a finite family of operators Lambda_i : H -> H_i,
 given as d_i x d blocks. A GFrame stores the stacked analysis matrix T
 and its row partition; its blocks are row views of T, built the first
-time they are read. The frame operator is S = T* T, and the optimal
-frame bounds are its extreme eigenvalues. Each frame computes S, its
+time they are read. The frame operator is S = T* T, formed by
+`kernel.gram` from one symmetric real product over T's real view, with
+no conjugate copy of T and exactly Hermitian; the optimal frame bounds
+are its extreme eigenvalues. Each frame computes S, its
 eigendecomposition and the thin SVD of T once each, on first use: its
 bounds, classification, canonical dual and every S^-1 share the
 spectrum, and every decomposition splits the one SVD. A tall T takes
@@ -32,7 +34,7 @@ from .kernel import (
     _ArrayValue,
     as_matrix,
     frobenius_norm,
-    hermitian_part,
+    gram,
 )
 from .tolerances import TAU_CLASS, TAU_DUAL, Margin
 
@@ -44,7 +46,8 @@ class GFrame:
     The stored form is the stacked analysis matrix T (sum d_i x h_dim,
     complex128, read-only) with its row partition. `blocks` are
     read-only row views of T, built on first read. The frame operator
-    S = T* T, its eigendecomposition, the bounds read off it and the
+    S = T* T (one symmetric real product, `kernel.gram`), its
+    eigendecomposition, the bounds read off it and the
     thin SVD of T are each computed once, on first use, and shared by
     everything that needs them; the SVD of a tall T is read off the
     eigendecomposition. They are no fields, so they take no part in
@@ -67,18 +70,15 @@ class GFrame:
         blocks = [np.asarray(b) for b in blocks]
         if not blocks:
             raise ShapeMismatch("a g-frame needs at least one block")
-        for i, b in enumerate(blocks):
-            if b.ndim != 2:
-                raise ShapeMismatch(f"block {i} must be 2-dimensional, got ndim={b.ndim}")
-            if b.shape[0] < 1 or b.shape[1] < 1:
-                raise ShapeMismatch(f"block {i} must be non-empty, got shape {b.shape}")
-            if b.shape[1] != h_dim:
-                raise ShapeMismatch(
-                    f"block {i} has {b.shape[1]} columns, expected h_dim={h_dim}"
-                )
+        shapes = [b.shape for b in blocks]
+        # each distinct shape is checked once; the first block with a bad one is named
+        bad = [s for s in set(shapes) if _block_shape_defect(s, h_dim)]
+        if bad:
+            i = min(shapes.index(s) for s in bad)
+            raise ShapeMismatch(f"block {i} {_block_shape_defect(shapes[i], h_dim)}")
         # unsafe casting converts exactly what np.array(b, dtype=complex) does
         stacked = np.concatenate(blocks, dtype=np.complex128, casting="unsafe")
-        self._store(h_dim, stacked, tuple(b.shape[0] for b in blocks), label)
+        self._store(h_dim, stacked, tuple(s[0] for s in shapes), label)
         finite_rows = np.isfinite(self._stacked).all(axis=1)
         if not finite_rows.all():
             i = self.per_row(np.arange(self.n_blocks))[np.argmin(finite_rows)]
@@ -140,11 +140,10 @@ class GFrame:
 
     @cached_property
     def _operator(self) -> np.ndarray:
-        """S = T* T, symmetrized against roundoff; read-only. NonFinite
-        when a finite T has entries so large that S overflows."""
-        t = self._stacked
+        """S = T* T, exactly Hermitian by construction; read-only.
+        NonFinite when a finite T has entries so large that S overflows."""
         with np.errstate(over="ignore", invalid="ignore"):
-            s = hermitian_part(t.conj().T @ t)
+            s = gram(self._stacked)
         if not np.isfinite(s).all():
             raise NonFinite("frame operator S = T* T overflows: entries of T are too large")
         s.flags.writeable = False
@@ -196,6 +195,17 @@ class GFrame:
         return np.repeat(np.asarray(values), self._partition)
 
 
+def _block_shape_defect(shape: tuple, h_dim: int) -> str | None:
+    """What is wrong with a block of this shape, or None for a d_i x h_dim block."""
+    if len(shape) != 2:
+        return f"must be 2-dimensional, got ndim={len(shape)}"
+    if min(shape) < 1:
+        return f"must be non-empty, got shape {shape}"
+    if shape[1] != h_dim:
+        return f"has {shape[1]} columns, expected h_dim={h_dim}"
+    return None
+
+
 def _tall_svd(t: np.ndarray, eigs: np.ndarray, vecs: np.ndarray):
     """Thin SVD of a tall T from eigh(T* T) = V L V*, L > 0, using only
     products with T and factorizations of d x d matrices.
@@ -210,7 +220,7 @@ def _tall_svd(t: np.ndarray, eigs: np.ndarray, vecs: np.ndarray):
     """
     root = np.sqrt(eigs)
     u0 = t @ (vecs / root)
-    gram_eigs, w = np.linalg.eigh(u0.conj().T @ u0)
+    gram_eigs, w = np.linalg.eigh(gram(u0))
     if np.abs(gram_eigs - 1.0).max() > 0.5:
         return None
     gram_root = np.sqrt(gram_eigs)
@@ -273,7 +283,7 @@ def _spectrum_bounds(eigs: np.ndarray) -> FrameBounds:
 
 
 def frame_operator(frame: GFrame) -> np.ndarray:
-    """S = sum_i Lambda_i* Lambda_i = T* T, symmetrized against roundoff.
+    """S = sum_i Lambda_i* Lambda_i = T* T, exactly Hermitian.
 
     The frame's own read-only copy, computed once per frame.
     """
@@ -437,8 +447,9 @@ def gframe_from_vector_frame(vframe: VectorFrame, partition) -> GFrame:
 
 
 def vector_frame_operator(vframe: VectorFrame) -> np.ndarray:
-    """sum_j psi_j psi_j* for an ordinary vector family."""
-    return hermitian_part(vframe.vectors.T @ vframe.vectors.conj())
+    """sum_j psi_j psi_j* for an ordinary vector family: with the vectors
+    as the rows of V, the conjugate of V* V."""
+    return gram(vframe.vectors).conj()
 
 
 def _require_same_shape(frame: GFrame, other: GFrame, what: str = "families") -> None:

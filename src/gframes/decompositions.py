@@ -61,11 +61,17 @@ def _component_matches(kind: ComponentKind, frame: GFrame) -> bool:
     return core.classify(frame).is_g_riesz
 
 
-def _certified(scalars, stacked_components, kinds, frame: GFrame) -> GFrameDecomposition:
+def _certified(scalar: float, stacked_components, kinds, frame: GFrame) -> GFrameDecomposition:
+    """The decomposition scalar * sum_j C_j of the frame, each C_j checked
+    against its kind; every decomposition has one common scalar."""
     target = frame.analysis_matrix()
     components = tuple(frame._with_rows(m) for m in stacked_components)
-    recon = sum(s * m for s, m in zip(scalars, stacked_components))
-    residual = kernel.frobenius_norm(recon - target)
+    gap = stacked_components[0].copy()  # one buffer: scalar * sum_j C_j - T
+    for m in stacked_components[1:]:
+        gap += m
+    gap *= scalar
+    gap -= target
+    residual = kernel.frobenius_norm(gap)
     if not Margin.defect(residual, TAU_RECON, 1.0 + kernel.frobenius_norm(target)):
         raise GFrameError(
             f"decomposition failed to reconstruct: residual {residual:.3e}"
@@ -76,7 +82,7 @@ def _certified(scalars, stacked_components, kinds, frame: GFrame) -> GFrameDecom
                 f"decomposition produced a component that is not a {kind.value}"
             )
     return GFrameDecomposition(
-        scalars=tuple(float(s) for s in scalars),
+        scalars=(float(scalar),) * len(components),
         components=components,
         component_kinds=tuple(kinds),
         reconstruction_residual=residual,
@@ -95,7 +101,7 @@ def _pair_split(frame: GFrame, kind: ComponentKind) -> GFrameDecomposition:
     """a*(C1 + C2) with a = ||T||/2: the pair averaging to T/||T||."""
     u, s, vh = frame._svd
     a = float(s[0]) / 2.0
-    return _certified((a, a), _unitary_pair(u, s / s[0], vh), (kind,) * 2, frame)
+    return _certified(a, _unitary_pair(u, s / s[0], vh), (kind,) * 2, frame)
 
 
 def decompose_three_gonb(frame: GFrame) -> GFrameDecomposition:
@@ -109,7 +115,7 @@ def decompose_three_gonb(frame: GFrame) -> GFrameDecomposition:
     u, s, vh = frame._svd
     a = float(s[0])
     triple = _unitary_triple(u, s / (3.0 * a), vh)
-    return _certified((a, a, a), triple, (ComponentKind.G_ONB,) * 3, frame)
+    return _certified(a, triple, (ComponentKind.G_ONB,) * 3, frame)
 
 
 def decompose_two_gonb_combo(frame: GFrame) -> GFrameDecomposition:
@@ -173,7 +179,7 @@ def decompose_gonb_plus_griesz(frame: GFrame) -> GFrameDecomposition:
     u, _, vh = frame._svd
     w = u @ vh
     return _certified(
-        (1.0, 1.0),
+        1.0,
         (-w, frame.analysis_matrix() + w),
         (ComponentKind.G_ONB, ComponentKind.G_RIESZ),
         frame,

@@ -1,9 +1,11 @@
 """Dense complex-matrix primitives.
 
-Spectral ranges, polar factors, positive square roots, and the two
-averaged-unitary splittings: any contraction is the mean of two
-unitaries, and any operator of norm at most 1/3 is the mean of three.
-Everything works on plain complex128 ndarrays.
+The Gram matrix X* X from one symmetric real product, spectral ranges,
+polar factors, positive square roots, and the two averaged-unitary
+splittings: any contraction is the mean of two unitaries, and any
+operator of norm at most 1/3 is the mean of three. Everything works on
+plain complex128 ndarrays, and no helper copies an n x d input to
+conjugate or rescale it.
 """
 
 from __future__ import annotations
@@ -64,6 +66,25 @@ def operator_norm(a) -> float:
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2.0
+
+
+# combines rows 2j and 2j + 1 of the real Gram into row j of X* X
+_CONJUGATE_PAIR = np.array([1.0, -1.0j])
+
+
+def gram(x) -> np.ndarray:
+    """X* X of an n x d matrix, exactly Hermitian, with no conjugate copy.
+
+    With R the n x 2d real view of X, R^T R is one symmetric real
+    product (SYRK). Read as complex, its row 2j + a holds part a (re,
+    im) of column j against every column k, so row j of X* X is row 2j
+    minus i times row 2j + 1, and the symmetry of R^T R makes the result
+    exactly Hermitian. Only a real or non-C-ordered x is copied.
+    """
+    r = np.ascontiguousarray(x, dtype=np.complex128).view(np.float64)
+    d = r.shape[1] // 2
+    pairs = (r.T @ r).view(np.complex128).reshape(d, 2, d)
+    return _CONJUGATE_PAIR @ pairs
 
 
 def hermitian_defect(a: np.ndarray) -> float:
@@ -156,11 +177,12 @@ def _unitary_pair(u, s, vh) -> tuple[np.ndarray, np.ndarray]:
     the singular values at 1 absorbs inputs that exceed norm 1 by
     roundoff. For tall A the columns of W B and W B* are orthonormal.
     Since vh vh* = I, W B = u diag(z) vh and W B* = u diag(conj(z)) vh
-    with z = s + i(1 - s^2)^(1/2): two products in all.
+    with z = s + i(1 - s^2)^(1/2): two products in all, each scaling the
+    rows of the d x d vh rather than the columns of a tall u.
     """
     s = np.clip(s, 0.0, 1.0)
-    z = s + 1j * np.sqrt(1.0 - s**2)
-    return (u * z) @ vh, (u * z.conj()) @ vh
+    z = (s + 1j * np.sqrt(1.0 - s**2))[:, None]
+    return u @ (z * vh), u @ (z.conj() * vh)
 
 
 def unitary_pair_from_contraction(matrix):
@@ -180,12 +202,12 @@ def _unitary_triple(u, s, vh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     U1 = u vh is the unitary polar factor of 3A; the remaining
     correction (3A - U1)/2 = u diag((3s - 1)/2) vh is a contraction,
-    whose signs move into u, and splits into the other two. The sign is
-    +1 where 3s = 1, so I/3 splits as (I + iI - iI)/3.
+    whose signs move into the rows of vh, and splits into the other two.
+    The sign is +1 where 3s = 1, so I/3 splits as (I + iI - iI)/3.
     """
     correction = (3.0 * s - 1.0) / 2.0
     sign = np.where(correction < 0.0, -1.0, 1.0)
-    return (u @ vh, *_unitary_pair(u * sign, np.abs(correction), vh))
+    return (u @ vh, *_unitary_pair(u, np.abs(correction), sign[:, None] * vh))
 
 
 def unitary_triple_from_small_norm(matrix):

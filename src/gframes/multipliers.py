@@ -130,8 +130,9 @@ def multiplier(weights, frame: GFrame, companion: GFrame) -> np.ndarray:
     """M = sum_i m_i Lambda_i* Theta_i on matching families."""
     _require_same_shape(frame, companion)
     w = _weights_for(frame, weights)
-    weighted_synthesis = frame.analysis_matrix().conj().T * frame.per_row(w.values)
-    return weighted_synthesis @ companion.analysis_matrix()
+    weighted = frame.analysis_matrix().conj()  # the one n x d temporary
+    weighted *= frame.per_row(w.values)[:, None]
+    return weighted.T @ companion.analysis_matrix()
 
 
 def multiplier_norm_bound(weights, frame: GFrame, companion: GFrame) -> float:

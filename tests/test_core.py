@@ -383,8 +383,9 @@ def test_overflowing_frame_operator_is_a_typed_error():
     frame = scale_blocks(random_gframe(np.random.default_rng(1), 3, (1, 2, 1)), [1e160] * 3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NonFinite, match="^frame operator S = T\\* T overflows"):
-            classify(frame)
+        for read in (frame_operator, classify):
+            with pytest.raises(NonFinite, match="^frame operator S = T\\* T overflows"):
+                read(frame)
 
 
 def test_library_products_are_adopted_not_copied(monkeypatch):
@@ -448,13 +449,24 @@ def test_gframe_names_the_failing_block():
         bad[-1, 2] = np.nan
         with pytest.raises(NonFinite, match=f"^block {k} "):
             GFrame(5, tuple(blocks[:k] + [bad] + blocks[k + 1:]))
-    for bad, what in [
-        (np.ones(5), "2-dimensional"),
-        (np.ones((0, 5)), "non-empty"),
-        (np.ones((2, 4)), "4 columns"),
-    ]:
-        with pytest.raises(ShapeMismatch, match=f"^block 1234 .*{what}"):
+    bad_blocks = {
+        "ndim 1": (np.ones(5), "must be 2-dimensional, got ndim=1"),
+        "ndim 3": (np.ones((2, 5, 1)), "must be 2-dimensional, got ndim=3"),
+        "no rows": (np.ones((0, 5)), "must be non-empty, got shape (0, 5)"),
+        "no columns": (np.ones((2, 0)), "must be non-empty, got shape (2, 0)"),
+        "columns": (np.ones((2, 4)), "has 4 columns, expected h_dim=5"),
+    }
+    for bad, message in bad_blocks.values():
+        with pytest.raises(ShapeMismatch) as err:
             GFrame(5, tuple(blocks[:1234] + [bad] + blocks[1235:]))
+        assert str(err.value) == f"block 1234 {message}"
+    # with two different defects, the first block is named, whichever defect it has
+    for first, later in [("columns", "ndim 1"), ("ndim 3", "no columns"), ("no rows", "ndim 3")]:
+        two = list(blocks)
+        two[7], two[1234] = bad_blocks[first][0], bad_blocks[later][0]
+        with pytest.raises(ShapeMismatch) as err:
+            GFrame(5, tuple(two))
+        assert str(err.value) == f"block 7 {bad_blocks[first][1]}"
 
 
 def test_blocks_constructor_matches_from_stacked_bitwise():

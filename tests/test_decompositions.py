@@ -352,10 +352,10 @@ def test_g_riesz_component_must_be_square_and_invertible():
     rng = np.random.default_rng(313)
     riesz = random_g_riesz(rng, 4, (2, 2))
     kinds = (ComponentKind.G_RIESZ,)
-    assert _certified((1.0,), (riesz.analysis_matrix(),), kinds, riesz).components
+    assert _certified(1.0, (riesz.analysis_matrix(),), kinds, riesz).components
     for frame in (random_deficient(rng, 4, (2, 2)), random_gframe(rng, 3, (2, 2))):
         with pytest.raises(GFrameError, match="not a GRiesz$"):
-            _certified((1.0,), (frame.analysis_matrix(),), kinds, frame)
+            _certified(1.0, (frame.analysis_matrix(),), kinds, frame)
 
 
 # -- g-ONB plus g-Riesz --

@@ -1,4 +1,5 @@
-"""Dense-kernel tests: polar parts, psd roots, spectral ranges, averaged unitaries."""
+"""Dense-kernel tests: the Gram product, polar parts, psd roots, spectral
+ranges, averaged unitaries."""
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from gframes.errors import (
 from gframes.kernel import (
     PolarParts,
     frobenius_norm,
+    gram,
     operator_norm,
     polar_decompose,
     psd_sqrt,
@@ -28,6 +30,31 @@ from gframes.sampling import random_contraction, random_unitary
 
 def unitary_defect(u):
     return frobenius_norm(u.conj().T @ u - np.eye(u.shape[1]))
+
+
+# -- Gram product --
+
+
+def _layouts(t):
+    """t as C-ordered, F-ordered and column-sliced arrays."""
+    return {"C": t, "F": np.asfortranarray(t), "sliced": np.repeat(t, 2, axis=1)[:, ::2]}
+
+
+@pytest.mark.parametrize("rows, cols", [(3000, 32), (12, 8), (32, 32), (1, 5), (3, 7)])
+@pytest.mark.parametrize("layout", ["C", "F", "sliced"])
+@pytest.mark.parametrize("kind", ["complex", "real"])
+def test_gram_is_exactly_hermitian_on_every_layout(rows, cols, layout, kind):
+    rng = np.random.default_rng(rows * cols)
+    t = complex_gaussian(rng, rows, cols)
+    if kind == "real":
+        t = t.real.copy()
+    x = _layouts(t)[layout]
+    assert np.array_equal(x, t)
+    s = gram(x)
+    assert s.shape == (cols, cols) and s.dtype == np.complex128
+    assert np.array_equal(s, s.conj().T)
+    assert np.abs(s - t.conj().T @ t).max() <= 1e-13 * frobenius_norm(t) ** 2
+    assert s.tobytes() == gram(t).tobytes()
 
 
 # -- polar decomposition --

@@ -1,6 +1,6 @@
 """Repository rules: scans of the source tree, one test per rule.
 
-The library is parsed once per run and the four syntax rules share that
+The library is parsed once per run and the five syntax rules share that
 parse. Every finding is a `file:line ...` line relative to the scanned
 root, and a failing test prints the findings one per line. Each rule is
 also run on a copy of the tree with one planted violation, and must
@@ -106,6 +106,37 @@ def by_name_imports(library: dict) -> list[str]:
             if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in public:
                 found += [f"{path}:{node.lineno} {alias.name}" for alias in node.names
                           if alias.name in public[node.module]]
+    return found
+
+
+def _conjugated(node):
+    """X when `node` is `X.conj()`, else None."""
+    if (isinstance(node, ast.Call) and not node.args and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "conj"):
+        return node.func.value
+    return None
+
+
+def _transposed(node):
+    """X when `node` is `X.T`, else None."""
+    return node.value if isinstance(node, ast.Attribute) and node.attr == "T" else None
+
+
+def hand_rolled_grams(library: dict) -> list[str]:
+    """`A.conj().T @ A` or `A.T @ A.conj()` on one operand A: X* X belongs to
+    `kernel.gram`. `kernel.py` and the independent oracle `selftest.py` are exempt."""
+    found = []
+    for path, tree in library.items():
+        if path.name in ("kernel.py", "selftest.py"):
+            continue
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)):
+                continue
+            left = _transposed(node.left)
+            pairs = [(_conjugated(left), node.right), (left, _conjugated(node.right))]
+            if any(a is not None and b is not None and ast.dump(a) == ast.dump(b)
+                   for a, b in pairs):
+                found.append(f"{path}:{node.lineno}")
     return found
 
 
@@ -230,6 +261,11 @@ def test_late_loaded_modules_call_through_the_module(library):
     assert not found, "\n".join(found)
 
 
+def test_one_home_for_gram_products(library):
+    found = hand_rolled_grams(library)
+    assert not found, "\n".join(found)
+
+
 def test_bench_evidence_recomputes_and_supports_its_claim():
     found = bench_evidence(ROOT)
     assert not found, "\n".join(found)
@@ -292,6 +328,22 @@ def test_planted_by_name_import(tree_copy):
     line = _append(tree_copy, "multipliers.py", "from .core import frame_bounds\n")
     assert by_name_imports(parse_library(tree_copy)) == [
         f"src/gframes/multipliers.py:{line} frame_bounds"]
+
+
+def test_planted_hand_rolled_gram(tree_copy):
+    path = tree_copy / LIBRARY / "core.py"
+    honest = "            s = gram(self._stacked)\n"
+    source = path.read_text()
+    assert source.count(honest) == 1
+    path.write_text(source.replace(honest, "            s = hermitian_part(t.conj().T @ t)\n"))
+    line = source[:source.index(honest)].count("\n") + 1
+    assert hand_rolled_grams(parse_library(tree_copy)) == [f"src/gframes/core.py:{line}"]
+
+
+@pytest.mark.parametrize("product", ["a.conj().T @ a", "x.y.T @ x.y.conj()"])
+def test_planted_hand_rolled_gram_either_side(tree_copy, product):
+    line = _append(tree_copy, "multipliers.py", f"_ = {product}\n")
+    assert hand_rolled_grams(parse_library(tree_copy)) == [f"src/gframes/multipliers.py:{line}"]
 
 
 def _better_pairs_off_by_one(bench):
