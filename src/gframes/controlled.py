@@ -52,21 +52,15 @@ class ControlOperator(_ArrayValue):
         if m.shape[0] != m.shape[1]:
             raise ShapeMismatch(f"control operator must be square, got {m.shape}")
         self_adjoint = Margin.defect(kernel.hermitian_defect(m), TAU_HERM).holds
-        bounds = None
         if self_adjoint:
             # |eigenvalues| of (C + C*)/2 are within TAU_HERM/2 of C's singular values
-            eigs = np.linalg.eigvalsh(kernel.hermitian_part(m))
-            bounds = (float(eigs[0]), float(eigs[-1]))
-            sv = np.abs(eigs)
+            _, eigs, lowest = kernel.hermitian_spectrum(m)
+            positive, bounds, sv = lowest.holds, (float(eigs[0]), float(eigs[-1])), np.abs(eigs)
         else:
-            sv = np.linalg.svd(m, compute_uv=False)
-        if not Margin.above_floor(sv.min() ** 2):
-            raise Singular(
-                f"control operator is not invertible: sigma_min {sv.min():.3e}"
-            )
+            positive, bounds, sv = False, None, np.linalg.svd(m, compute_uv=False)
+        kernel.require_invertible(sv, Singular, "control operator is not invertible")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "is_self_adjoint", self_adjoint)
-        positive = self_adjoint and Margin.above_floor(bounds[0]).holds
         object.__setattr__(self, "is_positive", positive)
         object.__setattr__(self, "bounds", bounds)
         object.__setattr__(self, "norm", float(sv.max()))
@@ -106,11 +100,9 @@ class ControlledBounds:
 
 def controlled_bounds(frame: GFrame, control: ControlOperator) -> ControlledBounds:
     s_c = controlled_frame_operator(frame, control)
-    self_adjoint = Margin.defect(kernel.hermitian_defect(s_c), TAU_HERM).holds
-    eigs = np.linalg.eigvalsh(kernel.hermitian_part(s_c))
-    lower, upper = float(eigs[0]), float(eigs[-1])
-    is_frame = self_adjoint and Margin.above_floor(lower).holds
-    return ControlledBounds(lower, upper, is_frame, self_adjoint)
+    self_adjoint, eigs, lowest = kernel.hermitian_spectrum(s_c)
+    is_frame = self_adjoint.holds and lowest.holds
+    return ControlledBounds(float(eigs[0]), float(eigs[-1]), is_frame, self_adjoint.holds)
 
 
 class CommutationResult(NamedTuple):
@@ -319,8 +311,7 @@ def weighted_multiplier_as_frame_operator(frame: GFrame, weights):
     scaled = core.frame_operator(core.scale_blocks(frame, np.sqrt(w.values.real)))
     match = Margin.defect(kernel.frobenius_norm(m_mat - scaled), TAU_EXACT,
                           1.0 + kernel.frobenius_norm(scaled))
-    self_adjoint = Margin.defect(kernel.hermitian_defect(m_mat), TAU_HERM)
-    lower = Margin.above_floor(float(np.linalg.eigvalsh(kernel.hermitian_part(m_mat))[0]))
+    self_adjoint, _, lower = kernel.hermitian_spectrum(m_mat)
     checks = WeightedOperatorChecks(
         matches_scaled_frame_operator=match.holds,
         match_defect=match.value,
@@ -361,10 +352,9 @@ def weighted_equivalence_suite(frame: GFrame, weights, weights_alt) -> WeightedE
 
     def _mult_invertible(seq: WeightSequence) -> bool:
         m_mat = multipliers.multiplier(seq, frame, frame)
-        if not Margin.defect(kernel.hermitian_defect(m_mat), TAU_HERM):
-            return False
-        lowest = np.linalg.eigvalsh(kernel.hermitian_part(m_mat))[0]
-        return Margin.above_floor(float(lowest)).holds
+        # decided before eigvalsh, which raises LinAlgError on an overflowed M
+        return (Margin.defect(kernel.hermitian_defect(m_mat), TAU_HERM).holds
+                and kernel.hermitian_spectrum(m_mat)[2].holds)
 
     # (iii) and (iv) are one test on the spectrum of {sqrt(w_i) Lambda_i}
     sqrt_scaled = core.scale_blocks(frame, np.sqrt(w.values.real))

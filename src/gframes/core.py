@@ -172,7 +172,7 @@ class GFrame:
         """
         t = self._stacked
         factors = None
-        if t.shape[0] > t.shape[1] and Margin.above_floor(self._spectrum[0][0]):
+        if t.shape[0] > t.shape[1] and self._bounds.is_frame:
             factors = _tall_svd(t, *self._spectrum)
         u, s, vh = factors or np.linalg.svd(t, full_matrices=False)
         u.flags.writeable = s.flags.writeable = vh.flags.writeable = False
@@ -264,8 +264,14 @@ class FrameBounds:
                 f"invalid bounds ({self.lower}, {self.upper})"
             )
 
+    @property
+    def is_frame(self) -> bool:
+        """The lower bound clears the rank floor, as `classification` records."""
+        return self.classification not in (FrameClass.NOT_BESSEL, FrameClass.BESSEL_ONLY)
+
 
 def _classify_bounds(lower: float, upper: float) -> FrameClass:
+    """The one frame verdict: A above the rank floor, then tightness."""
     if not Margin.above_floor(lower):
         return FrameClass.BESSEL_ONLY
     if Margin.defect(upper - lower, TAU_CLASS, upper):
@@ -299,22 +305,18 @@ def frame_bounds(frame: GFrame) -> FrameBounds:
 
 
 def _require_frame(
-    frame: GFrame, message: str = "the family has no positive lower frame bound (got {:.3e})"
+    frame: GFrame, message: str = "the family has no lower frame bound above the rank floor"
 ) -> FrameBounds:
-    """The frame's bounds; NotAFrame(message.format(lower)) at the rank floor."""
+    """The frame's bounds; NotAFrame(message) unless it is a frame."""
     bounds = frame_bounds(frame)
-    if not Margin.above_floor(bounds.lower):
-        raise NotAFrame(message.format(bounds.lower))
+    if not bounds.is_frame:
+        raise NotAFrame(message)
     return bounds
 
 
 def _inverse_frame_operator(frame: GFrame) -> np.ndarray:
-    """S^-1 from the frame's spectrum; NotAFrame when S is singular."""
+    """S^-1 from the frame's spectrum, for a frame its caller has required."""
     eigs, vecs = frame._spectrum
-    if not Margin.above_floor(eigs[0]):
-        raise NotAFrame(
-            f"cannot form a dual: smallest frame-operator eigenvalue {eigs[0]:.3e}"
-        )
     return (vecs * (1.0 / eigs)) @ vecs.conj().T
 
 
@@ -358,7 +360,7 @@ def classify(frame: GFrame) -> ClassificationReport:
     # S has h_dim eigenvalues, so T has full column rank (g-complete)
     # exactly when the smallest clears the rank floor (g-frame)
     bounds = frame_bounds(frame)
-    is_frame = Margin.above_floor(bounds.lower).holds
+    is_frame = bounds.is_frame
     is_riesz = is_frame and sum(frame.partition) == frame.h_dim
     return ClassificationReport(
         is_g_bessel=True,
@@ -377,6 +379,7 @@ def canonical_dual(frame: GFrame) -> GFrame:
     Requires an actual g-frame; the dual's optimal bounds are the
     reciprocals (1/B, 1/A) of the input's, swapped.
     """
+    _require_frame(frame, "cannot form a dual: S has no lower bound above the rank floor")
     s_inv = _inverse_frame_operator(frame)
     label = f"canonical dual of {frame.label}" if frame.label else None
     return frame._with_rows(frame.analysis_matrix() @ s_inv, label)

@@ -5,7 +5,9 @@ polar factors, positive square roots, and the two averaged-unitary
 splittings: any contraction is the mean of two unitaries, and any
 operator of norm at most 1/3 is the mean of three. Everything works on
 plain complex128 ndarrays, and no helper copies an n x d input to
-conjugate or rescale it.
+conjugate or rescale it. `hermitian_spectrum` and `require_invertible`
+are two of the three homes of the rank floor; the frame verdict
+`core._classify_bounds` is the third.
 """
 
 from __future__ import annotations
@@ -89,6 +91,20 @@ def gram(x) -> np.ndarray:
 
 def hermitian_defect(a: np.ndarray) -> float:
     return frobenius_norm(a - a.conj().T)
+
+
+def hermitian_spectrum(a: np.ndarray) -> tuple[Margin, np.ndarray, Margin]:
+    """(self-adjoint Margin, ascending eigenvalues of (A + A*)/2, floor Margin on the smallest)."""
+    self_adjoint = Margin.defect(hermitian_defect(a), TAU_HERM)
+    eigs = np.linalg.eigvalsh(hermitian_part(a))
+    return self_adjoint, eigs, Margin.above_floor(float(eigs[0]))
+
+
+def require_invertible(sv: np.ndarray, error: type[Exception], what: str) -> np.ndarray:
+    """The singular values `sv`; error(f"{what}: sigma_min ...") if sigma_min^2 is at the floor."""
+    if not Margin.above_floor(sv.min() ** 2):
+        raise error(f"{what}: sigma_min {sv.min():.3e}")
+    return sv
 
 
 def spectral_range(matrix) -> tuple[float, float]:

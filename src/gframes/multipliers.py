@@ -232,7 +232,7 @@ def _weighted_inverse(frame: GFrame, w: WeightSequence):
     from the one eigh of the frame {sqrt|m_i| Lambda_i}."""
     scaled = core.scale_blocks(frame, np.sqrt(np.abs(w.values)))
     eigs = scaled._spectrum[0]
-    if not Margin.above_floor(eigs[0]):
+    if not core.frame_bounds(scaled).is_frame:
         raise Singular(
             f"matrix is numerically singular: smallest eigenvalue {eigs[0]:.3e}"
         )
@@ -254,9 +254,8 @@ def invert_via_bijection(weights, frame: GFrame, g_matrix):
         raise ShapeMismatch(
             f"bijection operator has shape {g.shape}, expected square of size {frame.h_dim}"
         )
-    sv = np.linalg.svd(g, compute_uv=False)
-    if not Margin.above_floor(sv[-1] ** 2):
-        raise SingularG(f"bijection operator is singular: sigma_min {sv[-1]:.3e}")
+    sv = kernel.require_invertible(np.linalg.svd(g, compute_uv=False), SingularG,
+                                   "bijection operator is singular")
     bounds = _require_frame(frame, "the weighted family needs a g-frame to invert against")
     companion = frame._with_rows(frame.analysis_matrix() @ g)
     m_mat = multiplier(w, frame, companion)
@@ -466,7 +465,7 @@ def lower_bound_from_invertible(m_matrix, b_other: float) -> float:
     """
     if not (b_other > 0.0) or not math.isfinite(b_other):
         raise NonPositiveInput(f"Bessel bound must be a positive real, got {b_other!r}")
-    sv = np.linalg.svd(_square_matrix(m_matrix, "multiplier"), compute_uv=False)
-    if not Margin.above_floor(sv[-1] ** 2):
-        raise Singular(f"multiplier is not invertible: sigma_min {sv[-1]:.3e}")
+    sv = kernel.require_invertible(
+        np.linalg.svd(_square_matrix(m_matrix, "multiplier"), compute_uv=False),
+        Singular, "multiplier is not invertible")
     return float(sv[-1] ** 2) / float(b_other)

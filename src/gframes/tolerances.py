@@ -10,7 +10,9 @@ compares a value with a TAU_* constant. `Margin.defect(value, tau,
 scale=1.0)` holds when value <= tau * scale (an absolute defect, or one
 relative to the scale passed, usually 1 + ||x||); `Margin.above_floor`
 holds when an eigenvalue or squared singular value exceeds the rank
-floor TAU_RANK. NaN never holds.
+floor TAU_RANK, and is called only in its three homes:
+`core._classify_bounds`, `kernel.hermitian_spectrum` and
+`kernel.require_invertible`. NaN never holds.
 """
 
 from typing import NamedTuple

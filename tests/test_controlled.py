@@ -73,6 +73,14 @@ def test_self_adjoint_control_is_factored_once(monkeypatch):
     assert calls == {"eigvalsh": 2, "eigh": 1}
 
 
+def test_non_self_adjoint_control_is_factored_once(monkeypatch):
+    # invertibility and ||C|| share one svd; no eigvalsh of (C + C*)/2
+    calls = count_factorizations(monkeypatch)
+    shear = ControlOperator(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    assert not shear.is_self_adjoint and not shear.is_positive
+    assert calls == {"svd": 1}
+
+
 def test_control_operator_value_semantics():
     m = random_positive(np.random.default_rng(59), 4).matrix
     changed = m.copy()

@@ -225,6 +225,19 @@ def test_canonical_dual_rejects_deficient():
         canonical_dual(random_deficient(rng, 3, (1, 2)))
 
 
+@pytest.mark.parametrize("reject", [canonical_dual, decompose_two_parseval])
+def test_not_a_frame_message_is_fixed_text(reject):
+    # the smallest eigenvalue of a rank-deficient S is roundoff, so the
+    # message names the rank floor rather than printing it
+    messages = set()
+    for seed in range(20):
+        with pytest.raises(NotAFrame) as caught:
+            reject(random_deficient(np.random.default_rng(seed), 6, (2, 1, 3)))
+        messages.add(str(caught.value))
+    assert len(messages) == 1
+    assert "rank floor" in messages.pop()
+
+
 # -- duality checks --
 
 

@@ -1,6 +1,6 @@
 """Repository rules: scans of the source tree, one test per rule.
 
-The library is parsed once per run and the five syntax rules share that
+The library is parsed once per run and the six syntax rules share that
 parse. Every finding is a `file:line ...` line relative to the scanned
 root, and a failing test prints the findings one per line. Each rule is
 also run on a copy of the tree with one planted violation, and must
@@ -140,6 +140,24 @@ def hand_rolled_grams(library: dict) -> list[str]:
     return found
 
 
+# (module, function) pairs that may call `Margin.above_floor`
+RANK_FLOOR_HOMES = {("core.py", "_classify_bounds"), ("kernel.py", "hermitian_spectrum"),
+                    ("kernel.py", "require_invertible")}
+
+
+def stray_floor_decisions(library: dict) -> list[str]:
+    """A call of `above_floor` outside the three homes of the rank floor."""
+    found = []
+    for path, tree in library.items():
+        homes = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                 and (path.name, node.name) in RANK_FLOOR_HOMES]
+        at_home = {id(node) for home in homes for node in ast.walk(home)}
+        found += [f"{path}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "above_floor" and id(node) not in at_home]
+    return found
+
+
 def _spread(xs) -> dict:
     q1, median, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
@@ -266,6 +284,11 @@ def test_one_home_for_gram_products(library):
     assert not found, "\n".join(found)
 
 
+def test_rank_floor_homes(library):
+    found = stray_floor_decisions(library)
+    assert not found, "\n".join(found)
+
+
 def test_bench_evidence_recomputes_and_supports_its_claim():
     found = bench_evidence(ROOT)
     assert not found, "\n".join(found)
@@ -315,13 +338,19 @@ def test_planted_unused_helper(tree_copy, also_defined_in_tests):
 
 def test_planted_bare_tolerance_comparison(tree_copy):
     path = tree_copy / LIBRARY / "core.py"
-    honest = "    is_frame = Margin.above_floor(bounds.lower).holds\n"
+    honest = "    if not Margin.above_floor(lower):\n"
     source = path.read_text()
     assert source.count(honest) == 1
-    path.write_text(source.replace(honest, "    is_frame = not bounds.lower <= TAU_RANK\n"))
+    path.write_text(source.replace(honest, "    if bounds.lower <= TAU_RANK:\n"))
     line = source[:source.index(honest)].count("\n") + 1
     assert bare_tolerance_comparisons(parse_library(tree_copy)) == [
         f"src/gframes/core.py:{line} bounds.lower <= TAU_RANK"]
+
+
+def test_planted_rank_floor_decision(tree_copy):
+    line = _append(tree_copy, "multipliers.py", "_ = Margin.above_floor(0.0)\n")
+    assert stray_floor_decisions(parse_library(tree_copy)) == [
+        f"src/gframes/multipliers.py:{line}"]
 
 
 def test_planted_by_name_import(tree_copy):
