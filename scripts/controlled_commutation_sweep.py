@@ -6,7 +6,7 @@ C(t) = (1-t)*C_comm + t*C_rand blends a positive polynomial in S with an
 unrelated positive operator. At t=0 the pair commutes and the controlled
 form certifies; for t>0 the commutation defect grows and both verdicts
 drop to "no" in the same row. A disagreement would falsify the
-equivalence the library promises.
+equivalence the library promises, and the script exits 1 on it.
 """
 
 import argparse
@@ -39,17 +39,19 @@ def main() -> int:
 
     print(f"{'t':>6} {'defect':>12} {'form s.a.':>10} "
           f"{'controlled':>11} {'g-frame side':>13} {'agree':>6}")
+    disagreements = 0
     for t in np.linspace(0.0, 1.0, args.steps):
         control = ControlOperator((1.0 - t) * commuting + t * unrelated)
         defect = verify_commutation(frame, control).defect
         cb = controlled_bounds(frame, control)
         lhs, rhs = controlled_equivalence(frame, control)
+        disagreements += lhs != rhs
         print(f"{t:>6.3f} {defect:>12.3e} "
               f"{'yes' if cb.form_self_adjoint else 'no':>10} "
               f"{'yes' if lhs else 'no':>11} "
               f"{'yes' if rhs else 'no':>13} "
               f"{'yes' if lhs == rhs else 'NO':>6}")
-    return 0
+    return 1 if disagreements else 0
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@
 Square (g-Riesz) inputs admit all three averaging splits plus the
 identity-shift form; arbitrary g-frames admit the two-Parseval split;
 g-ONBs feed the coisometry image. Residuals are relative to 1 + ||T||_F.
+The script exits 1 if a coisometry image is not a g-frame.
 """
 
 import argparse
@@ -64,7 +65,9 @@ def main() -> int:
         drift = frobenius_norm(frame_operator(image) - np.eye(image.h_dim))
         kind = frame_bounds(image).classification.value
         rows.append((trial, "g-onb", "coisometry", "-", kind, drift))
-        assert classify(image).is_g_frame
+        if not classify(image).is_g_frame:
+            print(f"trial {trial}: the coisometry image is not a g-frame")
+            return 1
 
     print(f"{'trial':>5} {'input':>8} {'form':>15} {'|scalars|':>24} "
           f"{'components':>24} {'residual':>10}")

@@ -6,7 +6,7 @@ critical threshold sqrt(A/B). Each row reports the contraction the
 certificate recorded, how many series terms the tolerance demanded,
 the measured error of the truncated inverse against a direct solve,
 and the geometric tail the certificate promised. The measured column
-must stay below the promised one at every fraction.
+must stay below the promised one at every fraction; the script exits 1 when it does not.
 """
 
 import argparse
@@ -49,6 +49,7 @@ def main() -> int:
     )
     print(f"{'fraction':>9} {'contraction':>12} {'terms':>6} "
           f"{'measured':>12} {'promised':>12}")
+    violated = False
     for text in args.fractions.split(","):
         frac = float(text)
         lam = frac * threshold
@@ -59,9 +60,10 @@ def main() -> int:
         measured = operator_norm(direct - m_inv)
         promised = q ** cert.series_terms_for_tol / (1.0 - q)
         flag = "" if measured <= promised + 1e-12 else "  <-- VIOLATED"
+        violated = violated or bool(flag)
         print(f"{frac:>9.3f} {q:>12.6f} {cert.series_terms_for_tol:>6} "
               f"{measured:>12.3e} {promised:>12.3e}{flag}")
-    return 0
+    return 1 if violated else 0
 
 
 if __name__ == "__main__":

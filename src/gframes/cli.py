@@ -338,7 +338,7 @@ def _cmd_multiply(args) -> int:
         "weights": [complex_pair(z) for z in np.asarray(weights)],
         "operator_norm": norm,
         "norm_bound": bound,
-        "bound_holds": Margin.defect(norm - bound, TAU_BOUND, 1.0 + bound).holds,
+        "bound_holds": Margin.relative(norm - bound, TAU_BOUND, bound).holds,
         "written": args.out,
     })
 

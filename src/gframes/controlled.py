@@ -30,7 +30,7 @@ from .errors import (
 )
 from .kernel import _ArrayValue
 from .multipliers import WeightSequence, _weights_for
-from .tolerances import TAU_COMM, TAU_EIG, TAU_EXACT, TAU_HERM, TAU_INDUCED, TAU_INV, Margin
+from .tolerances import TAU_COMM, TAU_EIG, TAU_EXACT, TAU_INDUCED, TAU_INV, Margin
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,10 +51,10 @@ class ControlOperator(_ArrayValue):
         m = kernel.as_matrix(self.matrix, "control operator")
         if m.shape[0] != m.shape[1]:
             raise ShapeMismatch(f"control operator must be square, got {m.shape}")
-        self_adjoint = Margin.defect(kernel.hermitian_defect(m), TAU_HERM).holds
+        self_adjoint = kernel.self_adjoint(m).holds
         if self_adjoint:
             # |eigenvalues| of (C + C*)/2 are within TAU_HERM/2 of C's singular values
-            _, eigs, lowest = kernel.hermitian_spectrum(m)
+            eigs, lowest = kernel.hermitian_spectrum(m)
             positive, bounds, sv = lowest.holds, (float(eigs[0]), float(eigs[-1])), np.abs(eigs)
         else:
             positive, bounds, sv = False, None, np.linalg.svd(m, compute_uv=False)
@@ -100,9 +100,10 @@ class ControlledBounds:
 
 def controlled_bounds(frame: GFrame, control: ControlOperator) -> ControlledBounds:
     s_c = controlled_frame_operator(frame, control)
-    self_adjoint, eigs, lowest = kernel.hermitian_spectrum(s_c)
-    is_frame = self_adjoint.holds and lowest.holds
-    return ControlledBounds(float(eigs[0]), float(eigs[-1]), is_frame, self_adjoint.holds)
+    self_adjoint = kernel.self_adjoint(s_c).holds
+    eigs, lowest = kernel.hermitian_spectrum(s_c)
+    return ControlledBounds(float(eigs[0]), float(eigs[-1]), self_adjoint and lowest.holds,
+                            self_adjoint)
 
 
 class CommutationResult(NamedTuple):
@@ -115,8 +116,8 @@ def verify_commutation(frame: GFrame, control: ControlOperator) -> CommutationRe
     s = core.frame_operator(frame)
     c = control.matrix
     # ||S|| = lambda_max(S), read from the frame's spectrum
-    scale = 1.0 + core.frame_bounds(frame).upper * control.norm
-    defect = Margin.defect(kernel.frobenius_norm(s @ c.conj().T - c @ s), TAU_COMM, scale)
+    defect = Margin.relative(kernel.frobenius_norm(s @ c.conj().T - c @ s), TAU_COMM,
+                             core.frame_bounds(frame).upper * control.norm)
     return CommutationResult(defect.holds, defect.value)
 
 
@@ -131,7 +132,7 @@ def controlled_equivalence(frame: GFrame, control: ControlOperator) -> tuple[boo
         raise NotSelfAdjoint("the criterion applies to self-adjoint control operators")
     lhs = controlled_bounds(frame, control).is_controlled_frame
     rhs = (
-        core.classify(frame).is_g_frame
+        core.frame_bounds(frame).is_frame
         and control.is_positive
         and verify_commutation(frame, control).holds
     )
@@ -178,8 +179,8 @@ def induced_controlled_frame(frame: GFrame, control: ControlOperator):
     # sum_j psi_j (C psi_j)*, with the psi_j as the columns of psi.T
     acc = psi.T @ (psi.conj() @ control.matrix.conj().T)
     s_c = controlled_frame_operator(frame, control)
-    holds = Margin.defect(kernel.frobenius_norm(acc - s_c), TAU_INDUCED,
-                          1.0 + kernel.frobenius_norm(s_c)).holds
+    holds = Margin.relative(kernel.frobenius_norm(acc - s_c), TAU_INDUCED,
+                            kernel.frobenius_norm(s_c)).holds
     return vframe, holds
 
 
@@ -210,6 +211,8 @@ class WeightedVectorFrame(_ArrayValue):
         w = np.array(self.weights, dtype=np.complex128, copy=True).reshape(-1)
         if w.size != len(self.base):
             raise ShapeMismatch(f"{w.size} weights for {len(self.base)} vectors")
+        if not np.isfinite(w).all():
+            raise NonFinite("weights contain non-finite entries")
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
 
@@ -251,7 +254,7 @@ def weight_from_control(frame: GFrame, control: ControlOperator):
         target = c @ synthesis
         w_i = complex(np.vdot(synthesis, target) / norm2)
         residual = kernel.frobenius_norm(target - w_i * synthesis)
-        if not Margin.defect(residual, TAU_EIG, 1.0 + kernel.frobenius_norm(target)):
+        if not Margin.relative(residual, TAU_EIG, kernel.frobenius_norm(target)):
             raise NotEigenRelation(
                 f"control operator is not scalar on block {i}: residual {residual:.3e}"
             )
@@ -266,8 +269,8 @@ def weight_from_control(frame: GFrame, control: ControlOperator):
         )
     dual = core.canonical_dual(frame)
     recovered = multipliers.multiplier(weights, frame, dual)
-    match = Margin.defect(kernel.frobenius_norm(c - recovered), TAU_INV,
-                          1.0 + kernel.frobenius_norm(c))
+    match = Margin.relative(kernel.frobenius_norm(c - recovered), TAU_INV,
+                            kernel.frobenius_norm(c))
     return weights, match.holds
 
 
@@ -309,9 +312,10 @@ def weighted_multiplier_as_frame_operator(frame: GFrame, weights):
     w = _positive_weights(frame, weights)
     m_mat = multipliers.multiplier(w, frame, frame)
     scaled = core.frame_operator(core.scale_blocks(frame, np.sqrt(w.values.real)))
-    match = Margin.defect(kernel.frobenius_norm(m_mat - scaled), TAU_EXACT,
-                          1.0 + kernel.frobenius_norm(scaled))
-    self_adjoint, _, lower = kernel.hermitian_spectrum(m_mat)
+    match = Margin.relative(kernel.frobenius_norm(m_mat - scaled), TAU_EXACT,
+                            kernel.frobenius_norm(scaled))
+    self_adjoint = kernel.self_adjoint(m_mat)
+    _, lower = kernel.hermitian_spectrum(m_mat)
     checks = WeightedOperatorChecks(
         matches_scaled_frame_operator=match.holds,
         match_defect=match.value,
@@ -353,17 +357,16 @@ def weighted_equivalence_suite(frame: GFrame, weights, weights_alt) -> WeightedE
     def _mult_invertible(seq: WeightSequence) -> bool:
         m_mat = multipliers.multiplier(seq, frame, frame)
         # decided before eigvalsh, which raises LinAlgError on an overflowed M
-        return (Margin.defect(kernel.hermitian_defect(m_mat), TAU_HERM).holds
-                and kernel.hermitian_spectrum(m_mat)[2].holds)
+        return kernel.self_adjoint(m_mat).holds and kernel.hermitian_spectrum(m_mat)[1].holds
 
     # (iii) and (iv) are one test on the spectrum of {sqrt(w_i) Lambda_i}
     sqrt_scaled = core.scale_blocks(frame, np.sqrt(w.values.real))
-    sqrt_scaled_frame = core.classify(sqrt_scaled).is_g_frame
+    sqrt_scaled_frame = core.frame_bounds(sqrt_scaled).is_frame
     return WeightedEquivalence(
-        frame=core.classify(frame).is_g_frame,
+        frame=core.frame_bounds(frame).is_frame,
         multiplier_invertible=_mult_invertible(w),
         linear_weight_bounds=sqrt_scaled_frame,
         sqrt_scaled_frame=sqrt_scaled_frame,
         alt_multiplier_invertible=_mult_invertible(w_alt),
-        scaled_frame=core.classify(core.scale_blocks(frame, w.values.real)).is_g_frame,
+        scaled_frame=core.frame_bounds(core.scale_blocks(frame, w.values.real)).is_frame,
     )

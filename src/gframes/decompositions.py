@@ -34,7 +34,7 @@ from .errors import (
     NotGRiesz,
 )
 from .kernel import _unitary_pair, _unitary_triple
-from .tolerances import TAU_HERM, TAU_RECON, Margin
+from .tolerances import TAU_CLASS, TAU_RECON, Margin
 
 
 class ComponentKind(Enum):
@@ -72,7 +72,7 @@ def _certified(scalar: float, stacked_components, kinds, frame: GFrame) -> GFram
     gap *= scalar
     gap -= target
     residual = kernel.frobenius_norm(gap)
-    if not Margin.defect(residual, TAU_RECON, 1.0 + kernel.frobenius_norm(target)):
+    if not Margin.relative(residual, TAU_RECON, kernel.frobenius_norm(target)):
         raise GFrameError(
             f"decomposition failed to reconstruct: residual {residual:.3e}"
         )
@@ -133,8 +133,8 @@ def decompose_two_gonb_combo(frame: GFrame) -> GFrameDecomposition:
 def coisometry_image(theta: GFrame, k) -> GFrame:
     """Push a g-ONB through a coisometry: blocks Theta_i K*.
 
-    K must satisfy K K* = I on the target space; the image is a
-    normalized tight (Parseval) g-frame there.
+    K must satisfy ||K K* - I||_F <= TAU_CLASS, the identity defect of
+    `is_g_onb`; the image is a normalized tight (Parseval) g-frame.
     """
     if not core.is_g_onb(theta):
         raise NotGOnb("the family to push forward must be a g-ONB")
@@ -144,7 +144,7 @@ def coisometry_image(theta: GFrame, k) -> GFrame:
             f"coisometry has {k_mat.shape[1]} columns, expected {theta.h_dim}"
         )
     defect = kernel.frobenius_norm(k_mat @ k_mat.conj().T - np.eye(k_mat.shape[0]))
-    if not Margin.defect(defect, TAU_HERM):
+    if not Margin.defect(defect, TAU_CLASS):
         raise NotCoisometry(f"K K* differs from identity by {defect:.3e}")
     image = theta._with_rows(
         theta.analysis_matrix() @ k_mat.conj().T,

@@ -5,9 +5,10 @@ polar factors, positive square roots, and the two averaged-unitary
 splittings: any contraction is the mean of two unitaries, and any
 operator of norm at most 1/3 is the mean of three. Everything works on
 plain complex128 ndarrays, and no helper copies an n x d input to
-conjugate or rescale it. `hermitian_spectrum` and `require_invertible`
-are two of the three homes of the rank floor; the frame verdict
-`core._classify_bounds` is the third.
+conjugate or rescale it. Three of the five homes of a scale-bearing
+decision are here: `self_adjoint`, the one reader of TAU_HERM, and the
+rank floor in `hermitian_spectrum` and `require_invertible`. The frame
+verdict `core._classify_bounds` and `Margin.relative` are the others.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ def _square_matrix(value, name: str) -> np.ndarray:
 def _hermitian_input(matrix, name: str) -> np.ndarray:
     """(M + M*)/2 of a square input whose self-adjoint defect is within TAU_HERM."""
     a = _square_matrix(matrix, name)
-    defect = Margin.defect(hermitian_defect(a), TAU_HERM)
+    defect = self_adjoint(a)
     if not defect:
         raise NotHermitian(
             f"matrix is not self-adjoint: defect {defect.value:.3e} exceeds {defect.threshold:.1e}"
@@ -89,15 +90,15 @@ def gram(x) -> np.ndarray:
     return _CONJUGATE_PAIR @ pairs
 
 
-def hermitian_defect(a: np.ndarray) -> float:
-    return frobenius_norm(a - a.conj().T)
+def self_adjoint(a: np.ndarray) -> Margin:
+    """The one self-adjoint verdict: ||A - A*||_F against TAU_HERM."""
+    return Margin.defect(frobenius_norm(a - a.conj().T), TAU_HERM)
 
 
-def hermitian_spectrum(a: np.ndarray) -> tuple[Margin, np.ndarray, Margin]:
-    """(self-adjoint Margin, ascending eigenvalues of (A + A*)/2, floor Margin on the smallest)."""
-    self_adjoint = Margin.defect(hermitian_defect(a), TAU_HERM)
+def hermitian_spectrum(a: np.ndarray) -> tuple[np.ndarray, Margin]:
+    """(ascending eigenvalues of (A + A*)/2, floor Margin on the smallest)."""
     eigs = np.linalg.eigvalsh(hermitian_part(a))
-    return self_adjoint, eigs, Margin.above_floor(float(eigs[0]))
+    return eigs, Margin.above_floor(float(eigs[0]))
 
 
 def require_invertible(sv: np.ndarray, error: type[Exception], what: str) -> np.ndarray:

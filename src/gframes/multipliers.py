@@ -195,23 +195,22 @@ def _residual(m_mat: np.ndarray, m_inv: np.ndarray) -> float:
     return kernel.frobenius_norm(m_mat @ m_inv - np.eye(m_mat.shape[0]))
 
 
+def _certificate(m_mat, m_inv, proposition, hvals, bracket, n_terms=0):
+    """(m_inv, its certificate) for the inverse `m_inv` of M: the
+    proposition's (lower, upper) `bracket` of ||M^-1||, `n_terms` series
+    terms and the achieved residual."""
+    return m_inv, MultiplierCertificate(proposition, hvals, *bracket, n_terms,
+                                        _residual(m_mat, m_inv))
+
+
 def _certified_series(m_mat, base, ratio, contraction, tail_tol, proposition, hvals, bracket):
     """Sum M^-1 = sum_k ratio^k base to the geometric tail and certify it.
 
-    `contraction` bounds ||ratio||, `tail_tol` is tol/||base|| and
-    `bracket` is the proposition's (lower, upper) bracket of ||M^-1||.
+    `contraction` bounds ||ratio|| and `tail_tol` is tol/||base||.
     """
     n_terms = _geometric_terms(contraction, tail_tol)
-    m_inv = _series_sum(base, ratio, n_terms)
-    cert = MultiplierCertificate(
-        proposition=proposition,
-        hypothesis_values={**hvals, "contraction": contraction},
-        inverse_norm_lower=bracket[0],
-        inverse_norm_upper=bracket[1],
-        series_terms_for_tol=n_terms,
-        residual=_residual(m_mat, m_inv),
-    )
-    return m_inv, cert
+    return _certificate(m_mat, _series_sum(base, ratio, n_terms), proposition,
+                        {**hvals, "contraction": contraction}, bracket, n_terms)
 
 
 def _neumann_series(m_mat, c, tol, proposition, hvals):
@@ -260,24 +259,12 @@ def invert_via_bijection(weights, frame: GFrame, g_matrix):
     companion = frame._with_rows(frame.analysis_matrix() @ g)
     m_mat = multiplier(w, frame, companion)
     s_w_inv, s_w_eigs = _weighted_inverse(frame, w)
-    m_inv = sign * (np.linalg.inv(g) @ s_w_inv)
     a_w, b_w = w.semi_norm_bounds
-    cert = MultiplierCertificate(
-        proposition=Proposition.P33_BIJECTION,
-        hypothesis_values={
-            "a": a_w,
-            "b": b_w,
-            "A_Lambda": bounds.lower,
-            "B_Lambda": bounds.upper,
-            "sigma_min_G": float(sv[-1]),
-            "sigma_max_G": float(sv[0]),
-        },
-        inverse_norm_lower=1.0 / (float(sv[0]) * float(s_w_eigs[-1])),
-        inverse_norm_upper=(1.0 / float(sv[-1])) / float(s_w_eigs[0]),
-        series_terms_for_tol=0,
-        residual=_residual(m_mat, m_inv),
-    )
-    return m_inv, cert
+    hvals = {"a": a_w, "b": b_w, "A_Lambda": bounds.lower, "B_Lambda": bounds.upper,
+             "sigma_min_G": float(sv[-1]), "sigma_max_G": float(sv[0])}
+    return _certificate(m_mat, sign * (np.linalg.inv(g) @ s_w_inv), Proposition.P33_BIJECTION,
+                        hvals, (1.0 / (float(sv[0]) * float(s_w_eigs[-1])),
+                                (1.0 / float(sv[-1])) / float(s_w_eigs[0])))
 
 
 def invert_dual_neumann(weights, frame: GFrame, dual: GFrame,

@@ -6,13 +6,15 @@ targets (dimensions up to a few dozen) are accurate to about 1e-13, so
 anything that is wrong rather than merely rounded.
 
 Every tolerance check in the library is one `Margin`; no other module
-compares a value with a TAU_* constant. `Margin.defect(value, tau,
-scale=1.0)` holds when value <= tau * scale (an absolute defect, or one
-relative to the scale passed, usually 1 + ||x||); `Margin.above_floor`
-holds when an eigenvalue or squared singular value exceeds the rank
-floor TAU_RANK, and is called only in its three homes:
-`core._classify_bounds`, `kernel.hermitian_spectrum` and
-`kernel.require_invertible`. NaN never holds.
+compares a value with a TAU_* constant. `Margin.defect(value, tau)`
+holds when value <= tau, `Margin.relative(value, tau, size)` when
+value <= tau * (1 + size), and `Margin.above_floor` when an eigenvalue
+or squared singular value exceeds the rank floor TAU_RANK. NaN never
+holds. Each scale-bearing decision has its homes, five in all: the rank
+floor in `core._classify_bounds`, `kernel.hermitian_spectrum` and
+`kernel.require_invertible`; TAU_HERM in `kernel.self_adjoint`; the
+`1 + size` scale in `Margin.relative`. Only it and `_classify_bounds`
+(tightness, relative to the upper bound) pass `Margin.defect` a scale.
 """
 
 from typing import NamedTuple
@@ -48,6 +50,10 @@ class Margin(NamedTuple):
     def defect(cls, value, tau: float, scale=1.0) -> "Margin":
         threshold = tau * scale
         return cls(value, threshold, bool(value <= threshold))
+
+    @classmethod
+    def relative(cls, value, tau: float, size) -> "Margin":
+        return cls.defect(value, tau, 1.0 + size)
 
     @classmethod
     def above_floor(cls, value) -> "Margin":

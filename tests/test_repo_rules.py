@@ -140,21 +140,47 @@ def hand_rolled_grams(library: dict) -> list[str]:
     return found
 
 
-# (module, function) pairs that may call `Margin.above_floor`
-RANK_FLOOR_HOMES = {("core.py", "_classify_bounds"), ("kernel.py", "hermitian_spectrum"),
-                    ("kernel.py", "require_invertible")}
+def _calls(method: str):
+    """A call of `<anything>.method(...)`."""
+    return lambda node: (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                         and node.func.attr == method)
 
 
-def stray_floor_decisions(library: dict) -> list[str]:
-    """A call of `above_floor` outside the three homes of the rank floor."""
+def _reads(name: str):
+    """A read of `name`, bare or as an attribute; its definition is a store."""
+    return lambda node: (isinstance(node, ast.Name) and node.id == name
+                         and isinstance(node.ctx, ast.Load)
+                         or isinstance(node, ast.Attribute) and node.attr == name)
+
+
+def _scaled_defect(node) -> bool:
+    """A `defect(value, tau, scale)` call: three arguments, or a `scale=` keyword."""
+    return _calls("defect")(node) and (
+        len(node.args) > 2 or any(k.arg == "scale" for k in node.keywords))
+
+
+# every decision whose threshold carries a scale: (how to spot it, the
+# (module, function) pairs that may make it)
+DECISION_HOMES = {
+    "above_floor": (_calls("above_floor"), {("core.py", "_classify_bounds"),
+                                            ("kernel.py", "hermitian_spectrum"),
+                                            ("kernel.py", "require_invertible")}),
+    "TAU_HERM": (_reads("TAU_HERM"), {("kernel.py", "self_adjoint")}),
+    "scaled defect": (_scaled_defect, {("tolerances.py", "relative"),
+                                       ("core.py", "_classify_bounds")}),
+}
+
+
+def stray_decisions(library: dict) -> list[str]:
+    """A scale-bearing decision outside its homes in `DECISION_HOMES`."""
     found = []
     for path, tree in library.items():
-        homes = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
-                 and (path.name, node.name) in RANK_FLOOR_HOMES]
-        at_home = {id(node) for home in homes for node in ast.walk(home)}
-        found += [f"{path}:{node.lineno}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                  and node.func.attr == "above_floor" and id(node) not in at_home]
+        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        for decision, (spot, homes) in DECISION_HOMES.items():
+            at_home = {id(node) for home in functions if (path.name, home.name) in homes
+                       for node in ast.walk(home)}
+            found += [f"{path}:{node.lineno} {decision}" for node in ast.walk(tree)
+                      if spot(node) and id(node) not in at_home]
     return found
 
 
@@ -284,8 +310,8 @@ def test_one_home_for_gram_products(library):
     assert not found, "\n".join(found)
 
 
-def test_rank_floor_homes(library):
-    found = stray_floor_decisions(library)
+def test_decision_homes(library):
+    found = stray_decisions(library)
     assert not found, "\n".join(found)
 
 
@@ -316,6 +342,15 @@ def _append(root: pathlib.Path, module: str, text: str) -> int:
     return source.count("\n") + 1
 
 
+def _replace_line(root: pathlib.Path, module: str, honest: str, planted: str) -> int:
+    """Replace the one line `honest` of a library module; return its number."""
+    path = root / LIBRARY / module
+    source = path.read_text()
+    assert source.count(honest) == 1
+    path.write_text(source.replace(honest, planted))
+    return source[:source.index(honest)].count("\n") + 1
+
+
 def _planted_name() -> str:
     # built at run time: a literal here would be a use of the name
     return "_".join(("", "never", "called", "helper"))
@@ -337,20 +372,33 @@ def test_planted_unused_helper(tree_copy, also_defined_in_tests):
 
 
 def test_planted_bare_tolerance_comparison(tree_copy):
-    path = tree_copy / LIBRARY / "core.py"
-    honest = "    if not Margin.above_floor(lower):\n"
-    source = path.read_text()
-    assert source.count(honest) == 1
-    path.write_text(source.replace(honest, "    if bounds.lower <= TAU_RANK:\n"))
-    line = source[:source.index(honest)].count("\n") + 1
+    line = _replace_line(tree_copy, "core.py", "    if not Margin.above_floor(lower):\n",
+                         "    if bounds.lower <= TAU_RANK:\n")
     assert bare_tolerance_comparisons(parse_library(tree_copy)) == [
         f"src/gframes/core.py:{line} bounds.lower <= TAU_RANK"]
 
 
 def test_planted_rank_floor_decision(tree_copy):
     line = _append(tree_copy, "multipliers.py", "_ = Margin.above_floor(0.0)\n")
-    assert stray_floor_decisions(parse_library(tree_copy)) == [
-        f"src/gframes/multipliers.py:{line}"]
+    assert stray_decisions(parse_library(tree_copy)) == [
+        f"src/gframes/multipliers.py:{line} above_floor"]
+
+
+def test_planted_self_adjoint_decision(tree_copy):
+    line = _replace_line(
+        tree_copy, "controlled.py", "        self_adjoint = kernel.self_adjoint(m).holds\n",
+        "        self_adjoint = Margin.defect(kernel.frobenius_norm(m - m.conj().T), "
+        "TAU_HERM).holds\n")
+    assert stray_decisions(parse_library(tree_copy)) == [f"src/gframes/controlled.py:{line} TAU_HERM"]
+
+
+def test_planted_scaled_defect(tree_copy):
+    line = _replace_line(
+        tree_copy, "decompositions.py",
+        "    if not Margin.relative(residual, TAU_RECON, kernel.frobenius_norm(target)):\n",
+        "    if not Margin.defect(residual, TAU_RECON, 1.0 + kernel.frobenius_norm(target)):\n")
+    assert stray_decisions(parse_library(tree_copy)) == [
+        f"src/gframes/decompositions.py:{line} scaled defect"]
 
 
 def test_planted_by_name_import(tree_copy):
@@ -360,12 +408,8 @@ def test_planted_by_name_import(tree_copy):
 
 
 def test_planted_hand_rolled_gram(tree_copy):
-    path = tree_copy / LIBRARY / "core.py"
-    honest = "            s = gram(self._stacked)\n"
-    source = path.read_text()
-    assert source.count(honest) == 1
-    path.write_text(source.replace(honest, "            s = hermitian_part(t.conj().T @ t)\n"))
-    line = source[:source.index(honest)].count("\n") + 1
+    line = _replace_line(tree_copy, "core.py", "            s = gram(self._stacked)\n",
+                         "            s = hermitian_part(t.conj().T @ t)\n")
     assert hand_rolled_grams(parse_library(tree_copy)) == [f"src/gframes/core.py:{line}"]
 
 

@@ -131,6 +131,14 @@ def test_weighted_vector_frame_rejects_count_mismatch():
         WeightedVectorFrame(base=base, weights=np.ones(3))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_weighted_vector_frame_rejects_non_finite_weights(bad):
+    # a NaN or inf weight would otherwise reach eigvalsh as an untyped LinAlgError
+    base = induced_frame(random_gframe(np.random.default_rng(77), 3, (2, 2)))
+    with pytest.raises(NonFinite, match="non-finite"):
+        WeightedVectorFrame(base, [bad, 1.0, 1.0, 1.0])
+
+
 # -- weight extraction from a control operator ------------------------------------
 
 
