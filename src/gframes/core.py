@@ -6,18 +6,20 @@ and its row partition; its blocks are row views of T, built the first
 time they are read. The frame operator is S = T* T, formed by
 `kernel.gram` from one symmetric real product over T's real view, with
 no conjugate copy of T and exactly Hermitian; the optimal frame bounds
-are its extreme eigenvalues. Each frame computes S, its
-eigendecomposition and the thin SVD of T once each, on first use: its
-bounds, classification, canonical dual and every S^-1 share the
-spectrum, and every decomposition splits the one SVD. A tall T takes
-that SVD from the spectrum, with products by T and factorizations of
-d x d matrices only; a square T is factored directly. Duals,
-rescalings and decomposition components are each one product or row
-scaling of T, and the new frame keeps that product as its T, with no
-copy; `from_stacked` copies and checks caller input. Every g-frame
-induces an ordinary vector frame by pulling the standard basis of each
-H_i back through the block adjoints, and all frame-theoretic
-properties transfer across that bridge.
+are its extreme eigenvalues. Each frame factors only as far as its
+readers look, each factorization once, on first use: its bounds and
+classification read the eigenvalues of S alone, the canonical dual and
+every decomposition share the thin SVD of T, and only an S^-1 or a tall
+T's SVD computes the eigenvectors of S. A tall T takes its SVD from that
+eigendecomposition, with products by T and factorizations of d x d
+matrices only; a square T is factored directly and needs no
+eigendecomposition of S. Duals, rescalings and decomposition
+components are each one product or row scaling of T, and the new frame
+keeps that product as its T, with no copy; `from_stacked` copies and
+checks caller input. Every g-frame induces an ordinary vector frame by
+pulling the standard basis of each H_i back through the block
+adjoints, and all frame-theoretic properties transfer across that
+bridge.
 """
 
 from __future__ import annotations
@@ -46,14 +48,14 @@ class GFrame:
     The stored form is the stacked analysis matrix T (sum d_i x h_dim,
     complex128, read-only) with its row partition. `blocks` are
     read-only row views of T, built on first read. The frame operator
-    S = T* T (one symmetric real product, `kernel.gram`), its
-    eigendecomposition, the bounds read off it and the
-    thin SVD of T are each computed once, on first use, and shared by
-    everything that needs them; the SVD of a tall T is read off the
-    eigendecomposition. They are no fields, so they take no part in
-    repr, equality, hashing or pickling. h_dim is stored as a Python
-    int. Two frames are equal when h_dim, partition, label and every
-    entry of T agree.
+    S = T* T (one symmetric real product, `kernel.gram`), the bounds
+    read off its eigenvalues, its eigendecomposition and the thin SVD
+    of T are each computed once, on first use, and only when read: the
+    bounds never need the eigenvectors, and only S^-1 and the SVD of a
+    tall T, which is read off the eigendecomposition, do. They are no
+    fields, so they take no part in repr, equality, hashing or
+    pickling. h_dim is stored as a Python int. Two frames are equal when
+    h_dim, partition, label and every entry of T agree.
     """
 
     h_dim: int
@@ -151,24 +153,29 @@ class GFrame:
 
     @cached_property
     def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending eigenvalues and eigenvectors of S; read-only."""
+        """Ascending eigenvalues and eigenvectors of S; read-only. Only
+        the readers of eigenvectors compute it: a tall `_svd` and S^-1."""
         eigs, vecs = np.linalg.eigh(self._operator)
         eigs.flags.writeable = vecs.flags.writeable = False
         return eigs, vecs
 
     @cached_property
     def _bounds(self) -> FrameBounds:
-        """Optimal bounds and classification, read off the spectrum."""
-        return _spectrum_bounds(self._spectrum[0])
+        """Optimal bounds and classification, read off the eigenvalues of
+        S alone. Always this one factorization, whatever else has run, so
+        the bounds never depend on the order of calls."""
+        return _spectrum_bounds(np.linalg.eigvalsh(self._operator))
 
     @cached_property
     def _svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Thin SVD (u, s, vh) of T, s descending; read-only.
 
-        A tall frame (more rows than h_dim, S invertible) is factored
-        from its cached spectrum by `_tall_svd`, with no factorization of
+        A tall frame (more rows than h_dim) is factored from the
+        eigendecomposition of S by `_tall_svd`, with no factorization of
         T. Any other T is factored directly, and so is a tall T whose
-        spectrum `_tall_svd` cannot carry.
+        spectrum `_tall_svd` cannot carry. A square T thus needs no
+        eigendecomposition at all: its dual and decompositions share this
+        SVD, and its bounds read the eigenvalues of S.
         """
         t = self._stacked
         factors = None
@@ -215,9 +222,12 @@ def _tall_svd(t: np.ndarray, eigs: np.ndarray, vecs: np.ndarray):
     U0* U0 = W M W*, U1 = U0 W M^(-1/2) has orthonormal columns and
     T = U1 B with B = M^(1/2) W* L^(1/2) V*. The SVD u_B s vh of B then
     gives u = U1 u_B, as accurate as a direct SVD of T. Returns None
-    when U0 has lost half its orthogonality (k(S) near 1/eps): one step
-    is certain to restore it only while the Gram has condition <= 3.
+    when the smallest computed eigenvalue is not positive, or when U0
+    has lost half its orthogonality (k(S) near 1/eps): one step is
+    certain to restore it only while the Gram has condition <= 3.
     """
+    if not eigs[0] > 0.0:  # the frame verdict reads another factorization
+        return None
     root = np.sqrt(eigs)
     u0 = t @ (vecs / root)
     gram_eigs, w = np.linalg.eigh(gram(u0))
@@ -297,7 +307,7 @@ def frame_operator(frame: GFrame) -> np.ndarray:
 
 
 def frame_bounds(frame: GFrame) -> FrameBounds:
-    """Optimal frame bounds from the spectrum of the frame operator.
+    """Optimal frame bounds from the eigenvalues of the frame operator.
 
     The frame's own value, computed once per frame.
     """
@@ -315,7 +325,7 @@ def _require_frame(
 
 
 def _inverse_frame_operator(frame: GFrame) -> np.ndarray:
-    """S^-1 from the frame's spectrum, for a frame its caller has required."""
+    """S^-1 from the frame's eigendecomposition, for a frame its caller has required."""
     eigs, vecs = frame._spectrum
     return (vecs * (1.0 / eigs)) @ vecs.conj().T
 
@@ -355,7 +365,7 @@ def classify(frame: GFrame) -> ClassificationReport:
     unitary. For g-Riesz families the optimal synthesis bounds are the
     extreme squared singular values of T; T is then square, so they are
     the extreme eigenvalues of S and are read from its spectrum. The
-    whole report costs the frame's one eigendecomposition.
+    whole report costs the eigenvalues of S, with no eigenvectors.
     """
     # S has h_dim eigenvalues, so T has full column rank (g-complete)
     # exactly when the smallest clears the rank floor (g-frame)
@@ -377,12 +387,14 @@ def canonical_dual(frame: GFrame) -> GFrame:
     """The canonical dual family {Lambda_i S^(-1)}.
 
     Requires an actual g-frame; the dual's optimal bounds are the
-    reciprocals (1/B, 1/A) of the input's, swapped.
+    reciprocals (1/B, 1/A) of the input's, swapped. With the frame's
+    thin SVD T = U diag(s) V*, T S^-1 = U diag(1/s) V*, so the dual is
+    formed without S: its error grows as k(T) u, not k(S) u.
     """
     _require_frame(frame, "cannot form a dual: S has no lower bound above the rank floor")
-    s_inv = _inverse_frame_operator(frame)
+    u, s, vh = frame._svd
     label = f"canonical dual of {frame.label}" if frame.label else None
-    return frame._with_rows(frame.analysis_matrix() @ s_inv, label)
+    return frame._with_rows(u @ (vh / s[:, None]), label)
 
 
 @dataclass(frozen=True, eq=False)

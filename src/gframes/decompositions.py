@@ -7,14 +7,16 @@ tight families, or into a g-ONB plus a g-Riesz family. All
 constructions run through the averaged-unitary splittings of the
 kernel module, all read the frame's one cached thin SVD of T, and
 reconstruct the input exactly up to roundoff. For an overcomplete frame
-that SVD comes from the eigendecomposition of S the frame already holds,
-so no n x d matrix is factored.
+that SVD comes from the eigendecomposition of S, so no n x d matrix is
+factored; a square frame's SVD is a direct one, and it also gives the
+frame's canonical dual.
 
 Every returned component is certified on its own terms, with only the
 work its predicate needs: a g-ONB by ||S - I||_F <= TAU_CLASS on its
 frame operator S (no factorization), a normalized tight component by
-its Parseval bounds and a g-Riesz component by `classify` (a square T
-with a positive lower bound; one eigendecomposition of S each).
+its Parseval bounds and a g-Riesz component by a square T and its
+frame verdict, with no ||S - I||_F as a full `classify` would form.
+Both verdicts read the eigenvalues of S alone, with no eigenvectors.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ def _component_matches(kind: ComponentKind, frame: GFrame) -> bool:
         return core.is_g_onb(frame)
     if kind is ComponentKind.NORMALIZED_TIGHT:
         return core.frame_bounds(frame).classification is FrameClass.PARSEVAL
-    return core.classify(frame).is_g_riesz
+    return sum(frame.partition) == frame.h_dim and core.frame_bounds(frame).is_frame
 
 
 def _certified(scalar: float, stacked_components, kinds, frame: GFrame) -> GFrameDecomposition:

@@ -182,12 +182,15 @@ def _series_sum(base: np.ndarray, ratio: np.ndarray, n_terms: int) -> np.ndarray
     partial sum S_m: S_2m = S_m + ratio^m S_m and S_m+1 = base + ratio S_m.
     """
     total, power = base, ratio
-    for bit in bin(n_terms)[3:]:
+    bits = bin(n_terms)[3:]
+    for k, bit in enumerate(bits, 1):
         total = total + power @ total
-        power = power @ power
         if bit == "1":
             total = base + ratio @ total
-            power = power @ ratio
+        if k < len(bits):  # the last bit's power would go unread
+            power = power @ power
+            if bit == "1":
+                power = power @ ratio
     return total
 
 
@@ -227,11 +230,11 @@ def _oriented(w: WeightSequence, frame: GFrame, companion: GFrame, swapped: bool
 
 
 def _weighted_inverse(frame: GFrame, w: WeightSequence):
-    """S_w^-1 and the spectrum of S_w = sum_i |m_i| Lambda_i* Lambda_i, both
-    from the one eigh of the frame {sqrt|m_i| Lambda_i}."""
+    """S_w^-1 and the spectrum of S_w = sum_i |m_i| Lambda_i* Lambda_i, with
+    the verdict on S_w, all from the one eigh of the frame {sqrt|m_i| Lambda_i}."""
     scaled = core.scale_blocks(frame, np.sqrt(np.abs(w.values)))
     eigs = scaled._spectrum[0]
-    if not core.frame_bounds(scaled).is_frame:
+    if not core._spectrum_bounds(eigs).is_frame:
         raise Singular(
             f"matrix is numerically singular: smallest eigenvalue {eigs[0]:.3e}"
         )

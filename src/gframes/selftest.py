@@ -208,17 +208,30 @@ def check_core_bridge(rng, trials):
                "regrouping restores blocks")
 
 
+def _check_reciprocal_bounds(frame, dual, rel, tag):
+    bounds, dual_bounds = frame_bounds(frame), frame_bounds(dual)
+    _check(abs(dual_bounds.lower - 1 / bounds.upper) <= rel / bounds.upper,
+           f"{tag}dual lower bound 1/B")
+    _check(abs(dual_bounds.upper - 1 / bounds.lower) <= rel / bounds.lower,
+           f"{tag}dual upper bound 1/A")
+
+
 def check_core_dual(rng, trials):
-    for _ in range(trials):
+    for trial in range(trials):
         frame = sampling.random_gframe(rng, *random_partition(rng))
-        bounds = frame_bounds(frame)
         dual = canonical_dual(frame)
-        dual_bounds = frame_bounds(dual)
-        _check(abs(dual_bounds.lower - 1 / bounds.upper) <= 1e-9 / bounds.upper,
-               "dual lower bound 1/B")
-        _check(abs(dual_bounds.upper - 1 / bounds.lower) <= 1e-9 / bounds.lower,
-               "dual upper bound 1/A")
+        _check_reciprocal_bounds(frame, dual, 1e-9, "")
         _check(verify_duality(frame, dual), "canonical duality")
+        # ||T|| = 1 and k(S) up to 1e9 (d = 8): a dual formed through S
+        # loses eps k(S) and fails its own duality check. The bounds carry
+        # about eps k(S) from the eigenvalues of S on either side.
+        sv = np.geomspace(1.0, (1e6, 1e8, 1e9)[trial % 3] ** -0.5, 8)
+        left = sampling.random_isometry(rng, 10, 8)
+        frame = GFrame.from_stacked((left * sv) @ sampling.random_unitary(rng, 8), (2, 3, 2, 3))
+        dual = canonical_dual(frame)
+        _check(verify_duality(frame, dual), "ill-conditioned canonical duality")
+        invert_dual_neumann(np.ones(4), frame, dual)  # NotDual if P3.4 rejects the dual
+        _check_reciprocal_bounds(frame, dual, 1e-6, "ill-conditioned ")
 
 
 def _check_decomposition(dec, frame, tag):

@@ -514,16 +514,34 @@ def test_spectrum_is_computed_once_and_read_only(monkeypatch):
             calls.append(_name)
             return _original(a, *args, **kw)
         monkeypatch.setattr(np.linalg, name, counted)
+    # bounds and classification share one eigvalsh of S; the dual adds the
+    # tall T's SVD: the eigh of S, the eigh of a d x d Gram and one d x d svd
     s = frame_operator(frame)
     b = frame_bounds(frame)
     rep = classify(frame)
+    assert calls == ["eigvalsh"]
     dual = canonical_dual(frame)
-    assert calls == ["eigh"]
+    canonical_dual(frame)
+    assert calls == ["eigvalsh", "eigh", "eigh", "svd"]
     assert frame_operator(frame) is s
     assert frame_bounds(frame) is b and rep.bounds is b
     assert frame_bounds(dual).upper == pytest.approx(1 / b.lower)
     with pytest.raises(ValueError):
         s[0, 0] = 0.0
+
+
+def test_bounds_do_not_depend_on_call_order():
+    # the bounds always read eigvalsh(S), never the eigh that a dual, an
+    # SVD or an inverse of S computed first; the two differ in the last bits
+    rng = np.random.default_rng(115)
+    for partition in ((2, 3, 2), (2, 3)):  # tall, then square
+        weights, frame, companion = mu_perturb_instance(rng, 5, partition)
+        fresh = GFrame.from_stacked(frame.analysis_matrix(), partition)
+        twin = GFrame.from_stacked(frame.analysis_matrix(), partition)
+        _ = twin._spectrum, twin._svd  # the eigh and SVD run first
+        canonical_dual(twin)
+        invert_mu_perturb(weights, twin, companion)
+        assert frame_bounds(twin) == frame_bounds(fresh)
 
 
 def _tall_frame(rng, rows, singular_values):

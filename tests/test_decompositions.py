@@ -234,10 +234,10 @@ def test_two_parseval_rejects_non_frame():
 
 
 def test_one_eigh_of_s_and_one_svd_of_t_per_frame(monkeypatch):
-    # bounds, classification, the canonical dual and ||T|| share the
-    # frame's one spectrum; the Parseval pair reads the thin SVD of the
-    # tall T off that spectrum with one eigh (the Gram of T V L^-1/2)
-    # and one svd, both d x d, and factors T itself not at all
+    # bounds and classification share one eigvalsh of S; the canonical
+    # dual and the Parseval pair share the thin SVD of the tall T, read
+    # off the one eigh of S with one eigh (the Gram of T V L^-1/2) and
+    # one svd, both d x d; T itself is factored not at all
     rng = np.random.default_rng(283)
     frame = random_gframe(rng, 6, (2, 1, 3, 2, 2))
     seen = []
@@ -257,40 +257,41 @@ def test_one_eigh_of_s_and_one_svd_of_t_per_frame(monkeypatch):
     of_s = [n for n, a in seen if np.array_equal(a, s)]
     of_components = [n for n, a in seen for c in dec.components
                      if np.array_equal(a, frame_operator(c))]
-    assert of_s == ["eigh"] and of_components == ["eigh", "eigh"]
+    assert of_s == ["eigvalsh", "eigh"] and of_components == ["eigvalsh", "eigvalsh"]
     assert sorted((n, a.shape) for n, a in seen) == [
-        ("eigh", (6, 6))] * 4 + [("svd", (6, 6))]
+        ("eigh", (6, 6))] * 2 + [("eigvalsh", (6, 6))] * 3 + [("svd", (6, 6))]
     assert not [n for n, a in seen if a.shape == t.shape]
 
 
 def test_each_certificate_runs_only_the_factorization_it_needs(monkeypatch):
     # the four splittings share the frame's one SVD of T: whichever runs
     # first takes it, the others none. g-ONB components are certified
-    # from their S alone, Parseval and g-Riesz components by one eigh of it
+    # from their S alone, Parseval and g-Riesz components by one eigvalsh
+    # of it; nothing computes eigenvectors of S
     rng = np.random.default_rng(307)
     riesz = random_g_riesz(rng, 6, (2, 1, 3))
     onb = random_g_onb(rng, 6, (2, 1, 3))
     k = random_coisometry(rng, 3, 6)
-    component_eighs = {
+    component_checks = {
         decompose_three_gonb: {},
         decompose_two_gonb_combo: {},
-        decompose_two_parseval: {"eigh": 2},
-        decompose_gonb_plus_griesz: {"eigh": 1},
+        decompose_two_parseval: {"eigvalsh": 2},
+        decompose_gonb_plus_griesz: {"eigvalsh": 1},
     }
     calls = count_factorizations(monkeypatch)
-    for first in component_eighs:
+    for first in component_checks:
         frame = GFrame.from_stacked(riesz.analysis_matrix(), riesz.partition)
         calls.clear()
         assert classify(frame).is_g_riesz
-        assert calls == {"eigh": 1}
-        for op in (first, *(op for op in component_eighs if op is not first)):
+        assert calls == {"eigvalsh": 1}
+        for op in (first, *(op for op in component_checks if op is not first)):
             calls.clear()
             op(frame)
-            expected = {**component_eighs[op], **({"svd": 1} if op is first else {})}
+            expected = {**component_checks[op], **({"svd": 1} if op is first else {})}
             assert calls == expected, op
     calls.clear()
     coisometry_image(onb, k)
-    assert calls == {"eigh": 1}
+    assert calls == {"eigvalsh": 1}
 
 
 def test_the_svd_of_t_is_cached_read_only_and_not_copied(monkeypatch):

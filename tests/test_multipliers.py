@@ -213,6 +213,27 @@ def test_series_sum_matches_term_by_term_partial_sums(q):
             assert gap <= 1e-12 * np.linalg.norm(partial), (n_terms, gap)
 
 
+def _series_sum_computing_every_power(base, ratio, n_terms):
+    # the loop before the last bit's unread powers were skipped
+    total, power = base, ratio
+    for bit in bin(n_terms)[3:]:
+        total = total + power @ total
+        power = power @ power
+        if bit == "1":
+            total = base + ratio @ total
+            power = power @ ratio
+    return total
+
+
+def test_series_sum_skips_only_unread_powers():
+    rng = np.random.default_rng(61)
+    ratio, base = rng.normal(size=(2, 6, 6)) + 1j * rng.normal(size=(2, 6, 6))
+    ratio *= 0.9 / operator_norm(ratio)
+    for n_terms in range(1, 301):
+        assert np.array_equal(_series_sum(base, ratio, n_terms),
+                              _series_sum_computing_every_power(base, ratio, n_terms)), n_terms
+
+
 @pytest.mark.parametrize("q", [1.0, 1.5])
 def test_geometric_tail_without_a_contraction_hits_term_cap(q):
     # a certified q + delta can reach 1 when the paper's q sits within delta of it
@@ -271,13 +292,13 @@ def test_bijection_rejects_singular_and_misshaped_g():
 
 
 def test_bijection_factors_s_w_once(monkeypatch):
-    # sigma(G), the frame's spectrum and S_w's: the bracket and S_w^-1
-    # share one eigh
+    # sigma(G), the frame's eigenvalues and S_w's spectrum: the verdict on
+    # S_w, the bracket and S_w^-1 share one eigh
     rng = np.random.default_rng(6)
     weights, frame, g = bijection_instance(rng, 4, [2, 1, 1])
     calls = count_factorizations(monkeypatch)
     m_inv, cert = invert_via_bijection(weights, frame, g)
-    assert calls == {"svd": 1, "eigh": 2}
+    assert calls == {"svd": 1, "eigvalsh": 1, "eigh": 1}
     companion = GFrame(4, tuple(b @ g for b in frame.blocks))
     check_certified(weights, frame, companion, m_inv, cert)
 

@@ -1,6 +1,6 @@
 """Repository rules: scans of the source tree, one test per rule.
 
-The library is parsed once per run and the six syntax rules share that
+The library is parsed once per run and the seven syntax rules share that
 parse. Every finding is a `file:line ...` line relative to the scanned
 root, and a failing test prints the findings one per line. Each rule is
 also run on a copy of the tree with one planted violation, and must
@@ -171,12 +171,24 @@ DECISION_HOMES = {
 }
 
 
-def stray_decisions(library: dict) -> list[str]:
-    """A scale-bearing decision outside its homes in `DECISION_HOMES`."""
+# every computation or read of the eigenvectors of a frame operator: only
+# where they are used. Bounds and verdicts need the eigenvalues alone.
+EIGENVECTOR_HOMES = {
+    "eigh": (_calls("eigh"), {("core.py", "_spectrum"), ("core.py", "_tall_svd"),
+                              ("kernel.py", "psd_sqrt"),
+                              ("selftest.py", "check_kernel_spectral_range")}),  # the oracle
+    "_spectrum": (_reads("_spectrum"), {("core.py", "_svd"), ("core.py", "_inverse_frame_operator"),
+                                        ("multipliers.py", "_weighted_inverse")}),
+}
+
+
+def stray_decisions(library: dict, table: dict = DECISION_HOMES) -> list[str]:
+    """A spotted node outside its homes in `table`: by default, a
+    scale-bearing decision outside `DECISION_HOMES`."""
     found = []
     for path, tree in library.items():
         functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
-        for decision, (spot, homes) in DECISION_HOMES.items():
+        for decision, (spot, homes) in table.items():
             at_home = {id(node) for home in functions if (path.name, home.name) in homes
                        for node in ast.walk(home)}
             found += [f"{path}:{node.lineno} {decision}" for node in ast.walk(tree)
@@ -315,6 +327,11 @@ def test_decision_homes(library):
     assert not found, "\n".join(found)
 
 
+def test_eigenvectors_only_where_read(library):
+    found = stray_decisions(library, EIGENVECTOR_HOMES)
+    assert not found, "\n".join(found)
+
+
 def test_bench_evidence_recomputes_and_supports_its_claim():
     found = bench_evidence(ROOT)
     assert not found, "\n".join(found)
@@ -399,6 +416,21 @@ def test_planted_scaled_defect(tree_copy):
         "    if not Margin.defect(residual, TAU_RECON, 1.0 + kernel.frobenius_norm(target)):\n")
     assert stray_decisions(parse_library(tree_copy)) == [
         f"src/gframes/decompositions.py:{line} scaled defect"]
+
+
+def test_planted_eigh(tree_copy):
+    line = _append(tree_copy, "multipliers.py", "_ = np.linalg.eigh(np.eye(2))\n")
+    assert stray_decisions(parse_library(tree_copy), EIGENVECTOR_HOMES) == [
+        f"src/gframes/multipliers.py:{line} eigh"]
+
+
+def test_planted_spectrum_read(tree_copy):
+    # bounds read off whichever eigendecomposition ran first
+    line = _replace_line(tree_copy, "core.py",
+                         "        return _spectrum_bounds(np.linalg.eigvalsh(self._operator))\n",
+                         "        return _spectrum_bounds(self._spectrum[0])\n")
+    assert stray_decisions(parse_library(tree_copy), EIGENVECTOR_HOMES) == [
+        f"src/gframes/core.py:{line} _spectrum"]
 
 
 def test_planted_by_name_import(tree_copy):
