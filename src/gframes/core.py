@@ -8,11 +8,13 @@ time they are read. The frame operator is S = T* T, formed by
 no conjugate copy of T and exactly Hermitian; the optimal frame bounds
 are its extreme eigenvalues. Each frame factors only as far as its
 readers look, each factorization once, on first use: its bounds and
-classification read the eigenvalues of S alone, the canonical dual and
+classification read the eigenvalues of S alone, a Parseval or g-ONB
+verdict reads S and factors nothing, a tall frame's canonical dual and
 every decomposition share the thin SVD of T, and only an S^-1 or a tall
 T's SVD computes the eigenvectors of S. A tall T takes its SVD from that
 eigendecomposition, with products by T and factorizations of d x d
-matrices only; a square T is factored directly and needs no
+matrices only. A square T's dual is T^-*, one LU solve, and its SVD is
+a direct one read only by the decompositions; it needs no
 eigendecomposition of S. Duals, rescalings and decomposition
 components are each one product or row scaling of T, and the new frame
 keeps that product as its T, with no copy; `from_stacked` copies and
@@ -174,8 +176,8 @@ class GFrame:
         eigendecomposition of S by `_tall_svd`, with no factorization of
         T. Any other T is factored directly, and so is a tall T whose
         spectrum `_tall_svd` cannot carry. A square T thus needs no
-        eigendecomposition at all: its dual and decompositions share this
-        SVD, and its bounds read the eigenvalues of S.
+        eigendecomposition at all: only its decompositions read this SVD,
+        its dual is one LU solve and its bounds read the eigenvalues of S.
         """
         t = self._stacked
         factors = None
@@ -349,11 +351,24 @@ class ClassificationReport:
         return self.bounds.classification is FrameClass.PARSEVAL
 
 
+def _is_square(frame: GFrame) -> bool:
+    return sum(frame.partition) == frame.h_dim
+
+
+def is_parseval(frame: GFrame) -> bool:
+    """||S - I||_F <= TAU_CLASS, so every eigenvalue of S is within
+    TAU_CLASS of 1; reads S, factors nothing."""
+    return Margin.defect(frobenius_norm(frame._operator - np.eye(frame.h_dim)), TAU_CLASS).holds
+
+
 def is_g_onb(frame: GFrame) -> bool:
-    """T is square and ||S - I||_F <= TAU_CLASS; reads S, factors nothing."""
-    return sum(frame.partition) == frame.h_dim and (
-        Margin.defect(frobenius_norm(frame._operator - np.eye(frame.h_dim)), TAU_CLASS).holds
-    )
+    """T is square and the family is Parseval: T is unitary."""
+    return _is_square(frame) and is_parseval(frame)
+
+
+def is_g_riesz(frame: GFrame) -> bool:
+    """T is square and the family is a frame; reads the eigenvalues of S."""
+    return _is_square(frame) and frame_bounds(frame).is_frame
 
 
 def classify(frame: GFrame) -> ClassificationReport:
@@ -371,7 +386,7 @@ def classify(frame: GFrame) -> ClassificationReport:
     # exactly when the smallest clears the rank floor (g-frame)
     bounds = frame_bounds(frame)
     is_frame = bounds.is_frame
-    is_riesz = is_frame and sum(frame.partition) == frame.h_dim
+    is_riesz = is_g_riesz(frame)
     return ClassificationReport(
         is_g_bessel=True,
         is_g_frame=is_frame,
@@ -387,13 +402,18 @@ def canonical_dual(frame: GFrame) -> GFrame:
     """The canonical dual family {Lambda_i S^(-1)}.
 
     Requires an actual g-frame; the dual's optimal bounds are the
-    reciprocals (1/B, 1/A) of the input's, swapped. With the frame's
-    thin SVD T = U diag(s) V*, T S^-1 = U diag(1/s) V*, so the dual is
-    formed without S: its error grows as k(T) u, not k(S) u.
+    reciprocals (1/B, 1/A) of the input's, swapped. A square T gives
+    T S^-1 = T^-*, one LU solve of T*, whose residual T* D - I is the
+    conjugate transpose of the duality defect D* T - I. A tall T gives
+    U diag(1/s) V* from the frame's thin SVD T = U diag(s) V*. Either
+    way the dual is formed without S: its error grows as k(T) u, not
+    k(S) u.
     """
     _require_frame(frame, "cannot form a dual: S has no lower bound above the rank floor")
-    u, s, vh = frame._svd
     label = f"canonical dual of {frame.label}" if frame.label else None
+    if _is_square(frame):
+        return frame._with_rows(np.linalg.inv(frame.analysis_matrix().conj().T), label)
+    u, s, vh = frame._svd
     return frame._with_rows(u @ (vh / s[:, None]), label)
 
 

@@ -8,15 +8,13 @@ constructions run through the averaged-unitary splittings of the
 kernel module, all read the frame's one cached thin SVD of T, and
 reconstruct the input exactly up to roundoff. For an overcomplete frame
 that SVD comes from the eigendecomposition of S, so no n x d matrix is
-factored; a square frame's SVD is a direct one, and it also gives the
-frame's canonical dual.
+factored; a square frame's SVD is a direct one, read by nothing else.
 
 Every returned component is certified on its own terms, with only the
-work its predicate needs: a g-ONB by ||S - I||_F <= TAU_CLASS on its
-frame operator S (no factorization), a normalized tight component by
-its Parseval bounds and a g-Riesz component by a square T and its
-frame verdict, with no ||S - I||_F as a full `classify` would form.
-Both verdicts read the eigenvalues of S alone, with no eigenvectors.
+work its predicate needs: a normalized tight component by
+||S - I||_F <= TAU_CLASS on its frame operator S, a g-ONB by that and a
+square T, neither with a factorization, and a g-Riesz component by a
+square T and its frame verdict, which reads the eigenvalues of S alone.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from . import core, kernel
-from .core import FrameClass, GFrame, _require_frame
+from .core import GFrame, _require_frame
 from .errors import (
     DimensionMismatch,
     GFrameError,
@@ -59,8 +57,8 @@ def _component_matches(kind: ComponentKind, frame: GFrame) -> bool:
     if kind is ComponentKind.G_ONB:
         return core.is_g_onb(frame)
     if kind is ComponentKind.NORMALIZED_TIGHT:
-        return core.frame_bounds(frame).classification is FrameClass.PARSEVAL
-    return sum(frame.partition) == frame.h_dim and core.frame_bounds(frame).is_frame
+        return core.is_parseval(frame)
+    return core.is_g_riesz(frame)
 
 
 def _certified(scalar: float, stacked_components, kinds, frame: GFrame) -> GFrameDecomposition:
@@ -93,7 +91,7 @@ def _certified(scalar: float, stacked_components, kinds, frame: GFrame) -> GFram
 
 def _require_square_frame(frame: GFrame) -> None:
     _require_frame(frame)
-    if sum(frame.partition) != frame.h_dim:
+    if not core._is_square(frame):
         raise DimensionMismatch(
             f"block dimensions sum to {sum(frame.partition)}, need {frame.h_dim}"
         )
@@ -127,7 +125,7 @@ def decompose_two_gonb_combo(frame: GFrame) -> GFrameDecomposition:
     rejected. Here a = ||T||/2 and the pair comes from splitting the
     contraction T/||T||.
     """
-    if not core.classify(frame).is_g_riesz:
+    if not core.is_g_riesz(frame):
         raise NotGRiesz("two-g-ONB combinations exist exactly for g-Riesz families")
     return _pair_split(frame, ComponentKind.G_ONB)
 
@@ -136,7 +134,8 @@ def coisometry_image(theta: GFrame, k) -> GFrame:
     """Push a g-ONB through a coisometry: blocks Theta_i K*.
 
     K must satisfy ||K K* - I||_F <= TAU_CLASS, the identity defect of
-    `is_g_onb`; the image is a normalized tight (Parseval) g-frame.
+    `is_g_onb`; the image is a normalized tight (Parseval) g-frame,
+    certified by `core.is_parseval`.
     """
     if not core.is_g_onb(theta):
         raise NotGOnb("the family to push forward must be a g-ONB")
@@ -152,7 +151,7 @@ def coisometry_image(theta: GFrame, k) -> GFrame:
         theta.analysis_matrix() @ k_mat.conj().T,
         f"coisometry image of {theta.label}" if theta.label else None,
     )
-    if core.frame_bounds(image).classification is not FrameClass.PARSEVAL:
+    if not core.is_parseval(image):
         raise GFrameError("coisometry image failed Parseval certification")
     return image
 

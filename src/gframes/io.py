@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import GFrame, classify, frame_bounds, FrameClass
+from .core import GFrame, classify, is_parseval
 from .errors import InfeasibleKind, SchemaError
 
 if TYPE_CHECKING:  # loaded where weights are parsed or generated
@@ -285,7 +285,7 @@ def generate(kind: str, dim: int, partition, seed: int) -> InstanceFile:
             raise InfeasibleKind("generated family failed g-Riesz certification")
     elif kind == "parseval":
         frame = sampling.random_parseval(rng, dim, sizes, label=label)
-        if frame_bounds(frame).classification is not FrameClass.PARSEVAL:
+        if not is_parseval(frame):
             raise InfeasibleKind("generated family failed Parseval certification")
     else:
         frame = sampling.random_gframe(rng, dim, sizes, label=label)

@@ -222,16 +222,19 @@ def check_core_dual(rng, trials):
         dual = canonical_dual(frame)
         _check_reciprocal_bounds(frame, dual, 1e-9, "")
         _check(verify_duality(frame, dual), "canonical duality")
-        # ||T|| = 1 and k(S) up to 1e9 (d = 8): a dual formed through S
-        # loses eps k(S) and fails its own duality check. The bounds carry
-        # about eps k(S) from the eigenvalues of S on either side.
+        # ||T|| = 1 and k(S) up to 1e9 (d = 8), tall and square: a dual
+        # formed through S loses eps k(S) and fails its own duality check.
+        # The bounds carry about eps k(S) from the eigenvalues of S on
+        # either side.
         sv = np.geomspace(1.0, (1e6, 1e8, 1e9)[trial % 3] ** -0.5, 8)
-        left = sampling.random_isometry(rng, 10, 8)
-        frame = GFrame.from_stacked((left * sv) @ sampling.random_unitary(rng, 8), (2, 3, 2, 3))
-        dual = canonical_dual(frame)
-        _check(verify_duality(frame, dual), "ill-conditioned canonical duality")
-        invert_dual_neumann(np.ones(4), frame, dual)  # NotDual if P3.4 rejects the dual
-        _check_reciprocal_bounds(frame, dual, 1e-6, "ill-conditioned ")
+        for partition in ((2, 3, 2, 3), (2, 3, 3)):
+            left = sampling.random_isometry(rng, sum(partition), 8)
+            frame = GFrame.from_stacked((left * sv) @ sampling.random_unitary(rng, 8), partition)
+            dual = canonical_dual(frame)
+            _check(verify_duality(frame, dual), "ill-conditioned canonical duality")
+            # NotDual if P3.4 rejects the dual
+            invert_dual_neumann(np.ones(len(partition)), frame, dual)
+            _check_reciprocal_bounds(frame, dual, 1e-6, "ill-conditioned ")
 
 
 def _check_decomposition(dec, frame, tag):

@@ -75,8 +75,9 @@ def test_criterion_1_bridge_to_induced_vector_frame():
 def test_criterion_2_canonical_dual_bounds_are_reciprocal():
     gate(2, "canonical dual bounds equal (1/B, 1/A) within 1e-9 relative and "
             "the pair is dual (500 trials); at k(S) = 1e6, 1e8 and 1e9 with "
-            "||T|| = 1 the dual verifies, P3.4 accepts it and its bounds are "
-            "(1/B, 1/A) within 1e-6 relative (500 frames)")
+            "||T|| = 1 the dual of a tall and of a square frame verifies, P3.4 "
+            "accepts it and its bounds are (1/B, 1/A) within 1e-6 relative "
+            "(500 frames of each)")
 
 
 def test_criterion_3_decompositions_reconstruct_and_certify():

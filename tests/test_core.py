@@ -31,7 +31,7 @@ from gframes import (
     verify_duality,
     weighted_dual,
 )
-from gframes.core import _tall_svd
+from gframes.core import _tall_svd, is_g_onb, is_parseval
 from gframes.errors import BadPartition, NonFinite, NotAFrame, ShapeMismatch
 from gframes.kernel import frobenius_norm, operator_norm
 from gframes.sampling import (
@@ -47,7 +47,7 @@ from gframes.sampling import (
     random_unitary,
 )
 from gframes.selftest import random_partition
-from gframes.tolerances import TAU_RANK
+from gframes.tolerances import TAU_CLASS, TAU_RANK
 
 
 # -- frame operator --
@@ -503,6 +503,19 @@ def test_gframe_equality_and_hash():
     assert frame != GFrame.from_stacked(changed, frame.partition, label="f")
     assert frame != GFrame.from_stacked(frame.analysis_matrix(), (3, 3), label="f")
     assert frame != GFrame.from_stacked(frame.analysis_matrix(), frame.partition)
+
+
+@pytest.mark.parametrize("factor, parseval", [(1 - 1e-6, True), (1 + 1e-6, False)])
+def test_is_parseval_boundary(factor, parseval):
+    # T = diag(sqrt(1 + e)), so ||S - I||_F = ||e||_2, here TAU_CLASS
+    # times `factor`. Every eigenvalue is within TAU_CLASS of 1 on both
+    # sides, so the reported PARSEVAL label holds for both
+    e = np.full(4, TAU_CLASS * factor / 2)
+    frame = GFrame.from_stacked(np.diag(np.sqrt(1 + e)), (1, 3))
+    assert is_parseval(frame) is parseval and is_g_onb(frame) is parseval
+    assert frame_bounds(frame).classification is FrameClass.PARSEVAL
+    tall = GFrame.from_stacked(np.vstack([np.diag(np.sqrt(1 + e)), np.zeros((1, 4))]), (2, 3))
+    assert is_parseval(tall) is parseval and not is_g_onb(tall)
 
 
 def test_spectrum_is_computed_once_and_read_only(monkeypatch):

@@ -17,6 +17,7 @@ from gframes import (
     frame_bounds,
     frame_operator,
     scale_blocks,
+    verify_duality,
 )
 from gframes import decompositions, kernel
 from gframes.decompositions import (
@@ -265,9 +266,9 @@ def test_one_eigh_of_s_and_one_svd_of_t_per_frame(monkeypatch):
 
 def test_each_certificate_runs_only_the_factorization_it_needs(monkeypatch):
     # the four splittings share the frame's one SVD of T: whichever runs
-    # first takes it, the others none. g-ONB components are certified
-    # from their S alone, Parseval and g-Riesz components by one eigvalsh
-    # of it; nothing computes eigenvectors of S
+    # first takes it, the others none. g-ONB and Parseval components are
+    # certified from their S alone, g-Riesz components by one eigvalsh of
+    # it; nothing computes eigenvectors of S
     rng = np.random.default_rng(307)
     riesz = random_g_riesz(rng, 6, (2, 1, 3))
     onb = random_g_onb(rng, 6, (2, 1, 3))
@@ -275,7 +276,7 @@ def test_each_certificate_runs_only_the_factorization_it_needs(monkeypatch):
     component_checks = {
         decompose_three_gonb: {},
         decompose_two_gonb_combo: {},
-        decompose_two_parseval: {"eigvalsh": 2},
+        decompose_two_parseval: {},
         decompose_gonb_plus_griesz: {"eigvalsh": 1},
     }
     calls = count_factorizations(monkeypatch)
@@ -291,7 +292,24 @@ def test_each_certificate_runs_only_the_factorization_it_needs(monkeypatch):
             assert calls == expected, op
     calls.clear()
     coisometry_image(onb, k)
-    assert calls == {"eigvalsh": 1}
+    assert calls == {}
+
+
+def test_a_square_dual_is_one_inv_and_leaves_the_svd_to_the_splittings(monkeypatch):
+    # a square T's dual is T^-*, one LU solve after the frame verdict's
+    # eigvalsh; the four splittings then still share one SVD of T, and
+    # the g-Riesz component of the last costs one eigvalsh
+    rng = np.random.default_rng(311)
+    riesz = random_g_riesz(rng, 6, (2, 1, 3))
+    calls = count_factorizations(monkeypatch)
+    dual = canonical_dual(riesz)
+    assert calls == {"eigvalsh": 1, "inv": 1}
+    assert verify_duality(riesz, dual) and calls == {"eigvalsh": 1, "inv": 1}
+    calls.clear()
+    for op in (decompose_three_gonb, decompose_two_gonb_combo,
+               decompose_two_parseval, decompose_gonb_plus_griesz):
+        op(riesz)
+    assert calls == {"svd": 1, "eigvalsh": 1}
 
 
 def test_the_svd_of_t_is_cached_read_only_and_not_copied(monkeypatch):

@@ -173,12 +173,18 @@ DECISION_HOMES = {
 
 # every computation or read of the eigenvectors of a frame operator: only
 # where they are used. Bounds and verdicts need the eigenvalues alone.
+# Every explicit inverse too: a square dual solves with T*, whose error
+# grows as k(T), and no S^-1 solve may stand in for it unseen.
 EIGENVECTOR_HOMES = {
     "eigh": (_calls("eigh"), {("core.py", "_spectrum"), ("core.py", "_tall_svd"),
                               ("kernel.py", "psd_sqrt"),
                               ("selftest.py", "check_kernel_spectral_range")}),  # the oracle
     "_spectrum": (_reads("_spectrum"), {("core.py", "_svd"), ("core.py", "_inverse_frame_operator"),
                                         ("multipliers.py", "_weighted_inverse")}),
+    "inv": (_calls("inv"), {("core.py", "canonical_dual"), ("multipliers.py", "invert_via_bijection"),
+                            # the oracles
+                            ("selftest.py", "_check_inversion"), ("selftest.py", "check_inversions"),
+                            ("selftest.py", "check_invertible_lower_bound")}),
 }
 
 
@@ -422,6 +428,15 @@ def test_planted_eigh(tree_copy):
     line = _append(tree_copy, "multipliers.py", "_ = np.linalg.eigh(np.eye(2))\n")
     assert stray_decisions(parse_library(tree_copy), EIGENVECTOR_HOMES) == [
         f"src/gframes/multipliers.py:{line} eigh"]
+
+
+def test_planted_inverse_of_s(tree_copy):
+    # a dual through S^-1, whose error grows as k(S), not k(T)
+    line = _replace_line(
+        tree_copy, "multipliers.py", "    dual = core.canonical_dual(frame)\n",
+        "    dual = frame._with_rows(frame.analysis_matrix() @ np.linalg.inv(frame._operator))\n")
+    assert stray_decisions(parse_library(tree_copy), EIGENVECTOR_HOMES) == [
+        f"src/gframes/multipliers.py:{line} inv"]
 
 
 def test_planted_spectrum_read(tree_copy):

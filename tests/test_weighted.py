@@ -161,6 +161,17 @@ def test_weight_from_control_recovers_planted_weights():
         assert is_mult
 
 
+def test_weight_from_control_on_a_square_frame_runs_no_svd(monkeypatch):
+    # the eigenblock frame is square, so the dual that recovers C is one
+    # inv of T*: nothing factors T
+    rng = np.random.default_rng(76)
+    frame, control, true_w = eigenblock_control_instance(rng, [2, 1, 2])
+    calls = count_factorizations(monkeypatch)
+    w, is_mult = weight_from_control(frame, control)
+    assert is_mult and np.allclose(w.values, true_w, atol=1e-9)
+    assert calls == {"eigvalsh": 1, "inv": 1}
+
+
 def test_weight_from_control_rejects_non_scalar_action():
     frame = identity_gframe(2)
     dense = ControlOperator(np.array([[2.0, 1.0], [1.0, 2.0]]))
