@@ -220,9 +220,10 @@ class WeightedVectorFrame(_ArrayValue):
 def weighted_vector_frame_bounds(wvframe: WeightedVectorFrame) -> FrameBounds:
     """Optimal bounds of sum_j |w_j|^2 psi_j psi_j*."""
     # the operator is the conjugate of Y* Y with rows y_j = |w_j| psi_j,
-    # and a conjugate has the same spectrum
+    # and a conjugate has the same spectrum and the same ||S - I||_F
     y = np.abs(wvframe.weights)[:, None] * wvframe.base.vectors
-    return _spectrum_bounds(np.linalg.eigvalsh(kernel.gram(y)))
+    s = kernel.gram(y)
+    return _spectrum_bounds(np.linalg.eigvalsh(s), s)
 
 
 def induced_weighted_frame(frame: GFrame, weights) -> WeightedVectorFrame:

@@ -8,19 +8,19 @@ time they are read. The frame operator is S = T* T, formed by
 no conjugate copy of T and exactly Hermitian; the optimal frame bounds
 are its extreme eigenvalues. Each frame factors only as far as its
 readers look, each factorization once, on first use: its bounds and
-classification read the eigenvalues of S alone, a Parseval or g-ONB
-verdict reads S and factors nothing, a tall frame's canonical dual and
-every decomposition share the thin SVD of T, and only an S^-1 or a tall
-T's SVD computes the eigenvectors of S. A tall T takes its SVD from that
-eigendecomposition, with products by T and factorizations of d x d
-matrices only. A square T's dual is T^-*, one LU solve, and its SVD is
-a direct one read only by the decompositions; it needs no
-eigendecomposition of S. Duals, rescalings and decomposition
-components are each one product or row scaling of T, and the new frame
-keeps that product as its T, with no copy; `from_stacked` copies and
-checks caller input. Every g-frame induces an ordinary vector frame by
-pulling the standard basis of each H_i back through the block
-adjoints, and all frame-theoretic properties transfer across that
+classification read the eigenvalues of S, and S itself near S = I, a
+Parseval or g-ONB verdict reads S and factors nothing, a tall frame's
+canonical dual and every decomposition share the thin SVD of T, and
+only an S^-1 or a tall T's SVD computes the eigenvectors of S. A tall T
+takes its SVD from that eigendecomposition, with products by T and
+factorizations of d x d matrices only. A square T's dual is T^-*, one
+LU solve, and its SVD is a direct one read only by the decompositions;
+it needs no eigendecomposition of S. Duals, rescalings and
+decomposition components are each one product or row scaling of T, and
+the new frame keeps that product as its T, with no copy; `from_stacked`
+copies and checks caller input. Every g-frame induces an ordinary
+vector frame by pulling the standard basis of each H_i back through the
+block adjoints, and all frame-theoretic properties transfer across that
 bridge.
 """
 
@@ -166,7 +166,7 @@ class GFrame:
         """Optimal bounds and classification, read off the eigenvalues of
         S alone. Always this one factorization, whatever else has run, so
         the bounds never depend on the order of calls."""
-        return _spectrum_bounds(np.linalg.eigvalsh(self._operator))
+        return _spectrum_bounds(np.linalg.eigvalsh(self._operator), self._operator)
 
     @cached_property
     def _svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -253,8 +253,9 @@ def scale_blocks(frame: GFrame, factors) -> GFrame:
 
 
 class FrameClass(Enum):
-    # NOT_BESSEL cannot occur for a finite family; kept so reports can
-    # state the full classification lattice.
+    """The frame verdict of `_classify_bounds`: PARSEVAL is the verdict of
+    `is_parseval`, and PARSEVAL, TIGHT and G_FRAME are frames. NOT_BESSEL
+    cannot occur for a finite family; kept so reports state the lattice."""
     NOT_BESSEL = "NotBessel"
     BESSEL_ONLY = "BesselOnly"
     G_FRAME = "GFrame"
@@ -282,22 +283,31 @@ class FrameBounds:
         return self.classification not in (FrameClass.NOT_BESSEL, FrameClass.BESSEL_ONLY)
 
 
-def _classify_bounds(lower: float, upper: float) -> FrameClass:
-    """The one frame verdict: A above the rank floor, then tightness."""
+def _parseval_margin(s: np.ndarray) -> Margin:
+    """The one Parseval verdict: ||S - I||_F against TAU_CLASS for a frame
+    operator S, so each eigenvalue is within TAU_CLASS of 1; factors nothing."""
+    return Margin.defect(frobenius_norm(s - np.eye(s.shape[0])), TAU_CLASS)
+
+
+def _classify_bounds(lower: float, upper: float, s: np.ndarray) -> FrameClass:
+    """The one frame verdict on the bounds of S: A above the rank floor, then
+    Parseval, then tightness. ||S - I||_F >= max|lambda - 1|, so S is read only
+    while the extreme eigenvalues, allowed twice TAU_CLASS, leave Parseval possible."""
     if not Margin.above_floor(lower):
         return FrameClass.BESSEL_ONLY
+    if (Margin.defect(max(abs(lower - 1.0), abs(upper - 1.0)), 2.0 * TAU_CLASS)
+            and _parseval_margin(s)):
+        return FrameClass.PARSEVAL
     if Margin.defect(upper - lower, TAU_CLASS, upper):
-        if Margin.defect(abs(upper - 1.0), TAU_CLASS):
-            return FrameClass.PARSEVAL
         return FrameClass.TIGHT
     return FrameClass.G_FRAME
 
 
-def _spectrum_bounds(eigs: np.ndarray) -> FrameBounds:
-    """Optimal bounds from the ascending spectrum of a frame operator."""
+def _spectrum_bounds(eigs: np.ndarray, s: np.ndarray) -> FrameBounds:
+    """Optimal bounds from the ascending spectrum `eigs` of the frame operator `s`."""
     lower = float(max(eigs[0], 0.0))
     upper = float(max(eigs[-1], 0.0))
-    return FrameBounds(lower, upper, _classify_bounds(lower, upper))
+    return FrameBounds(lower, upper, _classify_bounds(lower, upper, s))
 
 
 def frame_operator(frame: GFrame) -> np.ndarray:
@@ -356,9 +366,8 @@ def _is_square(frame: GFrame) -> bool:
 
 
 def is_parseval(frame: GFrame) -> bool:
-    """||S - I||_F <= TAU_CLASS, so every eigenvalue of S is within
-    TAU_CLASS of 1; reads S, factors nothing."""
-    return Margin.defect(frobenius_norm(frame._operator - np.eye(frame.h_dim)), TAU_CLASS).holds
+    """The verdict of the PARSEVAL label, read without the eigenvalues of S."""
+    return _parseval_margin(frame._operator).holds
 
 
 def is_g_onb(frame: GFrame) -> bool:
@@ -380,7 +389,8 @@ def classify(frame: GFrame) -> ClassificationReport:
     unitary. For g-Riesz families the optimal synthesis bounds are the
     extreme squared singular values of T; T is then square, so they are
     the extreme eigenvalues of S and are read from its spectrum. The
-    whole report costs the eigenvalues of S, with no eigenvectors.
+    whole report costs the eigenvalues of S, with no eigenvectors, and
+    ||S - I||_F near S = I; g-ONB => Parseval => tight => g-frame.
     """
     # S has h_dim eigenvalues, so T has full column rank (g-complete)
     # exactly when the smallest clears the rank floor (g-frame)
@@ -502,6 +512,11 @@ def duality_defect(frame: GFrame, dual: GFrame) -> float:
     return frobenius_norm(acc - np.eye(frame.h_dim))
 
 
+def _duality_margin(frame: GFrame, dual: GFrame) -> Margin:
+    """The one duality verdict: the duality defect against TAU_DUAL."""
+    return Margin.defect(duality_defect(frame, dual), TAU_DUAL)
+
+
 def verify_duality(frame: GFrame, dual: GFrame) -> bool:
     """True iff the pair reconstructs the identity within TAU_DUAL."""
-    return Margin.defect(duality_defect(frame, dual), TAU_DUAL).holds
+    return _duality_margin(frame, dual).holds

@@ -11,18 +11,16 @@ that SVD comes from the eigendecomposition of S, so no n x d matrix is
 factored; a square frame's SVD is a direct one, read by nothing else.
 
 Every returned component is certified on its own terms, with only the
-work its predicate needs: a normalized tight component by
-||S - I||_F <= TAU_CLASS on its frame operator S, a g-ONB by that and a
-square T, neither with a factorization, and a g-Riesz component by a
-square T and its frame verdict, which reads the eigenvalues of S alone.
+work its predicate needs: a normalized tight component by the core
+Parseval verdict on its S, a g-ONB by that and a square T, neither with
+a factorization, and a g-Riesz component by a square T and its frame
+verdict, which reads the eigenvalues of S alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from . import core, kernel
 from .core import GFrame, _require_frame
@@ -34,7 +32,7 @@ from .errors import (
     NotGRiesz,
 )
 from .kernel import _unitary_pair, _unitary_triple
-from .tolerances import TAU_CLASS, TAU_RECON, Margin
+from .tolerances import TAU_RECON, Margin
 
 
 class ComponentKind(Enum):
@@ -133,9 +131,9 @@ def decompose_two_gonb_combo(frame: GFrame) -> GFrameDecomposition:
 def coisometry_image(theta: GFrame, k) -> GFrame:
     """Push a g-ONB through a coisometry: blocks Theta_i K*.
 
-    K must satisfy ||K K* - I||_F <= TAU_CLASS, the identity defect of
-    `is_g_onb`; the image is a normalized tight (Parseval) g-frame,
-    certified by `core.is_parseval`.
+    K K* = I is the Parseval verdict of the family whose analysis matrix
+    is K*, so K is checked by the core Parseval test on K K*; the image is
+    a normalized tight (Parseval) g-frame, certified by `core.is_parseval`.
     """
     if not core.is_g_onb(theta):
         raise NotGOnb("the family to push forward must be a g-ONB")
@@ -144,9 +142,9 @@ def coisometry_image(theta: GFrame, k) -> GFrame:
         raise NotCoisometry(
             f"coisometry has {k_mat.shape[1]} columns, expected {theta.h_dim}"
         )
-    defect = kernel.frobenius_norm(k_mat @ k_mat.conj().T - np.eye(k_mat.shape[0]))
-    if not Margin.defect(defect, TAU_CLASS):
-        raise NotCoisometry(f"K K* differs from identity by {defect:.3e}")
+    defect = core._parseval_margin(k_mat @ k_mat.conj().T)
+    if not defect:
+        raise NotCoisometry(f"K K* differs from identity by {defect.value:.3e}")
     image = theta._with_rows(
         theta.analysis_matrix() @ k_mat.conj().T,
         f"coisometry image of {theta.label}" if theta.label else None,

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import GFrame, classify, is_parseval
+from .core import GFrame, frame_bounds, is_g_onb, is_g_riesz, is_parseval
 from .errors import InfeasibleKind, SchemaError
 
 if TYPE_CHECKING:  # loaded where weights are parsed or generated
@@ -24,14 +24,18 @@ if TYPE_CHECKING:  # loaded where weights are parsed or generated
 
 SCHEMA_VERSION = 1
 
-GENERATE_KINDS = (
-    "random_gframe",
-    "g_riesz",
-    "g_onb",
-    "parseval",
-    "controlled_commuting",
-    "weighted",
-)
+# kind -> (`sampling` function, the predicate that certifies its sample, the
+# name certified); `sampling` is loaded only by `generate`, so it is named here
+_G_FRAME = ("random_gframe", lambda frame: frame_bounds(frame).is_frame, "g-frame")
+_GENERATORS = {
+    "random_gframe": _G_FRAME,
+    "g_riesz": ("random_g_riesz", is_g_riesz, "g-Riesz"),
+    "g_onb": ("random_g_onb", is_g_onb, "g-ONB"),
+    "parseval": ("random_parseval", is_parseval, "Parseval"),
+    "controlled_commuting": _G_FRAME,
+    "weighted": _G_FRAME,
+}
+GENERATE_KINDS = tuple(_GENERATORS)
 
 @dataclass(frozen=True)
 class InstanceFile:
@@ -273,29 +277,13 @@ def generate(kind: str, dim: int, partition, seed: int) -> InstanceFile:
     rng = np.random.default_rng(seed)
     label = f"{kind} d={dim} partition={list(sizes)} seed={seed}"
 
-    weights = None
-    control = None
-    if kind == "g_onb":
-        frame = sampling.random_g_onb(rng, dim, sizes, label=label)
-        if not classify(frame).is_g_onb:
-            raise InfeasibleKind("generated family failed g-ONB certification")
-    elif kind == "g_riesz":
-        frame = sampling.random_g_riesz(rng, dim, sizes, label=label)
-        if not classify(frame).is_g_riesz:
-            raise InfeasibleKind("generated family failed g-Riesz certification")
-    elif kind == "parseval":
-        frame = sampling.random_parseval(rng, dim, sizes, label=label)
-        if not is_parseval(frame):
-            raise InfeasibleKind("generated family failed Parseval certification")
-    else:
-        frame = sampling.random_gframe(rng, dim, sizes, label=label)
-        if not classify(frame).is_g_frame:
-            raise InfeasibleKind("generated family failed g-frame certification")
-        if kind == "controlled_commuting":
-            control = sampling.random_control_commuting(rng, frame).matrix
-        elif kind == "weighted":
-            weights = WeightSequence(
-                sampling.random_positive_weights(rng, len(sizes))
-            )
-
+    sampler, certifies, name = _GENERATORS[kind]
+    frame = getattr(sampling, sampler)(rng, dim, sizes, label=label)
+    if not certifies(frame):
+        raise InfeasibleKind(f"generated family failed {name} certification")
+    weights = control = None
+    if kind == "controlled_commuting":
+        control = sampling.random_control_commuting(rng, frame).matrix
+    elif kind == "weighted":
+        weights = WeightSequence(sampling.random_positive_weights(rng, len(sizes)))
     return InstanceFile(gframe=frame, weights=weights, control=control)

@@ -39,7 +39,7 @@ from .errors import (
     SingularG,
 )
 from .kernel import _ArrayValue, _square_matrix
-from .tolerances import MAX_SERIES_TERMS, TAU_DUAL, TAU_EXACT, TAU_INV, Margin
+from .tolerances import MAX_SERIES_TERMS, TAU_EXACT, TAU_INV, Margin
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,7 +234,7 @@ def _weighted_inverse(frame: GFrame, w: WeightSequence):
     the verdict on S_w, all from the one eigh of the frame {sqrt|m_i| Lambda_i}."""
     scaled = core.scale_blocks(frame, np.sqrt(np.abs(w.values)))
     eigs = scaled._spectrum[0]
-    if not core._spectrum_bounds(eigs).is_frame:
+    if not core._spectrum_bounds(eigs, scaled._operator).is_frame:
         raise Singular(
             f"matrix is numerically singular: smallest eigenvalue {eigs[0]:.3e}"
         )
@@ -281,8 +281,8 @@ def invert_dual_neumann(weights, frame: GFrame, dual: GFrame,
     """
     tol = _require_tol(tol)
     w = _weights_for(frame, weights)
-    delta = core.duality_defect(frame, dual)
-    if not Margin.defect(delta, TAU_DUAL):
+    delta, _, is_dual = core._duality_margin(frame, dual)
+    if not is_dual:
         raise NotDual("the companion family is not a dual of the frame")
     b_frame = core.frame_bounds(frame).upper
     b_dual = core.frame_bounds(dual).upper
@@ -432,8 +432,8 @@ def invert_dual_mu_perturb(weights, frame: GFrame, dual: GFrame, companion: GFra
     tol = _require_tol(tol)
     w = _weights_for(frame, weights)
     _require_same_shape(frame, companion)
-    delta = core.duality_defect(frame, dual)
-    if not Margin.defect(delta, TAU_DUAL):
+    delta, _, is_dual = core._duality_margin(frame, dual)
+    if not is_dual:
         raise NotDual("the dual family is not a dual of the frame")
     b_l = core.frame_bounds(frame).upper
     hvals = {"B_Lambda": b_l, "duality_defect": delta}

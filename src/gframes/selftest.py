@@ -201,6 +201,9 @@ def check_core_bridge(rng, trials):
         flat = classify(gframe_from_vector_frame(vframe, [1] * len(vframe)))
         for name in ("is_g_bessel", "is_g_frame", "is_g_complete", "is_g_riesz", "is_g_onb"):
             _check(getattr(rep, name) == getattr(flat, name), f"{name} transfers")
+        for r in (rep, flat):  # each verdict implies the next one up
+            _check(r.is_g_frame >= r.is_tight >= r.is_parseval >= r.is_g_onb,
+                   "g-ONB => Parseval => tight => g-frame")
         _check(abs(rep.bounds.lower - flat.bounds.lower)
                <= 1e-12 * (1 + rep.bounds.upper), "lower bound transfers")
         regrouped = gframe_from_vector_frame(vframe, frame.partition)

@@ -15,6 +15,9 @@ floor in `core._classify_bounds`, `kernel.hermitian_spectrum` and
 `kernel.require_invertible`; TAU_HERM in `kernel.self_adjoint`; the
 `1 + size` scale in `Margin.relative`. Only it and `_classify_bounds`
 (tightness, relative to the upper bound) pass `Margin.defect` a scale.
+Two unscaled verdicts have one home each: Parseval, ||S - I||_F against
+TAU_CLASS, in `core._parseval_margin`, and duality, the duality defect
+against TAU_DUAL, in `core._duality_margin`.
 """
 
 from typing import NamedTuple
@@ -23,7 +26,7 @@ TAU_HERM = 1e-8     # Frobenius defect ||M - M*|| accepted as self-adjoint
 TAU_NORM = 1e-8     # slack on operator-norm preconditions (||A|| <= 1, <= 1/3)
 TAU_PSD = 1e-8      # most negative eigenvalue tolerated in a PSD input
 TAU_RANK = 1e-10    # eigenvalue threshold separating rank loss from roundoff
-TAU_CLASS = 1e-8    # relative gap |B - A| <= TAU_CLASS*B for tightness tags
+TAU_CLASS = 1e-8    # ||S - I||_F for Parseval; relative gap |B - A| <= TAU_CLASS*B for tightness
 TAU_DUAL = 1e-8     # Frobenius defect of sum(D_i* L_i) - I in duality checks
 TAU_INV = 1e-8      # default series tolerance for certified inverses
 TAU_COMM = 1e-8     # relative commutation defect ||S C* - C S||

@@ -68,8 +68,9 @@ def test_every_check_is_gated_once_and_selftested(monkeypatch):
 
 
 def test_criterion_1_bridge_to_induced_vector_frame():
-    gate(1, "frame operator matches the induced vector frame within 1e-12 and "
-            "all five classification predicates transfer (1000 trials)")
+    gate(1, "frame operator matches the induced vector frame within 1e-12, "
+            "all five classification predicates transfer and g-ONB => Parseval => "
+            "tight => g-frame holds on both sides (1000 trials)")
 
 
 def test_criterion_2_canonical_dual_bounds_are_reciprocal():

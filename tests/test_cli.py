@@ -73,6 +73,27 @@ def test_classify_json_report(tmp_path, capsys):
     assert report["instance_digest"] == instance_digest(load_instance(path))
 
 
+def _band_doc(tmp_path):
+    # ||S - I||_F = 0.99e-8 passes the Parseval test, though B - A = 1.4e-8
+    diag = np.sqrt(1 + np.array([0.7e-8, -0.7e-8]))
+    return write_doc(tmp_path, "band.json", blocks=[
+        {"dim": 1, "matrix": matrix_document([[diag[0], 0.0]])},
+        {"dim": 1, "matrix": matrix_document([[0.0, diag[1]]])},
+    ], coisometry=matrix_document(np.eye(2)))
+
+
+def test_classify_json_one_parseval_verdict(tmp_path, capsys):
+    code, out, _ = run(capsys, "classify", "--in", _band_doc(tmp_path), "--json")
+    report = json.loads(out)
+    assert code == 0 and report["classification"] == "ParsevalGFrame"
+    assert report["is_tight"] and report["is_parseval"] and report["is_g_onb"]
+
+
+def test_coisometry_image_class_is_its_certificate(tmp_path, capsys):
+    code, out, _ = run(capsys, "decompose", "coisometry", "--in", _band_doc(tmp_path), "--json")
+    assert code == 0 and json.loads(out)["image_classification"] == "ParsevalGFrame"
+
+
 def test_reports_are_deterministic(tmp_path, capsys):
     path = write_doc(tmp_path)
     _, first, _ = run(capsys, "classify", "--in", path, "--json")

@@ -508,14 +508,38 @@ def test_gframe_equality_and_hash():
 @pytest.mark.parametrize("factor, parseval", [(1 - 1e-6, True), (1 + 1e-6, False)])
 def test_is_parseval_boundary(factor, parseval):
     # T = diag(sqrt(1 + e)), so ||S - I||_F = ||e||_2, here TAU_CLASS
-    # times `factor`. Every eigenvalue is within TAU_CLASS of 1 on both
-    # sides, so the reported PARSEVAL label holds for both
+    # times `factor`. S is a multiple of I on both sides, so the label is
+    # PARSEVAL exactly where the Parseval test holds, and TIGHT past it
     e = np.full(4, TAU_CLASS * factor / 2)
     frame = GFrame.from_stacked(np.diag(np.sqrt(1 + e)), (1, 3))
     assert is_parseval(frame) is parseval and is_g_onb(frame) is parseval
-    assert frame_bounds(frame).classification is FrameClass.PARSEVAL
+    assert frame_bounds(frame).classification is (
+        FrameClass.PARSEVAL if parseval else FrameClass.TIGHT)
     tall = GFrame.from_stacked(np.vstack([np.diag(np.sqrt(1 + e)), np.zeros((1, 4))]), (2, 3))
     assert is_parseval(tall) is parseval and not is_g_onb(tall)
+
+
+def test_parseval_but_not_tight_by_bounds_is_parseval():
+    # ||S - I||_F = 0.99 TAU_CLASS, yet B - A = 1.4 TAU_CLASS: the Parseval
+    # test decides, and Parseval implies tight
+    e = np.array([0.7, -0.7]) * TAU_CLASS
+    rep = classify(GFrame.from_stacked(np.diag(np.sqrt(1 + e)), (1, 1)))
+    assert rep.bounds.classification is FrameClass.PARSEVAL
+    assert rep.is_tight and rep.is_parseval and rep.is_g_onb
+
+
+@given(st.lists(st.floats(-2 * TAU_CLASS, 2 * TAU_CLASS), min_size=1, max_size=6),
+       st.booleans())
+def test_one_parseval_verdict_near_the_identity(e, tall):
+    # T = diag(sqrt(1 + e)), with one zero row appended when `tall`:
+    # the label and `is_parseval` are one verdict, and the lattice holds
+    t = np.diag(np.sqrt(1 + np.array(e)))
+    if tall:
+        t = np.vstack([t, np.zeros((1, len(e)))])
+    frame = GFrame.from_stacked(t, (1,) * t.shape[0])
+    rep = classify(frame)
+    assert (frame_bounds(frame).classification is FrameClass.PARSEVAL) is is_parseval(frame)
+    assert rep.is_g_frame >= rep.is_tight >= rep.is_parseval >= rep.is_g_onb
 
 
 def test_spectrum_is_computed_once_and_read_only(monkeypatch):

@@ -159,8 +159,8 @@ def _scaled_defect(node) -> bool:
         len(node.args) > 2 or any(k.arg == "scale" for k in node.keywords))
 
 
-# every decision whose threshold carries a scale: (how to spot it, the
-# (module, function) pairs that may make it)
+# every decision whose threshold carries a scale, and the Parseval and
+# duality verdicts: (how to spot it, the (module, function) pairs that may make it)
 DECISION_HOMES = {
     "above_floor": (_calls("above_floor"), {("core.py", "_classify_bounds"),
                                             ("kernel.py", "hermitian_spectrum"),
@@ -168,6 +168,12 @@ DECISION_HOMES = {
     "TAU_HERM": (_reads("TAU_HERM"), {("kernel.py", "self_adjoint")}),
     "scaled defect": (_scaled_defect, {("tolerances.py", "relative"),
                                        ("core.py", "_classify_bounds")}),
+    # the Parseval test, and tightness in the frame verdict
+    "TAU_CLASS": (_reads("TAU_CLASS"), {("core.py", "_parseval_margin"),
+                                        ("core.py", "_classify_bounds")}),
+    "TAU_DUAL": (_reads("TAU_DUAL"), {("core.py", "_duality_margin"),
+                                      # the oracle sizes an inexact dual by it
+                                      ("selftest.py", "check_inversions")}),
 }
 
 
@@ -190,7 +196,7 @@ EIGENVECTOR_HOMES = {
 
 def stray_decisions(library: dict, table: dict = DECISION_HOMES) -> list[str]:
     """A spotted node outside its homes in `table`: by default, a
-    scale-bearing decision outside `DECISION_HOMES`."""
+    decision outside its `DECISION_HOMES`."""
     found = []
     for path, tree in library.items():
         functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
@@ -424,6 +430,28 @@ def test_planted_scaled_defect(tree_copy):
         f"src/gframes/decompositions.py:{line} scaled defect"]
 
 
+def test_planted_coisometry_parseval_decision(tree_copy):
+    line = _replace_line(
+        tree_copy, "decompositions.py",
+        "    defect = core._parseval_margin(k_mat @ k_mat.conj().T)\n",
+        "    defect = Margin.defect(kernel.frobenius_norm(k_mat @ k_mat.conj().T - np.eye(2)), "
+        "TAU_CLASS)\n")
+    assert stray_decisions(parse_library(tree_copy)) == [
+        f"src/gframes/decompositions.py:{line} TAU_CLASS"]
+
+
+def test_planted_duality_decision(tree_copy):
+    check = ('    if not {}:\n'
+             '        raise NotDual("the companion family is not a dual of the frame")\n')
+    line = _replace_line(
+        tree_copy, "multipliers.py",
+        "    delta, _, is_dual = core._duality_margin(frame, dual)\n" + check.format("is_dual"),
+        "    delta = core.duality_defect(frame, dual)\n"
+        + check.format("Margin.defect(delta, TAU_DUAL)"))
+    assert stray_decisions(parse_library(tree_copy)) == [
+        f"src/gframes/multipliers.py:{line + 1} TAU_DUAL"]
+
+
 def test_planted_eigh(tree_copy):
     line = _append(tree_copy, "multipliers.py", "_ = np.linalg.eigh(np.eye(2))\n")
     assert stray_decisions(parse_library(tree_copy), EIGENVECTOR_HOMES) == [
@@ -442,8 +470,9 @@ def test_planted_inverse_of_s(tree_copy):
 def test_planted_spectrum_read(tree_copy):
     # bounds read off whichever eigendecomposition ran first
     line = _replace_line(tree_copy, "core.py",
-                         "        return _spectrum_bounds(np.linalg.eigvalsh(self._operator))\n",
-                         "        return _spectrum_bounds(self._spectrum[0])\n")
+                         "        return _spectrum_bounds(np.linalg.eigvalsh(self._operator), "
+                         "self._operator)\n",
+                         "        return _spectrum_bounds(self._spectrum[0], self._operator)\n")
     assert stray_decisions(parse_library(tree_copy), EIGENVECTOR_HOMES) == [
         f"src/gframes/core.py:{line} _spectrum"]
 
