@@ -46,10 +46,7 @@ _EXPORTS = {
         "InstanceFile", "generate", "instance_digest", "load_instance", "parse_instance",
         "serialize_instance",
     ),
-    "kernel": (
-        "PolarParts", "polar_decompose", "psd_sqrt", "spectral_range",
-        "unitary_pair_from_contraction", "unitary_triple_from_small_norm",
-    ),
+    "kernel": ("unitary_pair_from_contraction", "unitary_triple_from_small_norm"),
     "multipliers": (
         "MultiplierCertificate", "Proposition", "WeightSequence", "as_weight_sequence",
         "invert_bessel_perturb", "invert_canonical_dual", "invert_dual_mu_perturb",

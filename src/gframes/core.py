@@ -390,7 +390,8 @@ def classify(frame: GFrame) -> ClassificationReport:
     extreme squared singular values of T; T is then square, so they are
     the extreme eigenvalues of S and are read from its spectrum. The
     whole report costs the eigenvalues of S, with no eigenvectors, and
-    ||S - I||_F near S = I; g-ONB => Parseval => tight => g-frame.
+    one ||S - I||_F near S = I, read by the bounds' PARSEVAL label that
+    the g-ONB verdict shares; g-ONB => Parseval => tight => g-frame.
     """
     # S has h_dim eigenvalues, so T has full column rank (g-complete)
     # exactly when the smallest clears the rank floor (g-frame)
@@ -402,7 +403,7 @@ def classify(frame: GFrame) -> ClassificationReport:
         is_g_frame=is_frame,
         is_g_complete=is_frame,
         is_g_riesz=is_riesz,
-        is_g_onb=is_g_onb(frame),
+        is_g_onb=is_riesz and bounds.classification is FrameClass.PARSEVAL,
         bounds=bounds,
         riesz_bounds=(bounds.lower, bounds.upper) if is_riesz else None,
     )

@@ -37,14 +37,6 @@ class BadPartition(InputError):
     """A block partition does not tile the vector list it should tile."""
 
 
-class NotHermitian(InputError):
-    """A matrix required to be self-adjoint is not, beyond tolerance."""
-
-
-class NegativeEigenvalue(InputError):
-    """A matrix required to be positive semidefinite has a negative eigenvalue."""
-
-
 class NonPositiveInput(InputError):
     """A quantity required to be a positive real is not."""
 

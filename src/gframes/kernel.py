@@ -1,11 +1,10 @@
 """Dense complex-matrix primitives.
 
-The Gram matrix X* X from one symmetric real product, spectral ranges,
-polar factors, positive square roots, and the two averaged-unitary
-splittings: any contraction is the mean of two unitaries, and any
-operator of norm at most 1/3 is the mean of three. Everything works on
-plain complex128 ndarrays, and no helper copies an n x d input to
-conjugate or rescale it. Three of the five homes of a scale-bearing
+The Gram matrix X* X from one symmetric real product, input checks,
+norms, and the two averaged-unitary splittings: any contraction is the
+mean of two unitaries, and any operator of norm at most 1/3 is the mean
+of three. Everything works on plain complex128 ndarrays, and no helper
+copies an n x d input to conjugate or rescale it. Three of the five homes of a scale-bearing
 decision are here: `self_adjoint`, the one reader of TAU_HERM, and the
 rank floor in `hermitian_spectrum` and `require_invertible`. The frame
 verdict `core._classify_bounds` and `Margin.relative` are the others.
@@ -13,18 +12,12 @@ verdict `core._classify_bounds` and `Margin.relative` are the others.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
 import numpy as np
 
-from .errors import (
-    NegativeEigenvalue,
-    NonFinite,
-    NormTooLarge,
-    NotHermitian,
-    ShapeMismatch,
-)
-from .tolerances import TAU_HERM, TAU_NORM, TAU_PSD, Margin
+from .errors import NonFinite, NormTooLarge, ShapeMismatch
+from .tolerances import TAU_HERM, TAU_NORM, Margin
 
 
 def as_matrix(value, name: str = "matrix") -> np.ndarray:
@@ -46,17 +39,6 @@ def _square_matrix(value, name: str) -> np.ndarray:
     if a.shape[0] != a.shape[1]:
         raise ShapeMismatch(f"{name} must be square, got shape {a.shape}")
     return a
-
-
-def _hermitian_input(matrix, name: str) -> np.ndarray:
-    """(M + M*)/2 of a square input whose self-adjoint defect is within TAU_HERM."""
-    a = _square_matrix(matrix, name)
-    defect = self_adjoint(a)
-    if not defect:
-        raise NotHermitian(
-            f"matrix is not self-adjoint: defect {defect.value:.3e} exceeds {defect.threshold:.1e}"
-        )
-    return hermitian_part(a)
 
 
 def frobenius_norm(a) -> float:
@@ -108,16 +90,6 @@ def require_invertible(sv: np.ndarray, error: type[Exception], what: str) -> np.
     return sv
 
 
-def spectral_range(matrix) -> tuple[float, float]:
-    """Smallest and largest eigenvalue of a self-adjoint matrix.
-
-    Rejects matrices whose self-adjoint defect exceeds TAU_HERM; the
-    eigenvalues are those of the symmetrized matrix (M + M*)/2.
-    """
-    eigs = np.linalg.eigvalsh(_hermitian_input(matrix, "spectral_range input"))
-    return float(eigs[0]), float(eigs[-1])
-
-
 class _ArrayValue:
     """Value semantics for a frozen dataclass (eq=False) of array fields:
     == by np.array_equal on the init fields, a hash of their shapes, and
@@ -137,53 +109,6 @@ class _ArrayValue:
 
     def __reduce__(self):
         return (type(self), self._init_values())
-
-
-@dataclass(frozen=True, eq=False)
-class PolarParts(_ArrayValue):
-    """Factors of M = isometry @ positive with positive = (M* M)^(1/2);
-    both are stored as read-only complex128 copies."""
-
-    isometry: np.ndarray
-    positive: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "isometry", as_matrix(self.isometry, "isometry"))
-        object.__setattr__(self, "positive", as_matrix(self.positive, "positive"))
-
-
-def polar_decompose(matrix) -> PolarParts:
-    """Polar factors of a tall or square matrix.
-
-    The isometry has orthonormal columns in every case, including
-    rank-deficient input, where the SVD fixes the kernel columns
-    deterministically. For square input the isometry is unitary.
-    """
-    a = as_matrix(matrix, "polar input")
-    if a.shape[0] < a.shape[1]:
-        raise ShapeMismatch(
-            f"polar factorization needs rows >= cols, got shape {a.shape}"
-        )
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    isometry = u @ vh
-    positive = (vh.conj().T * s) @ vh
-    positive = hermitian_part(positive)
-    return PolarParts(isometry=isometry, positive=positive)
-
-
-def psd_sqrt(matrix) -> np.ndarray:
-    """Positive square root of a self-adjoint PSD matrix.
-
-    Eigenvalues in [-TAU_PSD, 0) are treated as roundoff and clamped to
-    zero; anything below -TAU_PSD is rejected.
-    """
-    eigs, vecs = np.linalg.eigh(_hermitian_input(matrix, "psd_sqrt input"))
-    if not Margin.defect(-eigs[0], TAU_PSD):
-        raise NegativeEigenvalue(
-            f"matrix is not PSD: smallest eigenvalue {eigs[0]:.3e}"
-        )
-    root = (vecs * np.sqrt(np.clip(eigs, 0.0, None))) @ vecs.conj().T
-    return hermitian_part(root)
 
 
 def _unitary_pair(u, s, vh) -> tuple[np.ndarray, np.ndarray]:

@@ -56,9 +56,6 @@ from .io import GENERATE_KINDS, generate, instance_digest, parse_instance, seria
 from .kernel import (
     frobenius_norm,
     operator_norm,
-    polar_decompose,
-    psd_sqrt,
-    spectral_range,
     unitary_pair_from_contraction,
     unitary_triple_from_small_norm,
 )
@@ -141,16 +138,6 @@ def _random_family(rng):
     return make(rng, dim, partition)
 
 
-def check_kernel_polar(rng, trials):
-    for _ in range(trials):
-        rows = int(rng.integers(2, 7))
-        a = sampling._complex_gaussian(rng, rows, int(rng.integers(1, rows + 1)))
-        parts = polar_decompose(a)
-        _check(frobenius_norm(parts.isometry @ parts.positive - a)
-               <= 1e-9 * (1 + frobenius_norm(a)), "polar reconstruction")
-        _check(_isometry_defect(parts.isometry) <= 1e-10, "polar isometry")
-
-
 def check_kernel_unitary_averages(rng, trials):
     for _ in range(trials):
         a = sampling.random_contraction(rng, int(rng.integers(1, 7)))
@@ -161,34 +148,6 @@ def check_kernel_unitary_averages(rng, trials):
         triple = unitary_triple_from_small_norm(small)
         _check(max(map(_isometry_defect, triple)) <= 1e-10, "triple unitarity")
         _check(frobenius_norm(sum(triple) / 3 - small) <= 1e-9, "triple average")
-
-
-def check_kernel_psd_sqrt(rng, trials):
-    for _ in range(trials):
-        n = int(rng.integers(1, 7))
-        b = sampling._complex_gaussian(rng, n, n)
-        m = b.conj().T @ b
-        r = psd_sqrt(m)
-        _check(frobenius_norm(r @ r - m) <= 1e-9 * (1 + frobenius_norm(m)),
-               "psd square root")
-
-
-def check_kernel_spectral_range(rng, trials):
-    for _ in range(trials):
-        n = int(rng.integers(1, 7))
-        b = sampling._complex_gaussian(rng, n, n)
-        h = (b + b.conj().T) / 2
-        lo, hi = spectral_range(h)
-        # eigenvector witnesses make the sampled extrema attained
-        pool = np.vstack([sampling._complex_gaussian(rng, 2000, n), np.linalg.eigh(h)[1].T])
-        pool /= np.linalg.norm(pool, axis=1, keepdims=True)
-        quotients = np.einsum("ij,ij->i", pool.conj(), pool @ h.T).real
-        _check(lo - 1e-9 <= quotients.min() and quotients.max() <= hi + 1e-9,
-               "Rayleigh quotient in range")
-        scale = max(1.0, abs(lo), abs(hi))
-        _check(abs(quotients.min() - lo) <= 1e-6 * scale
-               and abs(quotients.max() - hi) <= 1e-6 * scale,
-               "Rayleigh extrema attain the range")
 
 
 def check_core_bridge(rng, trials):
@@ -534,10 +493,7 @@ def check_io_roundtrip(rng, trials):
 
 
 CHECKS = [
-    ("kernel polar reconstruction", check_kernel_polar, 1000),
     ("kernel unitary averages", check_kernel_unitary_averages, 1000),
-    ("kernel psd square root", check_kernel_psd_sqrt, 1000),
-    ("kernel spectral range", check_kernel_spectral_range, 150),
     ("core induced-frame bridge", check_core_bridge, 1000),
     ("core canonical dual", check_core_dual, 500),
     ("decompositions reconstruct", check_decompositions, 500),

@@ -24,7 +24,6 @@ from typing import NamedTuple
 
 TAU_HERM = 1e-8     # Frobenius defect ||M - M*|| accepted as self-adjoint
 TAU_NORM = 1e-8     # slack on operator-norm preconditions (||A|| <= 1, <= 1/3)
-TAU_PSD = 1e-8      # most negative eigenvalue tolerated in a PSD input
 TAU_RANK = 1e-10    # eigenvalue threshold separating rank loss from roundoff
 TAU_CLASS = 1e-8    # ||S - I||_F for Parseval; relative gap |B - A| <= TAU_CLASS*B for tightness
 TAU_DUAL = 1e-8     # Frobenius defect of sum(D_i* L_i) - I in duality checks

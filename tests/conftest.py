@@ -48,11 +48,6 @@ def random_unit(rng, dim):
     return f / np.linalg.norm(f)
 
 
-def random_hermitian(rng, dim):
-    b = complex_gaussian(rng, dim, dim)
-    return (b + b.conj().T) / 2
-
-
 def identity_gframe(dim=2):
     """One 1 x dim block per coordinate: blocks [1 0 ...], [0 1 ...], ..."""
     eye = np.eye(dim)

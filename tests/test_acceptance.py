@@ -31,8 +31,7 @@ CRITERIA = {
     6: (106, ["invertible multiplier lower bound"]),
     7: (107, ["controlled frames", "controlled equivalence"]),
     8: (108, ["weighted frames", "weight extraction", "weighted equivalence"]),
-    9: (109, ["kernel unitary averages", "kernel spectral range",
-              "kernel polar reconstruction", "kernel psd square root"]),
+    9: (109, ["kernel unitary averages"]),
     10: (110, ["instance round-trip"]),
 }
 
@@ -117,10 +116,9 @@ def test_criterion_8_weighted_family_suite():
             "(500 instances)")
 
 
-def test_criterion_9_unitary_averaging_and_spectral_range():
+def test_criterion_9_unitary_averaging():
     gate(9, "unitary pair/triple averages reconstruct within 1e-9 with unitarity "
-            "defects <= 1e-10 (1000 contractions); spectral ranges match Rayleigh "
-            "extrema within 1e-6; polar and psd square roots reconstruct (1000 each)")
+            "defects <= 1e-10 (1000 contractions)")
 
 
 def test_criterion_10_cli_contract(tmp_path):

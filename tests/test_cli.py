@@ -551,8 +551,9 @@ def test_selftest_passes(capsys):
 SABOTAGED_SELFTEST = """
 import io, sys
 import gframes.selftest as selftest
-honest = selftest.psd_sqrt
-selftest.psd_sqrt = lambda *args, **kwargs: 1.01 * honest(*args, **kwargs)
+honest = selftest.unitary_pair_from_contraction
+selftest.unitary_pair_from_contraction = lambda *args, **kwargs: tuple(
+    1.01 * u for u in honest(*args, **kwargs))
 report = io.StringIO()
 print(sys.flags.optimize, selftest.run_selftest(stream=report))
 print(report.getvalue())
@@ -561,14 +562,14 @@ print(report.getvalue())
 
 def test_selftest_fails_on_sabotaged_kernel_under_python_O():
     # python -O strips assert statements; the corpus must still catch a
-    # square root that is off by 1%
+    # unitary splitting whose unitaries are off by 1%
     proc = subprocess.run(
         [sys.executable, "-O", "-c", SABOTAGED_SELFTEST],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == "1 False"
-    assert "FAIL kernel psd square root: psd square root" in proc.stdout
+    assert "FAIL kernel unitary averages: pair unitarity" in proc.stdout
 
 
 BASE_MODULES = {"gframes", "gframes.cli", "gframes.core", "gframes.errors", "gframes.io",

@@ -31,6 +31,7 @@ from gframes import (
     verify_duality,
     weighted_dual,
 )
+from gframes import core
 from gframes.core import _tall_svd, is_g_onb, is_parseval
 from gframes.errors import BadPartition, NonFinite, NotAFrame, ShapeMismatch
 from gframes.kernel import frobenius_norm, operator_norm
@@ -540,6 +541,21 @@ def test_one_parseval_verdict_near_the_identity(e, tall):
     rep = classify(frame)
     assert (frame_bounds(frame).classification is FrameClass.PARSEVAL) is is_parseval(frame)
     assert rep.is_g_frame >= rep.is_tight >= rep.is_parseval >= rep.is_g_onb
+    assert rep.is_g_onb is is_g_onb(frame)
+
+
+@pytest.mark.parametrize("make, dim, partition, reads", [
+    (random_g_onb, 48, (16, 16, 16), 1),  # the label's one read of ||S - I||_F
+    (random_g_riesz, 6, (3, 3), 0),  # the eigenvalues rule Parseval out
+])
+def test_classify_reads_the_parseval_verdict_at_most_once(monkeypatch, make, dim, partition,
+                                                          reads):
+    frame = make(np.random.default_rng(0), dim, partition)
+    calls = []
+    honest = core._parseval_margin
+    monkeypatch.setattr(core, "_parseval_margin", lambda s: calls.append(s) or honest(s))
+    classify(frame)
+    assert len(calls) == reads
 
 
 def test_spectrum_is_computed_once_and_read_only(monkeypatch):
