@@ -54,7 +54,7 @@ class ControlOperator(_ArrayValue):
         self_adjoint = kernel.self_adjoint(m).holds
         if self_adjoint:
             # |eigenvalues| of (C + C*)/2 are within TAU_HERM/2 of C's singular values
-            eigs, lowest = kernel.hermitian_spectrum(m)
+            eigs, lowest = kernel.hermitian_eigenvalues(m)
             positive, bounds, sv = lowest.holds, (float(eigs[0]), float(eigs[-1])), np.abs(eigs)
         else:
             positive, bounds, sv = False, None, np.linalg.svd(m, compute_uv=False)
@@ -101,7 +101,7 @@ class ControlledBounds:
 def controlled_bounds(frame: GFrame, control: ControlOperator) -> ControlledBounds:
     s_c = controlled_frame_operator(frame, control)
     self_adjoint = kernel.self_adjoint(s_c).holds
-    eigs, lowest = kernel.hermitian_spectrum(s_c)
+    eigs, lowest = kernel.hermitian_eigenvalues(s_c)
     return ControlledBounds(float(eigs[0]), float(eigs[-1]), self_adjoint and lowest.holds,
                             self_adjoint)
 
@@ -316,7 +316,7 @@ def weighted_multiplier_as_frame_operator(frame: GFrame, weights):
     match = Margin.relative(kernel.frobenius_norm(m_mat - scaled), TAU_EXACT,
                             kernel.frobenius_norm(scaled))
     self_adjoint = kernel.self_adjoint(m_mat)
-    _, lower = kernel.hermitian_spectrum(m_mat)
+    _, lower = kernel.hermitian_eigenvalues(m_mat)
     checks = WeightedOperatorChecks(
         matches_scaled_frame_operator=match.holds,
         match_defect=match.value,
@@ -358,7 +358,7 @@ def weighted_equivalence_suite(frame: GFrame, weights, weights_alt) -> WeightedE
     def _mult_invertible(seq: WeightSequence) -> bool:
         m_mat = multipliers.multiplier(seq, frame, frame)
         # decided before eigvalsh, which raises LinAlgError on an overflowed M
-        return kernel.self_adjoint(m_mat).holds and kernel.hermitian_spectrum(m_mat)[1].holds
+        return kernel.self_adjoint(m_mat).holds and kernel.hermitian_eigenvalues(m_mat)[1].holds
 
     # (iii) and (iv) are one test on the spectrum of {sqrt(w_i) Lambda_i}
     sqrt_scaled = core.scale_blocks(frame, np.sqrt(w.values.real))

@@ -6,9 +6,8 @@ linear combinations of two. General g-frames split into two normalized
 tight families, or into a g-ONB plus a g-Riesz family. All
 constructions run through the averaged-unitary splittings of the
 kernel module, all read the frame's one cached thin SVD of T, and
-reconstruct the input exactly up to roundoff. For an overcomplete frame
-that SVD comes from the eigendecomposition of S, so no n x d matrix is
-factored; a square frame's SVD is a direct one, read by nothing else.
+reconstruct the input exactly up to roundoff. Past
+`core._DIRECT_SVD_ROWS` rows that SVD factors no n x d matrix.
 
 Every returned component is certified on its own terms, with only the
 work its predicate needs: a normalized tight component by the core

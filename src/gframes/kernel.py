@@ -6,7 +6,7 @@ mean of two unitaries, and any operator of norm at most 1/3 is the mean
 of three. Everything works on plain complex128 ndarrays, and no helper
 copies an n x d input to conjugate or rescale it. Three of the five homes of a scale-bearing
 decision are here: `self_adjoint`, the one reader of TAU_HERM, and the
-rank floor in `hermitian_spectrum` and `require_invertible`. The frame
+rank floor in `hermitian_eigenvalues` and `require_invertible`. The frame
 verdict `core._classify_bounds` and `Margin.relative` are the others.
 """
 
@@ -49,10 +49,6 @@ def operator_norm(a) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-def hermitian_part(a: np.ndarray) -> np.ndarray:
-    return (a + a.conj().T) / 2.0
-
-
 # combines rows 2j and 2j + 1 of the real Gram into row j of X* X
 _CONJUGATE_PAIR = np.array([1.0, -1.0j])
 
@@ -77,9 +73,9 @@ def self_adjoint(a: np.ndarray) -> Margin:
     return Margin.defect(frobenius_norm(a - a.conj().T), TAU_HERM)
 
 
-def hermitian_spectrum(a: np.ndarray) -> tuple[np.ndarray, Margin]:
+def hermitian_eigenvalues(a: np.ndarray) -> tuple[np.ndarray, Margin]:
     """(ascending eigenvalues of (A + A*)/2, floor Margin on the smallest)."""
-    eigs = np.linalg.eigvalsh(hermitian_part(a))
+    eigs = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
     return eigs, Margin.above_floor(float(eigs[0]))
 
 

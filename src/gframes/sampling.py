@@ -57,8 +57,8 @@ def _partition_total(dim: int, partition) -> int:
 
 def random_gframe(rng: np.random.Generator, dim: int, partition,
                   sv_range: tuple[float, float] = (0.6, 1.8),
-                  label: str | None = None) -> GFrame:
-    """A g-frame with analysis singular values drawn inside sv_range."""
+                  label: str | None = None, sv: np.ndarray | None = None) -> GFrame:
+    """A g-frame with analysis singular values `sv`, or drawn inside sv_range."""
     total = _partition_total(dim, partition)
     if total < dim:
         raise InfeasibleKind(
@@ -66,7 +66,7 @@ def random_gframe(rng: np.random.Generator, dim: int, partition,
         )
     left = random_isometry(rng, total, dim)
     right = random_unitary(rng, dim)
-    sv = rng.uniform(sv_range[0], sv_range[1], dim)
+    sv = rng.uniform(sv_range[0], sv_range[1], dim) if sv is None else sv
     stacked = (left * sv) @ right.conj().T
     return GFrame.from_stacked(stacked, partition, label=label)
 

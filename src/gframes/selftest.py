@@ -190,8 +190,7 @@ def check_core_dual(rng, trials):
         # either side.
         sv = np.geomspace(1.0, (1e6, 1e8, 1e9)[trial % 3] ** -0.5, 8)
         for partition in ((2, 3, 2, 3), (2, 3, 3)):
-            left = sampling.random_isometry(rng, sum(partition), 8)
-            frame = GFrame.from_stacked((left * sv) @ sampling.random_unitary(rng, 8), partition)
+            frame = sampling.random_gframe(rng, 8, partition, sv=sv)
             dual = canonical_dual(frame)
             _check(verify_duality(frame, dual), "ill-conditioned canonical duality")
             # NotDual if P3.4 rejects the dual
@@ -228,17 +227,17 @@ def check_decompositions(rng, trials):
         _check_decomposition(decompose_two_parseval(frame), frame,
                              "overcomplete decompose_two_parseval")
         # singular values pinned at 1 and 1e-4 (k(S) = 1e8) on a strictly
-        # overcomplete frame: the Parseval components stay isometries to
-        # 1e-12, where a one-pass SVD from eigh(S) alone loses eps k(S)
+        # overcomplete frame, factored directly and, with a 257-row block,
+        # by CholeskyQR2: the Parseval components stay isometries to 1e-12,
+        # where a one-pass SVD from S alone loses eps k(S)
         dim, partition = random_partition(rng)
         sv = rng.uniform(1e-4, 1.0, dim)
         sv[:2] = 1.0, 1e-4
-        left = sampling.random_isometry(rng, sum(partition) + 1, dim)
-        frame = GFrame.from_stacked((left * sv) @ sampling.random_unitary(rng, dim),
-                                    (*partition, 1))
-        for component in decompose_two_parseval(frame).components:
-            _check(_isometry_defect(component.analysis_matrix()) <= 1e-12,
-                   "ill-conditioned decompose_two_parseval component is an isometry")
+        for rows in (1, 257):
+            frame = sampling.random_gframe(rng, dim, (*partition, rows), sv=sv)
+            for component in decompose_two_parseval(frame).components:
+                _check(_isometry_defect(component.analysis_matrix()) <= 1e-12,
+                       f"ill-conditioned Parseval component with a {rows}-row block is isometric")
 
 
 def check_coisometry(rng, trials):
@@ -323,6 +322,21 @@ def check_inversions(rng, trials):
                                                   negative=trial % 5 == 0)
         companion = GFrame.from_stacked(frame.analysis_matrix() @ g, partition)
         _check_inversion(multiplier(w, frame, companion), *invert_via_bijection(w, frame, g))
+
+        # ||T|| = 1, k(S) = 1e6, 1e8, 1e9 (d = 8), tall and square in turn: X
+        # matches +/-G^-1 R^-1 R^-* from an independent QR of the scaled T. At
+        # k(M) near 1e9 no inverse meets the residual check, so none is made
+        kappa = (1e6, 1e8, 1e9)[trial % 3]
+        frame = sampling.random_gframe(rng, 8, ((2, 3, 2, 3), (2, 3, 3))[trial % 2],
+                                       sv=np.geomspace(1.0, kappa**-0.5, 8))
+        w = np.sign(w[0]) * sampling.random_positive_weights(rng, frame.n_blocks)
+        g = sampling.random_unitary(rng, 8) * rng.uniform(0.5, 2.0, 8)
+        scaled = scale_blocks(frame, np.sqrt(np.abs(w))).analysis_matrix()
+        r_inv = np.linalg.inv(np.linalg.qr(scaled, mode="r"))
+        expected = np.sign(w[0]) * (np.linalg.inv(g) @ (r_inv @ r_inv.conj().T))
+        error = frobenius_norm(invert_via_bijection(w, frame, g)[0] - expected)
+        error /= frobenius_norm(expected)
+        _check(error <= 1e-10, f"P3.3 at k(S) = {kappa:g}: relative error {error:.3e}")
 
         # a dual that verify_duality accepts but that is not exact
         w, frame, dual = sampling.dual_perturb_instance(rng, dim, partition)

@@ -11,7 +11,7 @@ holds when value <= tau, `Margin.relative(value, tau, size)` when
 value <= tau * (1 + size), and `Margin.above_floor` when an eigenvalue
 or squared singular value exceeds the rank floor TAU_RANK. NaN never
 holds. Each scale-bearing decision has its homes, five in all: the rank
-floor in `core._classify_bounds`, `kernel.hermitian_spectrum` and
+floor in `core._classify_bounds`, `kernel.hermitian_eigenvalues` and
 `kernel.require_invertible`; TAU_HERM in `kernel.self_adjoint`; the
 `1 + size` scale in `Margin.relative`. Only it and `_classify_bounds`
 (tightness, relative to the upper bound) pass `Margin.defect` a scale.

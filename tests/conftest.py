@@ -55,10 +55,10 @@ def identity_gframe(dim=2):
 
 
 def count_factorizations(monkeypatch) -> Counter:
-    """Count np.linalg eigh, eigvalsh, svd, qr and inv calls made from now
-    on; a matrix 2-norm counts as the SVD it runs inside numpy."""
+    """Count np.linalg eigh, eigvalsh, svd, qr, cholesky and inv calls made
+    from now on; a matrix 2-norm counts as the SVD it runs inside numpy."""
     calls = Counter()
-    for name in ("eigh", "eigvalsh", "svd", "qr", "inv"):
+    for name in ("eigh", "eigvalsh", "svd", "qr", "cholesky", "inv"):
         def counted(*args, _name=name, _original=getattr(np.linalg, name), **kw):
             calls[_name] += 1
             return _original(*args, **kw)

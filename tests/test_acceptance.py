@@ -94,7 +94,10 @@ def test_criterion_4_multiplier_flattening_and_norm_bound():
 def test_criterion_5_certified_inversions():
     gate(5, "all six inversion routes: residual <= 1e-8, bracket contains the "
             "direct inverse norm, inverse within 1e-7, every series route's "
-            "partial sums beat the geometric tail at every K (200 instances each)")
+            "partial sums beat the geometric tail at every K (200 instances each); "
+            "at k(S) = 1e6, 1e8 and 1e9 with ||T|| = 1, tall and square in turn, "
+            "P3.3's inverse matches +/-G^-1 R^-1 R^-* from an independent QR of "
+            "the scaled T within 1e-10 relative (200 instances)")
 
 
 def test_criterion_6_invertible_multiplier_lower_bound():

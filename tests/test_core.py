@@ -32,7 +32,7 @@ from gframes import (
     weighted_dual,
 )
 from gframes import core
-from gframes.core import _tall_svd, is_g_onb, is_parseval
+from gframes.core import _cholesky_qr2_svd, is_g_onb, is_parseval
 from gframes.errors import BadPartition, NonFinite, NotAFrame, ShapeMismatch
 from gframes.kernel import frobenius_norm, operator_norm
 from gframes.sampling import (
@@ -562,20 +562,20 @@ def test_spectrum_is_computed_once_and_read_only(monkeypatch):
     rng = np.random.default_rng(103)
     frame = random_gframe(rng, 5, (2, 3, 2, 4))
     calls = []
-    for name in ("eigh", "eigvalsh", "svd"):
+    for name in ("eigh", "eigvalsh", "svd", "cholesky"):
         def counted(a, *args, _name=name, _original=getattr(np.linalg, name), **kw):
             calls.append(_name)
             return _original(a, *args, **kw)
         monkeypatch.setattr(np.linalg, name, counted)
     # bounds and classification share one eigvalsh of S; the dual adds the
-    # tall T's SVD: the eigh of S, the eigh of a d x d Gram and one d x d svd
+    # 11-row T's one direct SVD
     s = frame_operator(frame)
     b = frame_bounds(frame)
     rep = classify(frame)
     assert calls == ["eigvalsh"]
     dual = canonical_dual(frame)
     canonical_dual(frame)
-    assert calls == ["eigvalsh", "eigh", "eigh", "svd"]
+    assert calls == ["eigvalsh", "svd"]
     assert frame_operator(frame) is s
     assert frame_bounds(frame) is b and rep.bounds is b
     assert frame_bounds(dual).upper == pytest.approx(1 / b.lower)
@@ -584,14 +584,14 @@ def test_spectrum_is_computed_once_and_read_only(monkeypatch):
 
 
 def test_bounds_do_not_depend_on_call_order():
-    # the bounds always read eigvalsh(S), never the eigh that a dual, an
-    # SVD or an inverse of S computed first; the two differ in the last bits
+    # the bounds always read eigvalsh(S), never the SVD that a dual or an
+    # inverse of S computed first; the two differ in the last bits
     rng = np.random.default_rng(115)
     for partition in ((2, 3, 2), (2, 3)):  # tall, then square
         weights, frame, companion = mu_perturb_instance(rng, 5, partition)
         fresh = GFrame.from_stacked(frame.analysis_matrix(), partition)
         twin = GFrame.from_stacked(frame.analysis_matrix(), partition)
-        _ = twin._spectrum, twin._svd  # the eigh and SVD run first
+        _ = twin._svd  # the SVD runs first
         canonical_dual(twin)
         invert_mu_perturb(weights, twin, companion)
         assert frame_bounds(twin) == frame_bounds(fresh)
@@ -604,13 +604,15 @@ def _tall_frame(rng, rows, singular_values):
 
 
 def test_tall_svd_from_the_spectrum_is_as_accurate_as_a_direct_svd():
+    # more than _DIRECT_SVD_ROWS rows, so the SVD is CholeskyQR2's;
     # sigma_min = 1.1e-5 keeps the smallest eigenvalue of S above TAU_RANK
     rng = np.random.default_rng(111)
     for kappa in (1e2, 1e4, 9e4):
-        for rows, d in ((12, 6), (40, 16)):
+        for rows, d in ((260, 6), (400, 16)):
             frame = _tall_frame(rng, rows, np.geomspace(1.1e-5 * kappa, 1.1e-5, d))
             t = frame.analysis_matrix()
-            assert _tall_svd(t, *frame._spectrum) is not None
+            assert rows > core._DIRECT_SVD_ROWS and frame_bounds(frame).is_frame
+            assert _cholesky_qr2_svd(t, frame_operator(frame)) is not None
             u, s, vh = frame._svd
             assert operator_norm(u.conj().T @ u - np.eye(d)) <= 1e-13
             assert operator_norm((u * s) @ vh - t) <= 1e-13 * operator_norm(t)
@@ -618,21 +620,29 @@ def test_tall_svd_from_the_spectrum_is_as_accurate_as_a_direct_svd():
             assert np.all(np.abs(s - direct) <= 1e-10 * direct)
 
 
+def _svd_route(frame) -> str:
+    if not frame_bounds(frame).is_frame:
+        return "singular"
+    if _cholesky_qr2_svd(frame.analysis_matrix(), frame_operator(frame)) is None:
+        return "cholesky failed"
+    return "cholesky qr2"
+
+
 def test_tall_svd_stays_accurate_when_the_spectrum_cannot_carry_it():
-    # k(S) near 1/eps: the computed smallest eigenvalue of S may not be
-    # positive, or U0 = T V L^-1/2 may lose half its orthogonality; either
-    # way T is factored directly, as accurately as at moderate k(S)
+    # k(S) = 1e16, near 1/eps, with more than _DIRECT_SVD_ROWS rows: the
+    # computed smallest eigenvalue of S may fall below the rank floor, or
+    # a Cholesky of CholeskyQR2 may fail; either way T is factored
+    # directly, as accurately as at moderate k(S)
     rng = np.random.default_rng(113)
     paths = set()
     for _ in range(20):
-        frame = _tall_frame(rng, 8, np.array([1e6, 1.0, 1e-2]))
+        frame = _tall_frame(rng, 300, np.array([1e7, 1.0, 1e-1]))
         t = frame.analysis_matrix()
-        eigs, vecs = frame._spectrum
-        paths.add("singular" if eigs[0] <= TAU_RANK else _tall_svd(t, eigs, vecs) is None)
+        paths.add(_svd_route(frame))
         u, s, vh = frame._svd
         assert frobenius_norm(u.conj().T @ u - np.eye(3)) <= 1e-13
         assert frobenius_norm((u * s) @ vh - t) <= 1e-13 * frobenius_norm(t)
-    assert paths == {"singular", True, False}
+    assert paths == {"singular", "cholesky failed", "cholesky qr2"}
 
 
 def test_pickle_and_deepcopy_keep_the_frame():

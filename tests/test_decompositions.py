@@ -19,7 +19,7 @@ from gframes import (
     scale_blocks,
     verify_duality,
 )
-from gframes import decompositions, kernel
+from gframes import core, decompositions, kernel
 from gframes.decompositions import (
     _certified,
     coisometry_image,
@@ -234,15 +234,11 @@ def test_two_parseval_rejects_non_frame():
         decompose_two_parseval(random_deficient(rng, 3, (2, 2)))
 
 
-def test_one_eigh_of_s_and_one_svd_of_t_per_frame(monkeypatch):
-    # bounds and classification share one eigvalsh of S; the canonical
-    # dual and the Parseval pair share the thin SVD of the tall T, read
-    # off the one eigh of S with one eigh (the Gram of T V L^-1/2) and
-    # one svd, both d x d; T itself is factored not at all
-    rng = np.random.default_rng(283)
-    frame = random_gframe(rng, 6, (2, 1, 3, 2, 2))
+def _recorded_factorizations(monkeypatch, frame):
+    """(name, argument) of every factorization that bounds, classify, the
+    canonical dual and a certified Parseval pair of `frame` run, and the pair."""
     seen = []
-    for name in ("eigh", "eigvalsh", "svd", "qr"):
+    for name in ("eigh", "eigvalsh", "svd", "qr", "cholesky", "inv"):
         def recorded(a, *args, _name=name, _original=getattr(np.linalg, name), **kw):
             seen.append((_name, np.array(a)))
             return _original(a, *args, **kw)
@@ -253,15 +249,36 @@ def test_one_eigh_of_s_and_one_svd_of_t_per_frame(monkeypatch):
     canonical_dual(frame)
     dec = decompose_two_parseval(frame)
     assert_certified(dec, frame)
-    s, t = frame_operator(frame), frame.analysis_matrix()
+    s = frame_operator(frame)
+    assert [n for n, a in seen if np.array_equal(a, s)] == ["eigvalsh"] + (
+        ["cholesky"] if frame.analysis_matrix().shape[0] > core._DIRECT_SVD_ROWS else [])
+    assert [n for n, a in seen for c in dec.components
+            if np.array_equal(a, frame_operator(c))] == ["eigvalsh", "eigvalsh"]
+    return seen
+
+
+def test_a_short_tall_frame_runs_one_direct_svd_of_t(monkeypatch):
+    # bounds and classification share one eigvalsh of S; the canonical
+    # dual and the Parseval pair share the one direct thin SVD of the
+    # 10-row T, and nothing else is factored
+    frame = random_gframe(np.random.default_rng(283), 6, (2, 1, 3, 2, 2))
+    seen = _recorded_factorizations(monkeypatch, frame)
+    t = frame.analysis_matrix()
     assert t.shape == (10, 6)
-    of_s = [n for n, a in seen if np.array_equal(a, s)]
-    of_components = [n for n, a in seen for c in dec.components
-                     if np.array_equal(a, frame_operator(c))]
-    assert of_s == ["eigvalsh", "eigh"] and of_components == ["eigvalsh", "eigvalsh"]
     assert sorted((n, a.shape) for n, a in seen) == [
-        ("eigh", (6, 6))] * 2 + [("eigvalsh", (6, 6))] * 3 + [("svd", (6, 6))]
-    assert not [n for n, a in seen if a.shape == t.shape]
+        ("eigvalsh", (6, 6))] * 3 + [("svd", (10, 6))]
+    assert [n for n, a in seen if np.array_equal(a, t)] == ["svd"]
+
+
+def test_a_very_tall_frame_factors_nothing_of_n_by_d_shape(monkeypatch):
+    # above _DIRECT_SVD_ROWS the thin SVD is CholeskyQR2's: a Cholesky of
+    # S and of one d x d Gram, two d x d inverses and one d x d svd
+    frame = random_gframe(np.random.default_rng(283), 6, (2, 1, 3, 2, 2) * 30)
+    seen = _recorded_factorizations(monkeypatch, frame)
+    assert frame.analysis_matrix().shape == (300, 6)
+    assert sorted((n, a.shape) for n, a in seen) == (
+        [("cholesky", (6, 6))] * 2 + [("eigvalsh", (6, 6))] * 3
+        + [("inv", (6, 6))] * 2 + [("svd", (6, 6))])
 
 
 def test_each_certificate_runs_only_the_factorization_it_needs(monkeypatch):
@@ -341,7 +358,7 @@ def test_the_svd_of_t_is_cached_read_only_and_not_copied(monkeypatch):
         assert frame == twin and hash(frame) == hash(twin) and repr(frame) == repr(twin)
         for clone in (pickle.loads(pickle.dumps(frame)), copy.deepcopy(frame)):
             assert clone == frame
-            assert not {"_svd", "_spectrum", "_operator"} & vars(clone).keys()
+            assert not {"_svd", "_bounds", "_operator"} & vars(clone).keys()
 
 
 def test_non_unitary_components_are_rejected(monkeypatch):

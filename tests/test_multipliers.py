@@ -292,13 +292,14 @@ def test_bijection_rejects_singular_and_misshaped_g():
 
 
 def test_bijection_factors_s_w_once(monkeypatch):
-    # sigma(G), the frame's eigenvalues and S_w's spectrum: the verdict on
-    # S_w, the bracket and S_w^-1 share one eigh; G^-1 is one inv
+    # sigma(G), the frame's eigenvalues and S_w's: the verdict on S_w and
+    # the bracket share one eigvalsh, S_w^-1 reads the one SVD of the
+    # scaled T; G^-1 is one inv
     rng = np.random.default_rng(6)
     weights, frame, g = bijection_instance(rng, 4, [2, 1, 1])
     calls = count_factorizations(monkeypatch)
     m_inv, cert = invert_via_bijection(weights, frame, g)
-    assert calls == {"svd": 1, "eigvalsh": 1, "eigh": 1, "inv": 1}
+    assert calls == {"svd": 2, "eigvalsh": 2, "inv": 1}
     companion = GFrame(4, tuple(b @ g for b in frame.blocks))
     check_certified(weights, frame, companion, m_inv, cert)
 

@@ -164,7 +164,7 @@ def _scaled_defect(node) -> bool:
 # duality verdicts: (how to spot it, the (module, function) pairs that may make it)
 DECISION_HOMES = {
     "above_floor": (_calls("above_floor"), {("core.py", "_classify_bounds"),
-                                            ("kernel.py", "hermitian_spectrum"),
+                                            ("kernel.py", "hermitian_eigenvalues"),
                                             ("kernel.py", "require_invertible")}),
     "TAU_HERM": (_reads("TAU_HERM"), {("kernel.py", "self_adjoint")}),
     "scaled defect": (_scaled_defect, {("tolerances.py", "relative"),
@@ -178,15 +178,20 @@ DECISION_HOMES = {
 }
 
 
-# every computation or read of the eigenvectors of a frame operator: only
-# where they are used. Bounds and verdicts need the eigenvalues alone.
+# every computation or read of the singular vectors or eigenvectors of a
+# frame: only where they are used. Bounds and verdicts need the
+# eigenvalues alone, and S^-1 reads the SVD of T, so nothing computes the
+# eigenvectors of S.
 # Every explicit inverse too: a square dual solves with T*, whose error
 # grows as k(T), and no S^-1 solve may stand in for it unseen.
 EIGENVECTOR_HOMES = {
-    "eigh": (_calls("eigh"), {("core.py", "_spectrum"), ("core.py", "_tall_svd")}),
-    "_spectrum": (_reads("_spectrum"), {("core.py", "_svd"), ("core.py", "_inverse_frame_operator"),
-                                        ("multipliers.py", "_weighted_inverse")}),
-    "inv": (_calls("inv"), {("core.py", "canonical_dual"), ("multipliers.py", "invert_via_bijection"),
+    "eigh": (_calls("eigh"), set()),
+    "_svd": (_reads("_svd"), {("core.py", "canonical_dual"), ("core.py", "_inverse_frame_operator"),
+                              ("decompositions.py", "_pair_split"),
+                              ("decompositions.py", "decompose_three_gonb"),
+                              ("decompositions.py", "decompose_gonb_plus_griesz")}),
+    "inv": (_calls("inv"), {("core.py", "canonical_dual"), ("core.py", "_cholesky_qr2_svd"),
+                            ("multipliers.py", "invert_via_bijection"),
                             # the oracles
                             ("selftest.py", "_check_inversion"), ("selftest.py", "check_inversions"),
                             ("selftest.py", "check_invertible_lower_bound")}),
@@ -485,13 +490,13 @@ def test_planted_inverse_of_s(tree_copy):
 
 
 def test_planted_spectrum_read(tree_copy):
-    # bounds read off whichever eigendecomposition ran first
+    # bounds read off the SVD of T, if it ran first
     line = _replace_line(tree_copy, "core.py",
                          "        return _spectrum_bounds(np.linalg.eigvalsh(self._operator), "
                          "self._operator)\n",
-                         "        return _spectrum_bounds(self._spectrum[0], self._operator)\n")
+                         "        return _spectrum_bounds(self._svd[1][::-1] ** 2, self._operator)\n")
     assert stray_decisions(parse_library(tree_copy), EIGENVECTOR_HOMES) == [
-        f"src/gframes/core.py:{line} _spectrum"]
+        f"src/gframes/core.py:{line} _svd"]
 
 
 def test_planted_stale_home(library):
@@ -512,7 +517,7 @@ def test_planted_by_name_import(tree_copy):
 
 def test_planted_hand_rolled_gram(tree_copy):
     line = _replace_line(tree_copy, "core.py", "            s = gram(self._stacked)\n",
-                         "            s = hermitian_part(t.conj().T @ t)\n")
+                         "            s = t.conj().T @ t\n")
     assert hand_rolled_grams(parse_library(tree_copy)) == [f"src/gframes/core.py:{line}"]
 
 
