@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Every command reads a JSON instance document (see io.py), runs one
-library operation and builds one report. With --json the report is
-printed as JSON; otherwise the human-readable summary is rendered from
-that same report, so every text field is also a JSON field. Exit codes:
+library operation and builds one report, through `_report`, which also
+writes the result to --out. With --json the report is printed as JSON;
+otherwise the human-readable summary is rendered from that same report,
+so every text field is also a JSON field. Exit codes:
 0 success, 2 a checked hypothesis failed (the message names the violated
 inequality), 3 bad input or output (malformed or unreadable file, schema
 violation, bad arguments, an --out that cannot be written), 1 anything else.
@@ -19,10 +20,8 @@ sampling) call other modules' public functions through the module, as
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -32,12 +31,11 @@ from .io import (
     GENERATE_KINDS,
     InstanceFile,
     complex_pair,
-    dump_instance,
-    frame_document,
     generate,
     instance_digest,
+    json_text,
     load_instance,
-    matrix_document,
+    result_document,
     serialize_instance,
 )
 from .kernel import operator_norm
@@ -78,34 +76,17 @@ def _weights_or_ones(inst: InstanceFile) -> np.ndarray:
     return inst.weights.values
 
 
-def _header(operation: str, inst: InstanceFile, args) -> dict:
-    return {
-        "operation": operation,
-        "instance_digest": instance_digest(inst),
-        "inputs": {
-            "path": args.infile,
-            "label": inst.label,
-            "h_dim": inst.gframe.h_dim,
-            "partition": list(inst.gframe.partition),
-        },
-    }
-
-
 class _OutputError(Exception):
     """An --out file could not be written."""
 
 
-def _write_out(write, *args, **kwargs) -> None:
+def _write_out(path: str, text: str) -> None:
+    """The one writer of --out files."""
     try:
-        write(*args, **kwargs)
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
     except OSError as exc:  # --out only: a broken pipe on stdout is no output error
         raise _OutputError(exc) from None
-
-
-def _write_json(path: str, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 # -- text summaries: rows of (literal prefix, value read off the report) ------
@@ -220,8 +201,7 @@ _TEXT["weighted dual"] = _TEXT["dual"]
 
 def _emit(args, report: dict) -> int:
     if args.json:
-        json.dump(report, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        sys.stdout.write(json_text(report))
         return 0
     op = report["operation"]
     for prefix, row in _TEXT.get(op) or _TEXT[op.split()[0]]:
@@ -231,6 +211,28 @@ def _emit(args, report: dict) -> int:
     return 0
 
 
+def _report(args, operation: str, inst: InstanceFile, fields: dict, result=None) -> int:
+    """Emit the report of an --in command: its header, then `fields`. A
+    command that writes passes its `result`, which goes to --out when one is
+    given, and its report names the file written."""
+    report = {
+        "operation": operation,
+        "instance_digest": instance_digest(inst),
+        "inputs": {
+            "path": args.infile,
+            "label": inst.label,
+            "h_dim": inst.gframe.h_dim,
+            "partition": list(inst.gframe.partition),
+        },
+        **fields,
+    }
+    if result is not None:
+        if args.out:
+            _write_out(args.out, json_text(result_document(result)))
+        report["written"] = args.out
+    return _emit(args, report)
+
+
 # -- commands --------------------------------------------------------------
 
 
@@ -238,8 +240,7 @@ def _cmd_classify(args) -> int:
     inst = _load(args.infile)
     report = classify(inst.gframe)
     b = report.bounds
-    return _emit(args, {
-        **_header("classify", inst, args),
+    return _report(args, "classify", inst, {
         "bounds": {"lower": b.lower, "upper": b.upper},
         "classification": b.classification.value,
         "is_g_bessel": report.is_g_bessel,
@@ -253,22 +254,18 @@ def _cmd_classify(args) -> int:
     })
 
 
-def _dual_report(operation: str, inst: InstanceFile, args, dual, frame) -> int:
+def _dual_report(args, operation: str, inst: InstanceFile, dual, frame) -> int:
     defect = duality_defect(frame, dual)
     bounds = frame_bounds(dual)
-    if args.out:
-        _write_out(dump_instance, InstanceFile(gframe=dual), args.out)
-    return _emit(args, {
-        **_header(operation, inst, args),
+    return _report(args, operation, inst, {
         "dual_bounds": {"lower": bounds.lower, "upper": bounds.upper},
         "duality_defect": defect,
-        "written": args.out,
-    })
+    }, dual)
 
 
 def _cmd_dual(args) -> int:
     inst = _load(args.infile)
-    return _dual_report("dual", inst, args, canonical_dual(inst.gframe), inst.gframe)
+    return _dual_report(args, "dual", inst, canonical_dual(inst.gframe), inst.gframe)
 
 
 # form -> the decompositions function that computes it
@@ -290,35 +287,20 @@ def _cmd_decompose(args) -> int:
         image = decompositions.coisometry_image(inst.gframe, k)
         elapsed = time.perf_counter() - started
         bounds = frame_bounds(image)
-        if args.out:
-            _write_out(dump_instance, InstanceFile(gframe=image), args.out)
-        return _emit(args, {
-            **_header("decompose coisometry", inst, args),
+        return _report(args, "decompose coisometry", inst, {
             "image_bounds": {"lower": bounds.lower, "upper": bounds.upper},
             "image_classification": bounds.classification.value,
-            "written": args.out,
             "timing_seconds": elapsed,
-        })
+        }, image)
 
     dec = getattr(decompositions, _DECOMPOSERS[args.form])(inst.gframe)
     elapsed = time.perf_counter() - started
-    scalars = [complex_pair(a) for a in dec.scalars]
-    kinds = [k.value for k in dec.component_kinds]
-    if args.out:
-        _write_out(_write_json, args.out, {
-            "schema_version": 1,
-            "scalars": scalars,
-            "kinds": kinds,
-            "components": [{"blocks": frame_document(c)} for c in dec.components],
-        })
-    return _emit(args, {
-        **_header(f"decompose {args.form}", inst, args),
-        "scalars": scalars,
-        "component_kinds": kinds,
+    return _report(args, f"decompose {args.form}", inst, {
+        "scalars": [complex_pair(a) for a in dec.scalars],
+        "component_kinds": [k.value for k in dec.component_kinds],
         "reconstruction_residual": dec.reconstruction_residual,
-        "written": args.out,
         "timing_seconds": elapsed,
-    })
+    }, dec)
 
 
 def _cmd_multiply(args) -> int:
@@ -330,17 +312,13 @@ def _cmd_multiply(args) -> int:
     m_mat = multipliers.multiplier(weights, inst.gframe, companion)
     bound = multipliers.multiplier_norm_bound(weights, inst.gframe, companion)
     norm = operator_norm(m_mat)
-    if args.out:
-        _write_out(_write_json, args.out, {"schema_version": 1, "matrix": matrix_document(m_mat)})
-    return _emit(args, {
-        **_header("multiply", inst, args),
+    return _report(args, "multiply", inst, {
         "companion": "explicit" if inst.companion is not None else "canonical dual",
         "weights": [complex_pair(z) for z in np.asarray(weights)],
         "operator_norm": norm,
         "norm_bound": bound,
         "bound_holds": Margin.relative(norm - bound, TAU_BOUND, bound).holds,
-        "written": args.out,
-    })
+    }, m_mat)
 
 
 def _cmd_invert(args) -> int:
@@ -380,19 +358,15 @@ def _cmd_invert(args) -> int:
             tol=args.tol, swapped=args.swapped, mu=args.mu,
         )
     elapsed = time.perf_counter() - started
-    if args.out:
-        _write_out(_write_json, args.out, {"schema_version": 1, "matrix": matrix_document(m_inv)})
-    return _emit(args, {
-        **_header(f"invert {args.method}", inst, args),
+    return _report(args, f"invert {args.method}", inst, {
         "proposition": cert.proposition.value,
         "hypothesis_values": dict(cert.hypothesis_values),
         "inverse_norm_bracket": [cert.inverse_norm_lower, cert.inverse_norm_upper],
         "inverse_norm_observed": operator_norm(m_inv),
         "series_terms": cert.series_terms_for_tol,
         "residual": cert.residual,
-        "written": args.out,
         "timing_seconds": elapsed,
-    })
+    }, m_inv)
 
 
 def _cmd_controlled(args) -> int:
@@ -425,26 +399,21 @@ def _cmd_controlled(args) -> int:
 
     inst = _load(_require(args.infile, "in", "an instance file"))
     control = controlled.ControlOperator(_require(inst.control, "control", "a control matrix"))
-    header = _header(f"controlled {args.form}", inst, args)
     if args.form == "bounds":
         cb = controlled.controlled_bounds(inst.gframe, control)
-        return _emit(args, {
-            **header,
+        fields = {
             "lower": cb.lower,
             "upper": cb.upper,
             "is_controlled_frame": cb.is_controlled_frame,
             "form_self_adjoint": cb.form_self_adjoint,
-        })
-    if args.form == "commute":
+        }
+    elif args.form == "commute":
         res = controlled.verify_commutation(inst.gframe, control)
-        return _emit(args, {**header, "holds": res.holds, "defect": res.defect})
-    lhs, rhs = controlled.controlled_equivalence(inst.gframe, control)  # equiv
-    return _emit(args, {
-        **header,
-        "controlled_frame": lhs,
-        "gframe_positive_commuting": rhs,
-        "agree": lhs == rhs,
-    })
+        fields = {"holds": res.holds, "defect": res.defect}
+    else:  # equiv
+        lhs, rhs = controlled.controlled_equivalence(inst.gframe, control)
+        fields = {"controlled_frame": lhs, "gframe_positive_commuting": rhs, "agree": lhs == rhs}
+    return _report(args, f"controlled {args.form}", inst, fields)
 
 
 def _cmd_weighted(args) -> int:
@@ -455,8 +424,7 @@ def _cmd_weighted(args) -> int:
         control = controlled.ControlOperator(
             _require(inst.control, "control", "a control matrix"))
         weights, is_mult = controlled.weight_from_control(inst.gframe, control)
-        return _emit(args, {
-            **_header("weighted from-control", inst, args),
+        return _report(args, "weighted from-control", inst, {
             "weights": [complex_pair(z) for z in weights.values],
             "is_weight_multiplier": is_mult,
         })
@@ -464,19 +432,17 @@ def _cmd_weighted(args) -> int:
     w = _require(inst.weights, "weights", "a weight sequence").values
     if args.form == "bounds":
         wb = controlled.weighted_bounds(inst.gframe, w)
-        return _emit(args, {
-            **_header("weighted bounds", inst, args),
+        return _report(args, "weighted bounds", inst, {
             "lower": wb.lower,
             "upper": wb.upper,
             "classification": wb.classification.value,
         })
     if args.form == "dual":
-        return _dual_report("weighted dual", inst, args,
+        return _dual_report(args, "weighted dual", inst,
                             controlled.weighted_dual(inst.gframe, w), scale_blocks(inst.gframe, w))
     w_alt = inst.weights_alt.values if inst.weights_alt is not None else w  # equiv
     suite = controlled.weighted_equivalence_suite(inst.gframe, w, w_alt)
-    return _emit(args, {
-        **_header("weighted equiv", inst, args),
+    return _report(args, "weighted equiv", inst, {
         "statements": dict(suite._asdict()),
         "unanimous": suite.unanimous,
     })
@@ -487,7 +453,7 @@ def _cmd_generate(args) -> int:
     inst = generate(args.kind, args.dim, partition, args.seed)
     text = serialize_instance(inst, compact=args.compact)
     if args.out:
-        _write_out(Path(args.out).write_text, text, encoding="utf-8")
+        _write_out(args.out, text)
         print(f"written: {args.out} ({instance_digest(inst)[:16]})")
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")

@@ -4,7 +4,9 @@ An instance document carries one g-frame plus optional payloads the
 operations need: a weight sequence, a control matrix, a companion
 frame, an explicit dual, a bijection operator, a coisometry. Complex
 numbers are [re, im] pairs and matrices are row-major lists of rows, so
-documents round-trip bit-exactly through parse/serialize.
+documents round-trip bit-exactly through parse/serialize. The CLI's
+--out documents are built here too (`result_document`), and every
+pretty JSON text is laid out by `json_text`.
 """
 
 from __future__ import annotations
@@ -235,11 +237,17 @@ def instance_document(inst: InstanceFile) -> dict:
     return doc
 
 
+def json_text(doc) -> str:
+    """The one pretty JSON layout: of every --json report, every --out file
+    and the pretty form of an instance document."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
 def serialize_instance(inst: InstanceFile, compact: bool = False) -> str:
     doc = instance_document(inst)
     if compact:
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json_text(doc)
 
 
 def dump_instance(inst: InstanceFile, path) -> None:
@@ -250,6 +258,23 @@ def dump_instance(inst: InstanceFile, path) -> None:
 def instance_digest(inst: InstanceFile) -> str:
     """sha256 of the canonical compact serialization."""
     return hashlib.sha256(serialize_instance(inst, compact=True).encode()).hexdigest()
+
+
+def result_document(result) -> dict:
+    """The --out document of a command's result: an instance document for a
+    GFrame, {schema_version, matrix} for an array, and for a decomposition
+    {schema_version, scalars, kinds, components}, read by attribute so that
+    `decompositions` is loaded only by the commands that run it."""
+    if isinstance(result, GFrame):
+        return instance_document(InstanceFile(gframe=result))
+    if isinstance(result, np.ndarray):
+        return {"schema_version": SCHEMA_VERSION, "matrix": matrix_document(result)}
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "scalars": [complex_pair(a) for a in result.scalars],
+        "kinds": [k.value for k in result.component_kinds],
+        "components": [_subframe_document(c) for c in result.components],
+    }
 
 
 # -- generation ----------------------------------------------------------------

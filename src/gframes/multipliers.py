@@ -230,13 +230,12 @@ def _oriented(w: WeightSequence, frame: GFrame, companion: GFrame, swapped: bool
 
 
 def _weighted_inverse(frame: GFrame, w: WeightSequence):
-    """(S_w^-1, bounds of S_w) for S_w = sum_i |m_i| Lambda_i* Lambda_i, the frame
-    operator of {sqrt|m_i| Lambda_i}; S_w^-1 reads that frame's thin SVD."""
+    """(S_w^-1, s) for S_w = sum_i |m_i| Lambda_i* Lambda_i, the frame operator
+    of {sqrt|m_i| Lambda_i}, and s the singular values of that frame's T, so
+    that S_w has the eigenvalues s^2; the verdict and S_w^-1 read one SVD."""
     scaled = core.scale_blocks(frame, np.sqrt(np.abs(w.values)))
-    bounds = core.frame_bounds(scaled)
-    if not bounds.is_frame:
-        raise Singular(f"matrix is numerically singular: smallest eigenvalue {bounds.lower:.3e}")
-    return _inverse_frame_operator(scaled), bounds
+    s = kernel.require_invertible(scaled._svd[1], Singular, "matrix is numerically singular")
+    return _inverse_frame_operator(scaled), s
 
 
 def invert_via_bijection(weights, frame: GFrame, g_matrix):
@@ -259,13 +258,13 @@ def invert_via_bijection(weights, frame: GFrame, g_matrix):
     bounds = _require_frame(frame, "the weighted family needs a g-frame to invert against")
     companion = frame._with_rows(frame.analysis_matrix() @ g)
     m_mat = multiplier(w, frame, companion)
-    s_w_inv, s_w_bounds = _weighted_inverse(frame, w)
+    s_w_inv, s_w = _weighted_inverse(frame, w)
     a_w, b_w = w.semi_norm_bounds
     hvals = {"a": a_w, "b": b_w, "A_Lambda": bounds.lower, "B_Lambda": bounds.upper,
              "sigma_min_G": float(sv[-1]), "sigma_max_G": float(sv[0])}
     return _certificate(m_mat, sign * (np.linalg.inv(g) @ s_w_inv), Proposition.P33_BIJECTION,
-                        hvals, (1.0 / (float(sv[0]) * s_w_bounds.upper),
-                                (1.0 / float(sv[-1])) / s_w_bounds.lower))
+                        hvals, (1.0 / (float(sv[0]) * s_w[0] ** 2),
+                                1.0 / (float(sv[-1]) * s_w[-1] ** 2)))
 
 
 def invert_dual_neumann(weights, frame: GFrame, dual: GFrame,

@@ -18,6 +18,7 @@ from gframes.io import (
     dump_instance,
     frame_document,
     instance_digest,
+    json_text,
     load_instance,
     matrix_document,
 )
@@ -509,6 +510,34 @@ def test_text_summary_renders_the_json_report(tmp_path, capsys):
             assert written.read_bytes() == json_bytes
 
 
+def test_every_out_file_has_the_one_json_layout(tmp_path, capsys):
+    # instance documents (None), matrix and decomposition documents, each
+    # laid out by io.json_text
+    path = write_doc(tmp_path, weights=[[0.9, 0.0], [1.1, 0.0]],
+                     coisometry=matrix_document([[0.6, 0.8]]))
+    matrix = {"schema_version", "matrix"}
+    cases = [
+        (["dual", "--in", path], None),
+        (["decompose", "two-parseval", "--in", path],
+         {"schema_version", "scalars", "kinds", "components"}),
+        (["decompose", "coisometry", "--in", path], None),
+        (["multiply", "--in", path], matrix),
+        (["invert", "dual-neumann", "--in", path], matrix),
+        (["weighted", "dual", "--in", path], None),
+        (["generate", "--kind", "g_riesz", "--dim", "3", "--partition", "1,2"], None),
+    ]
+    for n, (argv, keys) in enumerate(cases):
+        out = tmp_path / f"out{n}.json"
+        assert main([*argv, "--out", str(out)]) == 0, argv
+        text = out.read_text()
+        assert text == json_text(json.loads(text)), argv
+        if keys is None:
+            load_instance(out)
+        else:
+            assert set(json.loads(text)) == keys, argv
+    capsys.readouterr()
+
+
 # -- generate and selftest -------------------------------------------------------------
 
 
@@ -645,8 +674,8 @@ def test_unreadable_input_path_exits_3(tmp_path, capsys):
 
 
 def test_unwritable_out_is_an_output_error_exit_3(tmp_path, capsys, monkeypatch):
-    # a directory and a path in a missing directory, through each --out writer:
-    # the instance writer, the JSON document writer and generate's text writer
+    # a directory and a path in a missing directory, through the one --out
+    # writer, for an instance, a decomposition and a generated document
     path = write_doc(tmp_path)
     commands = (["dual", "--in", path], ["decompose", "two-parseval", "--in", path],
                 ["generate", "--kind", "g_riesz", "--dim", "2", "--partition", "1,1"])

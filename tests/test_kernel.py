@@ -79,6 +79,17 @@ def test_pair_accepts_norm_exactly_one():
     assert frobenius_norm((u1 + u2) / 2 - u) <= 1e-9
 
 
+def test_pair_clips_a_norm_inside_the_slack_at_one():
+    # a norm of 1 + 1e-9 is inside TAU_NORM's slack; its singular values are
+    # clipped at 1, so the unitaries stay finite and average to the input
+    rng = np.random.default_rng(59)
+    a = (1.0 + 1e-9) * random_unitary(rng, 4)
+    u1, u2 = unitary_pair_from_contraction(a)
+    assert np.isfinite(u1).all() and np.isfinite(u2).all()
+    assert unitary_defect(u1) <= 1e-10 and unitary_defect(u2) <= 1e-10
+    assert frobenius_norm((u1 + u2) / 2 - a) <= 1e-8
+
+
 def test_pair_rejects_expansion():
     with pytest.raises(NormTooLarge):
         unitary_pair_from_contraction(1.5 * np.eye(2))

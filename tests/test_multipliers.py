@@ -44,6 +44,7 @@ from gframes.errors import (
     Singular,
     SingularG,
 )
+from gframes import core
 from gframes.kernel import operator_norm
 from gframes.multipliers import _geometric_terms, _series_sum
 from gframes.sampling import (
@@ -55,6 +56,7 @@ from gframes.sampling import (
     mu_perturb_instance,
     random_deficient,
     random_gframe,
+    random_unitary,
 )
 from gframes.selftest import ROUNDOFF, inexact_dual, random_partition, tail_failures
 from gframes.tolerances import TAU_DUAL
@@ -292,21 +294,30 @@ def test_bijection_rejects_singular_and_misshaped_g():
 
 
 def test_bijection_factors_s_w_once(monkeypatch):
-    # sigma(G), the frame's eigenvalues and S_w's: the verdict on S_w and
-    # the bracket share one eigvalsh, S_w^-1 reads the one SVD of the
-    # scaled T; G^-1 is one inv
+    # sigma(G) and the frame's eigenvalues; the verdict on S_w, the bracket
+    # and S_w^-1 read the one SVD of the scaled T; G^-1 is one inv
     rng = np.random.default_rng(6)
     weights, frame, g = bijection_instance(rng, 4, [2, 1, 1])
     calls = count_factorizations(monkeypatch)
     m_inv, cert = invert_via_bijection(weights, frame, g)
-    assert calls == {"svd": 2, "eigvalsh": 2, "inv": 1}
+    assert calls == {"svd": 2, "eigvalsh": 1, "inv": 1}
     companion = GFrame(4, tuple(b @ g for b in frame.blocks))
     check_certified(weights, frame, companion, m_inv, cert)
 
 
+def test_bijection_rejects_g_whose_sigma_min_squared_is_below_the_floor():
+    # sigma_min(G) = 1e-9 clears the rank floor TAU_RANK = 1e-10; its square,
+    # the smallest eigenvalue of G* G, does not
+    rng = np.random.default_rng(7)
+    weights, frame, _ = bijection_instance(rng, 4, [2, 1, 1])
+    g = (random_unitary(rng, 4) * [1.0, 0.7, 0.4, 1e-9]) @ random_unitary(rng, 4).conj().T
+    with pytest.raises(SingularG, match="^bijection operator is singular: sigma_min 1.000e-09$"):
+        invert_via_bijection(weights, frame, g)
+
+
 def test_bijection_rejects_numerically_singular_weighted_operator():
     with pytest.raises(
-        Singular, match="^matrix is numerically singular: smallest eigenvalue 1.000e-11$"
+        Singular, match="^matrix is numerically singular: sigma_min 3.162e-06$"
     ):
         invert_via_bijection([1e-11, 1e-11], identity_gframe(2), np.eye(2))
 
@@ -437,6 +448,22 @@ def test_canonical_dual_inversion_swapped():
     check_certified(weights, frame, canonical_dual(frame), m_inv, cert, swapped=True)
 
 
+def test_canonical_dual_certifies_q_plus_the_duality_defect(monkeypatch):
+    # a computed dual off by delta within TAU_DUAL: ||I - M|| <= q + delta
+    rng = np.random.default_rng(48)
+    honest = core.canonical_dual
+    monkeypatch.setattr(core, "canonical_dual",
+                        lambda frame: inexact_dual(rng, frame, honest(frame), TAU_DUAL / 2))
+    for _ in range(10):
+        dim, partition = random_partition(rng)
+        weights, frame = canonical_dual_instance(rng, dim, partition)
+        m_inv, cert = invert_canonical_dual(weights, frame)
+        hv = cert.hypothesis_values
+        assert hv["duality_defect"] == pytest.approx(TAU_DUAL / 2, rel=1e-6)
+        q = hv["lambda"] * np.sqrt(hv["B_Lambda"] / hv["A_Lambda"])
+        assert hv["contraction"] == pytest.approx(q + hv["duality_defect"], rel=1e-12)
+
+
 def test_canonical_dual_hypothesis_failure_names_inequality():
     rng = np.random.default_rng(18)
     frame = random_gframe(rng, 3, [2, 2])
@@ -499,7 +526,7 @@ def test_bessel_perturb_rejects_numerically_singular_weighted_operator():
     # equal tiny weights pass both inequalities (B_diff = 0); S_w does not
     frame = identity_gframe(2)
     with pytest.raises(
-        Singular, match="^matrix is numerically singular: smallest eigenvalue 1.000e-11$"
+        Singular, match="^matrix is numerically singular: sigma_min 3.162e-06$"
     ):
         invert_bessel_perturb([1e-11, 1e-11], frame, frame)
 
@@ -696,6 +723,21 @@ def test_swapped_complex_weights_measure_conjugated_perturbation():
                 continue
             check_certified(weights, frame, companion, m_inv, cert, swapped=True)
     assert rejected >= 60
+
+
+def test_dual_mu_certifies_q_plus_the_duality_defect():
+    # a dual accepted within TAU_DUAL: ||I - M|| <= sqrt(mu B_Lambda) + delta
+    rng = np.random.default_rng(49)
+    for _ in range(10):
+        dim, partition = random_partition(rng)
+        weights, frame, dual, companion = dual_mu_perturb_instance(rng, dim, partition)
+        dual = inexact_dual(rng, frame, dual, TAU_DUAL / 2)
+        m_inv, cert = invert_dual_mu_perturb(weights, frame, dual, companion)
+        check_certified(weights, frame, companion, m_inv, cert)
+        hv = cert.hypothesis_values
+        assert hv["duality_defect"] == pytest.approx(TAU_DUAL / 2, rel=1e-6)
+        q = np.sqrt(hv["mu"] * hv["B_Lambda"])
+        assert hv["contraction"] == pytest.approx(q + hv["duality_defect"], rel=1e-12)
 
 
 def test_dual_mu_rejects_non_dual_reference():

@@ -1,6 +1,6 @@
 """Repository rules: scans of the source tree, one test per rule.
 
-The library is parsed once per run and the eight syntax rules share that
+The library is parsed once per run and the nine syntax rules share that
 parse. Every finding is a `file:line ...` line relative to the scanned
 root, or for a homes table a `TABLE decision: module function` line, and
 a failing test prints the findings one per line. Each rule is also run
@@ -189,12 +189,21 @@ EIGENVECTOR_HOMES = {
     "_svd": (_reads("_svd"), {("core.py", "canonical_dual"), ("core.py", "_inverse_frame_operator"),
                               ("decompositions.py", "_pair_split"),
                               ("decompositions.py", "decompose_three_gonb"),
-                              ("decompositions.py", "decompose_gonb_plus_griesz")}),
+                              ("decompositions.py", "decompose_gonb_plus_griesz"),
+                              ("multipliers.py", "_weighted_inverse")}),
     "inv": (_calls("inv"), {("core.py", "canonical_dual"), ("core.py", "_cholesky_qr2_svd"),
                             ("multipliers.py", "invert_via_bijection"),
                             # the oracles
                             ("selftest.py", "_check_inversion"), ("selftest.py", "check_inversions"),
                             ("selftest.py", "check_invertible_lower_bound")}),
+}
+
+
+# every JSON text the library writes: one pretty layout for reports, --out
+# files and instance documents, and the compact form an instance digest hashes
+JSON_HOMES = {
+    "json dump": (lambda node: _calls("dump")(node) or _calls("dumps")(node),
+                  {("io.py", "json_text"), ("io.py", "serialize_instance")}),
 }
 
 
@@ -222,7 +231,8 @@ def stale_homes(library: dict, tables: dict) -> list[str]:
             for module, function in sorted(homes) if (module, function) not in defined]
 
 
-HOME_TABLES = {"DECISION_HOMES": DECISION_HOMES, "EIGENVECTOR_HOMES": EIGENVECTOR_HOMES}
+HOME_TABLES = {"DECISION_HOMES": DECISION_HOMES, "EIGENVECTOR_HOMES": EIGENVECTOR_HOMES,
+               "JSON_HOMES": JSON_HOMES}
 
 
 def _spread(xs) -> dict:
@@ -358,6 +368,11 @@ def test_decision_homes(library):
 
 def test_eigenvectors_only_where_read(library):
     found = stray_decisions(library, EIGENVECTOR_HOMES)
+    assert not found, "\n".join(found)
+
+
+def test_one_json_layout(library):
+    found = stray_decisions(library, JSON_HOMES)
     assert not found, "\n".join(found)
 
 
@@ -497,6 +512,13 @@ def test_planted_spectrum_read(tree_copy):
                          "        return _spectrum_bounds(self._svd[1][::-1] ** 2, self._operator)\n")
     assert stray_decisions(parse_library(tree_copy), EIGENVECTOR_HOMES) == [
         f"src/gframes/core.py:{line} _svd"]
+
+
+def test_planted_json_layout(tree_copy):
+    # a report laid out beside io.json_text
+    line = _append(tree_copy, "cli.py", "json.dumps(report)\n")
+    assert stray_decisions(parse_library(tree_copy), JSON_HOMES) == [
+        f"src/gframes/cli.py:{line} json dump"]
 
 
 def test_planted_stale_home(library):
