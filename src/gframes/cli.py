@@ -348,14 +348,13 @@ def _cmd_invert(args) -> int:
     elif args.method == "mu-perturb":
         companion = _require(inst.companion, "companion", "a companion family")
         m_inv, cert = multipliers.invert_mu_perturb(
-            weights, frame, companion, tol=args.tol, swapped=args.swapped, mu=args.mu
+            weights, frame, companion, tol=args.tol, swapped=args.swapped
         )
     else:  # dual-mu
         companion = _require(inst.companion, "companion", "a companion family")
         dual = inst.dual or canonical_dual(frame)
         m_inv, cert = multipliers.invert_dual_mu_perturb(
-            weights, frame, dual, companion,
-            tol=args.tol, swapped=args.swapped, mu=args.mu,
+            weights, frame, dual, companion, tol=args.tol, swapped=args.swapped
         )
     elapsed = time.perf_counter() - started
     return _report(args, f"invert {args.method}", inst, {
@@ -370,6 +369,8 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_controlled(args) -> int:
+    if args.values is not None and args.form != "arith":
+        raise SchemaError("--values", "only controlled arith reads bounds from --values")
     from . import controlled
 
     if args.form == "arith":
@@ -417,6 +418,8 @@ def _cmd_controlled(args) -> int:
 
 
 def _cmd_weighted(args) -> int:
+    if args.out is not None and args.form != "dual":
+        raise SchemaError("--out", "only weighted dual has a result to write")
     from . import controlled
 
     inst = _load(args.infile)
@@ -506,8 +509,6 @@ def build_parser() -> _Parser:
     p.add_argument("--tol", type=float, default=TAU_INV,
                    help="series tolerance: bounds ||M^-1 - X||_2 through the "
                         "geometric tail")
-    p.add_argument("--mu", type=float, default=None,
-                   help="override the computed perturbation bound")
     p.add_argument("--swapped", action="store_true",
                    help="evaluate the companion-first operator order")
 

@@ -250,11 +250,6 @@ def serialize_instance(inst: InstanceFile, compact: bool = False) -> str:
     return json_text(doc)
 
 
-def dump_instance(inst: InstanceFile, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(serialize_instance(inst))
-
-
 def instance_digest(inst: InstanceFile) -> str:
     """sha256 of the canonical compact serialization."""
     return hashlib.sha256(serialize_instance(inst, compact=True).encode()).hexdigest()

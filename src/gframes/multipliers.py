@@ -39,7 +39,7 @@ from .errors import (
     SingularG,
 )
 from .kernel import _ArrayValue, _square_matrix
-from .tolerances import MAX_SERIES_TERMS, TAU_EXACT, TAU_INV, Margin
+from .tolerances import MAX_SERIES_TERMS, TAU_INV
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,7 +94,6 @@ class Proposition(Enum):
     P36_BESSEL_PERTURB = "P36_BesselPerturb"
     P37_MU_PERTURB = "P37_MuPerturb"
     P38_DUAL_MU_PERTURB = "P38_DualMuPerturb"
-    DIRECT = "Direct"
 
 
 @dataclass(frozen=True)
@@ -358,8 +357,9 @@ def invert_bessel_perturb(weights, frame: GFrame, companion: GFrame,
     )
 
 
-def _validated_mu(w: WeightSequence, companion: GFrame, reference: GFrame,
-                  swapped: bool, mu: float | None, hvals: dict) -> float:
+def _perturbation_bound(w: WeightSequence, companion: GFrame, reference: GFrame,
+                        swapped: bool) -> float:
+    """The optimal mu: the upper bound of {m_i Theta_i - R_i}, R the reference."""
     # the swapped multiplier sum_i m_i Theta_i* Lambda_i is M(conj m)*,
     # so its perturbation is measured with conjugated weights
     m = w.values.conj() if swapped else w.values
@@ -367,30 +367,18 @@ def _validated_mu(w: WeightSequence, companion: GFrame, reference: GFrame,
         companion.per_row(m)[:, None] * companion.analysis_matrix()
         - reference.analysis_matrix()
     )
-    mu_actual = core.frame_bounds(pert).upper
-    hvals["mu_computed"] = mu_actual
-    if mu is None:
-        return mu_actual
-    mu = float(mu)
-    if not Margin.defect(mu_actual * (1.0 - TAU_EXACT) - TAU_EXACT, mu):
-        raise HypothesisFailed(
-            "supplied mu must dominate the perturbation bound",
-            {**hvals, "mu": mu},
-        )
-    return mu
+    return core.frame_bounds(pert).upper
 
 
 def invert_mu_perturb(weights, frame: GFrame, companion: GFrame,
-                      tol: float = TAU_INV, swapped: bool = False,
-                      mu: float | None = None):
+                      tol: float = TAU_INV, swapped: bool = False):
     """Invert a multiplier close to the frame operator.
 
     mu bounds sum_i ||(m_i Theta_i - Lambda_i) f||^2 (conj(m_i) when
     `swapped`); the hypothesis is mu < A_Lambda^2/B_Lambda. The inverse
     is the series sum_k [I - S^-1 M]^k S^-1, with contraction
     q = sqrt(mu*B_Lambda)/A_Lambda and ||S^-1|| = 1/A_Lambda setting the
-    geometric tail. A user-supplied mu is accepted if it dominates the
-    computed optimal one.
+    geometric tail.
     """
     tol = _require_tol(tol)
     w = _weights_for(frame, weights)
@@ -398,11 +386,11 @@ def invert_mu_perturb(weights, frame: GFrame, companion: GFrame,
     bounds = _require_frame(frame, "the base family must be a g-frame")
     a_l, b_l = bounds.lower, bounds.upper
     hvals = {"A_Lambda": a_l, "B_Lambda": b_l}
-    mu_used = _validated_mu(w, companion, frame, swapped, mu, hvals)
-    hvals["mu"] = mu_used
-    if mu_used >= a_l**2 / b_l:
+    mu = _perturbation_bound(w, companion, frame, swapped)
+    hvals["mu_computed"] = hvals["mu"] = mu
+    if mu >= a_l**2 / b_l:
         raise HypothesisFailed("mu < A_Lambda^2/B_Lambda", hvals)
-    root = math.sqrt(mu_used * b_l)
+    root = math.sqrt(mu * b_l)
     s_inv = _inverse_frame_operator(frame)
     m_mat = _oriented(w, frame, companion, swapped)
     # the weighted companion inherits a positive lower bound; record it
@@ -416,8 +404,7 @@ def invert_mu_perturb(weights, frame: GFrame, companion: GFrame,
 
 
 def invert_dual_mu_perturb(weights, frame: GFrame, dual: GFrame, companion: GFrame,
-                           tol: float = TAU_INV,
-                           swapped: bool = False, mu: float | None = None):
+                           tol: float = TAU_INV, swapped: bool = False):
     """Invert a multiplier close to the identity via a dual pair.
 
     mu bounds sum_i ||(m_i Theta_i - D_i) f||^2 (conj(m_i) when
@@ -434,12 +421,12 @@ def invert_dual_mu_perturb(weights, frame: GFrame, dual: GFrame, companion: GFra
         raise NotDual("the dual family is not a dual of the frame")
     b_l = core.frame_bounds(frame).upper
     hvals = {"B_Lambda": b_l, "duality_defect": delta}
-    mu_used = _validated_mu(w, companion, dual, swapped, mu, hvals)
-    hvals["mu"] = mu_used
-    if mu_used >= 1.0 / b_l:
+    mu = _perturbation_bound(w, companion, dual, swapped)
+    hvals["mu_computed"] = hvals["mu"] = mu
+    if mu >= 1.0 / b_l:
         raise HypothesisFailed("mu < 1/B_Lambda", hvals)
     m_mat = _oriented(w, frame, companion, swapped)
-    c = math.sqrt(mu_used * b_l) + delta
+    c = math.sqrt(mu * b_l) + delta
     return _neumann_series(m_mat, c, tol, Proposition.P38_DUAL_MU_PERTURB, hvals)
 
 

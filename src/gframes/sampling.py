@@ -97,14 +97,13 @@ def random_parseval(rng: np.random.Generator, dim: int, partition,
 
 
 def random_deficient(rng: np.random.Generator, dim: int, partition,
-                     rank_drop: int = 1, label: str | None = None) -> GFrame:
-    """A g-Bessel family whose analysis matrix misses rank_drop directions."""
+                     label: str | None = None) -> GFrame:
+    """A g-Bessel family whose analysis matrix misses one direction."""
     total = _partition_total(dim, partition)
-    drop = min(max(1, rank_drop), dim)
     left = random_isometry(rng, max(total, dim), dim)[:total]
     right = random_unitary(rng, dim)
     sv = rng.uniform(0.6, 1.8, dim)
-    sv[dim - drop:] = 0.0
+    sv[-1] = 0.0
     stacked = (left * sv) @ right.conj().T
     return GFrame.from_stacked(stacked, partition, label=label)
 
@@ -117,20 +116,17 @@ def random_control_commuting(rng: np.random.Generator, frame: GFrame) -> Control
     return ControlOperator(c)
 
 
-def random_positive_weights(rng: np.random.Generator, n: int,
-                            lo: float = 0.5, hi: float = 2.0) -> np.ndarray:
-    return rng.uniform(lo, hi, n)
+def random_positive_weights(rng: np.random.Generator, n: int) -> np.ndarray:
+    return rng.uniform(0.5, 2.0, n)
 
 
-def random_complex_weights(rng: np.random.Generator, n: int,
-                           lo: float = 0.5, hi: float = 2.0) -> np.ndarray:
-    moduli = rng.uniform(lo, hi, n)
+def random_complex_weights(rng: np.random.Generator, n: int) -> np.ndarray:
+    moduli = rng.uniform(0.5, 2.0, n)
     phases = rng.uniform(0.0, 2.0 * np.pi, n)
     return moduli * np.exp(1j * phases)
 
 
-def eigenblock_control_instance(rng: np.random.Generator, partition,
-                                w_range: tuple[float, float] = (0.5, 3.0)):
+def eigenblock_control_instance(rng: np.random.Generator, partition):
     """A frame whose synthesis ranges are eigenspaces of a positive C.
 
     Block i spans a w_i-eigenspace of C, so C acts as the scalar w_i on
@@ -139,7 +135,7 @@ def eigenblock_control_instance(rng: np.random.Generator, partition,
     sizes = [int(p) for p in partition]
     dim = sum(sizes)
     basis = random_unitary(rng, dim)
-    true_w = rng.uniform(w_range[0], w_range[1], len(sizes))
+    true_w = rng.uniform(0.5, 3.0, len(sizes))
     blocks = []
     offset = 0
     for d_i in sizes:

@@ -93,9 +93,9 @@ def _check(condition, message: str) -> None:
         raise CheckFailed(message)
 
 
-def random_partition(rng, max_dim=6, square=False):
-    """(dim, partition) with optional Sum(d_i) = dim."""
-    dim = int(rng.integers(2, max_dim + 1))
+def random_partition(rng, square=False):
+    """(dim, partition), 2 <= dim <= 6, with optional Sum(d_i) = dim."""
+    dim = int(rng.integers(2, 7))
     total = dim if square else int(rng.integers(dim, dim + 4))
     sizes = []
     remaining = total

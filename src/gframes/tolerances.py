@@ -31,7 +31,7 @@ TAU_INV = 1e-8      # default series tolerance for certified inverses
 TAU_COMM = 1e-8     # relative commutation defect ||S C* - C S||
 TAU_EIG = 1e-8      # relative proportionality residual in weight extraction
 TAU_RECON = 1e-9    # relative reconstruction residual for decompositions
-TAU_EXACT = 1e-12   # relative slack on identities exact up to roundoff (M_w = S_w, supplied mu)
+TAU_EXACT = 1e-12   # relative slack on identities exact up to roundoff (M_w = S_w)
 TAU_INDUCED = 1e-10  # relative defect of the induced controlled identity
 TAU_BOUND = 1e-9    # relative slack of a computed norm under its bound
 

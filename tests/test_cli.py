@@ -12,15 +12,15 @@ import pytest
 from gframes import selftest
 from gframes.cli import main
 from gframes.controlled import WeightedEquivalence
-from gframes.core import scale_blocks
+from gframes.core import canonical_dual, scale_blocks
 from gframes.io import (
     InstanceFile,
-    dump_instance,
     frame_document,
     instance_digest,
     json_text,
     load_instance,
     matrix_document,
+    serialize_instance,
 )
 from gframes.multipliers import WeightSequence
 from gframes.sampling import eigenblock_control_instance, random_gframe
@@ -171,7 +171,8 @@ def test_multiply_bound_holds_at_scale(tmp_path, capsys):
     path = tmp_path / "scaled.json"
     for seed in range(10):
         frame = scale_blocks(random_gframe(np.random.default_rng(seed), 6, (2, 1, 3)), [1e4] * 3)
-        dump_instance(InstanceFile(frame, WeightSequence(np.ones(3)), companion=frame), path)
+        path.write_text(serialize_instance(
+            InstanceFile(frame, WeightSequence(np.ones(3)), companion=frame)))
         code, out, _ = run(capsys, "multiply", "--in", str(path), "--json")
         report = json.loads(out)
         assert code == 0
@@ -228,6 +229,23 @@ def test_invert_mu_perturb_needs_companion(tmp_path, capsys):
     code, _, err = run(capsys, "invert", "mu-perturb", "--in", path)
     assert code == 3
     assert "companion" in err
+
+
+def test_invert_mu_perturb_has_no_mu_override(tmp_path, capsys):
+    # a companion 1e-7 off the identity has mu = 1e-14; a supplied mu = 0
+    # would stop the series at S^-1 = I, 1e-7 from M^-1, and claim tol 1e-8
+    path = write_doc(tmp_path, companion={"blocks": [
+        {"dim": 1, "matrix": [[[1.0 + 1e-7, 0.0], [0.0, 0.0]]]}, IDENTITY_DOC["blocks"][1]]})
+    with pytest.raises(SystemExit) as exc:
+        main(["invert", "mu-perturb", "--in", path, "--mu", "0"])
+    assert exc.value.code == 3
+    assert "unrecognized arguments: --mu 0" in capsys.readouterr().err
+    out_path = tmp_path / "inverse.json"
+    code, _, _ = run(capsys, "invert", "mu-perturb", "--in", path, "--out", str(out_path))
+    assert code == 0
+    matrix = np.array([[complex(re, im) for re, im in row]
+                       for row in json.loads(out_path.read_text())["matrix"]])
+    assert np.abs(matrix - np.diag([1 / (1 + 1e-7), 1.0])).max() <= 1e-8
 
 
 def test_invert_bijection_roundtrip(tmp_path, capsys):
@@ -340,6 +358,21 @@ def test_weighted_from_control_block_too_large_exits_3(tmp_path, capsys):
     code, out, err = run(capsys, "weighted", "from-control", "--in", path)
     assert (code, out) == (3, "")
     assert err == "gframes: input error: block 0 is too large: its squared norm overflows\n"
+
+
+def test_flags_a_form_does_not_read_exit_3(tmp_path, capsys):
+    path = write_doc(tmp_path, weights=[[2.0, 0.0], [3.0, 0.0]],
+                     control=matrix_document(np.diag([2.0, 3.0])))
+    target = tmp_path / "never.json"
+    cases = [(["weighted", form, "--out", str(target)], "--out")
+             for form in ("bounds", "equiv", "from-control")]
+    cases += [(["controlled", form, "--values", "2,3,1,1,2,3"], "--values")
+              for form in ("bounds", "commute", "equiv")]
+    for argv, flag in cases:
+        code, out, err = run(capsys, *argv, "--in", path)
+        assert (code, out) == (3, ""), argv
+        assert err.startswith(f"gframes: input error: {flag}: "), argv
+        assert not target.exists()
 
 
 def test_weighted_bounds_needs_weights(tmp_path, capsys):
@@ -464,6 +497,11 @@ def test_text_summary_renders_the_json_report(tmp_path, capsys):
         control=matrix_document(np.diag([2.0, 3.0])),
         coisometry=matrix_document([[0.6, 0.8]]),
     )
+    mu_path = tmp_path / "mu.json"
+    mu_path.write_text(json.dumps({**riesz, "companion": {"blocks": riesz["blocks"]}}))
+    dual = canonical_dual(load_instance(riesz_path).gframe)
+    dual_mu_path = tmp_path / "dual_mu.json"
+    dual_mu_path.write_text(json.dumps({**riesz, "companion": {"blocks": frame_document(dual)}}))
     positive = write_doc(tmp_path, "positive.json", weights=[[2.0, 0.0], [3.0, 0.0]],
                          weights_alt=[[1.0, 0.0], [1.0, 0.0]],
                          bijection=matrix_document(np.diag([2.0, 4.0])))
@@ -480,6 +518,8 @@ def test_text_summary_renders_the_json_report(tmp_path, capsys):
         ("multiply", "--in", str(riesz_path)),
         ("invert", "dual-neumann", "--in", str(riesz_path), "--out"),
         ("invert", "bijection", "--in", positive),
+        ("invert", "mu-perturb", "--in", str(mu_path), "--out"),
+        ("invert", "dual-mu", "--in", str(dual_mu_path)),
         ("controlled", "bounds", "--in", pair),
         ("controlled", "commute", "--in", pair),
         ("controlled", "equiv", "--in", pair),

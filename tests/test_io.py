@@ -18,7 +18,6 @@ from gframes import (
 )
 from gframes.errors import InfeasibleKind, SchemaError
 from gframes.io import (
-    dump_instance,
     instance_digest,
     load_instance,
     matrix_document,
@@ -185,7 +184,7 @@ def test_compact_and_pretty_forms_agree():
 def test_dump_and_load(tmp_path):
     inst = generate("parseval", 2, [1, 1, 1], seed=3)
     target = tmp_path / "instance.json"
-    dump_instance(inst, target)
+    target.write_text(serialize_instance(inst))
     loaded = load_instance(target)
     assert instance_digest(loaded) == instance_digest(inst)
 

@@ -5,6 +5,8 @@ assembled matrix, a code path none of the routines take themselves, and
 every certificate bracket must contain the true inverse norm.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,6 +50,7 @@ from gframes import core
 from gframes.kernel import operator_norm
 from gframes.multipliers import _geometric_terms, _series_sum
 from gframes.sampling import (
+    _scaled_perturbation,
     bessel_perturb_instance,
     bijection_instance,
     canonical_dual_instance,
@@ -183,7 +186,7 @@ def test_multiplier_rejects_weight_count_mismatch():
 def test_certificate_rejects_inverted_bracket():
     with pytest.raises(ShapeMismatch):
         MultiplierCertificate(
-            proposition=Proposition.DIRECT,
+            proposition=Proposition.P33_BIJECTION,
             hypothesis_values={},
             inverse_norm_lower=2.0,
             inverse_norm_upper=1.0,
@@ -590,29 +593,6 @@ def test_mu_perturb_random_instances():
         check_certified(weights, frame, companion, m_inv, cert)
 
 
-def test_mu_perturb_accepts_dominating_supplied_mu():
-    rng = np.random.default_rng(33)
-    weights, frame, companion = mu_perturb_instance(rng, 3, [2, 2], frac=0.1)
-    _, cert_auto = invert_mu_perturb(weights, frame, companion)
-    mu_loose = 2.0 * cert_auto.hypothesis_values["mu_computed"] + 1e-6
-    m_inv, cert = invert_mu_perturb(weights, frame, companion, mu=mu_loose)
-    assert cert.hypothesis_values["mu"] == pytest.approx(mu_loose)
-    # a looser mu can only widen the certified bracket
-    assert cert.inverse_norm_lower <= cert_auto.inverse_norm_lower + 1e-12
-    assert cert.inverse_norm_upper >= cert_auto.inverse_norm_upper - 1e-12
-    check_certified(weights, frame, companion, m_inv, cert)
-
-
-def test_mu_perturb_rejects_undershooting_supplied_mu():
-    rng = np.random.default_rng(34)
-    weights, frame, companion = mu_perturb_instance(rng, 3, [2, 2])
-    _, cert = invert_mu_perturb(weights, frame, companion)
-    mu_small = 0.5 * cert.hypothesis_values["mu_computed"]
-    with pytest.raises(HypothesisFailed) as exc:
-        invert_mu_perturb(weights, frame, companion, mu=mu_small)
-    assert "dominate" in exc.value.inequality
-
-
 def test_mu_perturb_far_companion_fails_hypothesis():
     frame = identity_gframe(2)
     companion = GFrame(2, (np.array([[4.0, 0.0]]), np.array([[0.0, 1.0]])))
@@ -753,6 +733,27 @@ def test_dual_mu_far_companion_fails_hypothesis():
     with pytest.raises(HypothesisFailed) as exc:
         invert_dual_mu_perturb(np.ones(2), frame, frame, companion)
     assert exc.value.inequality == "mu < 1/B_Lambda"
+
+
+def test_mu_routes_invert_with_the_computed_mu():
+    # companions 1e-13 off the reference: the series stops as soon as the
+    # computed mu allows, and X stays within tol of M^-1 on both routes
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        frame = random_gframe(rng, 4, (2, 3))
+        dual = canonical_dual(frame)
+        for reference, invert in ((frame, invert_mu_perturb),
+                                  (dual, partial(invert_dual_mu_perturb, dual=dual))):
+            companion = GFrame.from_stacked(
+                reference.analysis_matrix() + _scaled_perturbation(rng, frame, 1e-13),
+                frame.partition)
+            m_inv, cert = invert(np.ones(2), frame, companion=companion)
+            hv = cert.hypothesis_values
+            assert hv["mu"] == hv["mu_computed"] > 0.0
+            exact = np.linalg.inv(multiplier(np.ones(2), frame, companion))
+            assert np.linalg.norm(m_inv - exact, 2) <= 1e-8, seed
+            with pytest.raises(TypeError):
+                invert(np.ones(2), frame, companion=companion, mu=0.0)
 
 
 # -- lower bound from an invertible multiplier ----------------------------------
