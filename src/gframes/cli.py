@@ -9,6 +9,11 @@ so every text field is also a JSON field. Exit codes:
 inequality), 3 bad input or output (malformed or unreadable file, schema
 violation, bad arguments, an --out that cannot be written), 1 anything else.
 
+`build_parser` is the one place that says which flags a command reads:
+each form of decompose, invert, controlled and weighted is its own
+sub-parser with exactly the flags its handler reads, so argparse rejects
+any other flag (exit 3). Flags follow the form: `invert canonical --in F`.
+
 Each command loads only the library modules it runs: the module level
 imports what every command needs, and each handler imports the rest.
 The modules loaded that late (multipliers, controlled, decompositions,
@@ -50,9 +55,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(3)
 
 
-def _require(value, field: str, hint: str):
+_NEEDS = {"bijection": "an invertible matrix G", "coisometry": "a coisometry matrix",
+          "companion": "a companion family", "control": "a control matrix",
+          "weights": "a weight sequence"}
+
+
+def _require(inst: InstanceFile, field: str):
+    """The instance section `field`, which this command cannot run without."""
+    value = getattr(inst, field)
     if value is None:
-        raise SchemaError(f"$.{field}", f"this command needs {hint}")
+        raise SchemaError(f"$.{field}", f"this command needs {_NEEDS[field]}")
     return value
 
 
@@ -276,6 +288,17 @@ _DECOMPOSERS = {
     "onb-plus-riesz": "decompose_gonb_plus_griesz",
 }
 
+# method -> (the multipliers function, the sections it takes after (weights, frame));
+# a missing dual is the canonical one
+_INVERTERS = {
+    "bijection": ("invert_via_bijection", ("bijection",)),
+    "dual-neumann": ("invert_dual_neumann", ("dual",)),
+    "canonical": ("invert_canonical_dual", ()),
+    "bessel-perturb": ("invert_bessel_perturb", ("companion",)),
+    "mu-perturb": ("invert_mu_perturb", ("companion",)),
+    "dual-mu": ("invert_dual_mu_perturb", ("dual", "companion")),
+}
+
 
 def _cmd_decompose(args) -> int:
     from . import decompositions
@@ -283,8 +306,7 @@ def _cmd_decompose(args) -> int:
     inst = _load(args.infile)
     started = time.perf_counter()
     if args.form == "coisometry":
-        k = _require(inst.coisometry, "coisometry", "a coisometry matrix")
-        image = decompositions.coisometry_image(inst.gframe, k)
+        image = decompositions.coisometry_image(inst.gframe, _require(inst, "coisometry"))
         elapsed = time.perf_counter() - started
         bounds = frame_bounds(image)
         return _report(args, "decompose coisometry", inst, {
@@ -328,34 +350,13 @@ def _cmd_invert(args) -> int:
     frame = inst.gframe
     weights = _weights_or_ones(inst)
     started = time.perf_counter()
-    if args.method == "bijection":
-        g = _require(inst.bijection, "bijection", "an invertible matrix G")
-        m_inv, cert = multipliers.invert_via_bijection(weights, frame, g)
-    elif args.method == "dual-neumann":
-        dual = inst.dual or canonical_dual(frame)
-        m_inv, cert = multipliers.invert_dual_neumann(
-            weights, frame, dual, tol=args.tol, swapped=args.swapped
-        )
-    elif args.method == "canonical":
-        m_inv, cert = multipliers.invert_canonical_dual(
-            weights, frame, tol=args.tol, swapped=args.swapped
-        )
-    elif args.method == "bessel-perturb":
-        companion = _require(inst.companion, "companion", "a companion family")
-        m_inv, cert = multipliers.invert_bessel_perturb(
-            weights, frame, companion, tol=args.tol, swapped=args.swapped
-        )
-    elif args.method == "mu-perturb":
-        companion = _require(inst.companion, "companion", "a companion family")
-        m_inv, cert = multipliers.invert_mu_perturb(
-            weights, frame, companion, tol=args.tol, swapped=args.swapped
-        )
-    else:  # dual-mu
-        companion = _require(inst.companion, "companion", "a companion family")
-        dual = inst.dual or canonical_dual(frame)
-        m_inv, cert = multipliers.invert_dual_mu_perturb(
-            weights, frame, dual, companion, tol=args.tol, swapped=args.swapped
-        )
+    name, fields = _INVERTERS[args.method]
+    sections = {f: _require(inst, f) for f in fields if f != "dual"}
+    if "dual" in fields:  # formed only once every required section is there
+        sections["dual"] = inst.dual or canonical_dual(frame)
+    series = {k: v for k, v in vars(args).items() if k in ("tol", "swapped")}  # none for P3.3
+    m_inv, cert = getattr(multipliers, name)(
+        weights, frame, *(sections[f] for f in fields), **series)
     elapsed = time.perf_counter() - started
     return _report(args, f"invert {args.method}", inst, {
         "proposition": cert.proposition.value,
@@ -368,38 +369,36 @@ def _cmd_invert(args) -> int:
     }, m_inv)
 
 
-def _cmd_controlled(args) -> int:
-    if args.values is not None and args.form != "arith":
-        raise SchemaError("--values", "only controlled arith reads bounds from --values")
+def _cmd_arith(args) -> int:
     from . import controlled
 
-    if args.form == "arith":
-        if args.values:
-            parts = _numbers(args.values, float, "--values")
-            if len(parts) != 6:
-                raise SchemaError("--values", "expected six comma-separated bounds")
-        else:
-            inst = _load(_require(args.infile, "in", "an instance file"))
-            control = controlled.ControlOperator(
-                _require(inst.control, "control", "a control matrix")
-            )
-            cb = controlled.controlled_bounds(inst.gframe, control)
-            fb = frame_bounds(inst.gframe)
-            if control.bounds is None:
-                raise SchemaError("$.control", "control operator must be self-adjoint")
-            parts = [cb.lower, cb.upper, fb.lower, fb.upper,
-                     control.bounds[0], control.bounds[1]]
-        derived = controlled.controlled_bound_arithmetic(*parts)
-        return _emit(args, {
-            "operation": "controlled arith",
-            "inputs": {"values": parts},
-            "frame_operator_bounds": list(derived.frame_operator_bounds),
-            "control_bounds": list(derived.control_bounds),
-            "controlled_bounds": list(derived.controlled_bounds),
-        })
+    if args.values is not None:
+        parts = _numbers(args.values, float, "--values")
+        if len(parts) != 6:
+            raise SchemaError("--values", "expected six comma-separated bounds")
+    else:
+        inst = _load(args.infile)
+        control = controlled.ControlOperator(_require(inst, "control"))
+        cb = controlled.controlled_bounds(inst.gframe, control)
+        fb = frame_bounds(inst.gframe)
+        if control.bounds is None:
+            raise SchemaError("$.control", "control operator must be self-adjoint")
+        parts = [cb.lower, cb.upper, fb.lower, fb.upper, control.bounds[0], control.bounds[1]]
+    derived = controlled.controlled_bound_arithmetic(*parts)
+    return _emit(args, {
+        "operation": "controlled arith",
+        "inputs": {"values": parts},
+        "frame_operator_bounds": list(derived.frame_operator_bounds),
+        "control_bounds": list(derived.control_bounds),
+        "controlled_bounds": list(derived.controlled_bounds),
+    })
 
-    inst = _load(_require(args.infile, "in", "an instance file"))
-    control = controlled.ControlOperator(_require(inst.control, "control", "a control matrix"))
+
+def _cmd_controlled(args) -> int:
+    from . import controlled
+
+    inst = _load(args.infile)
+    control = controlled.ControlOperator(_require(inst, "control"))
     if args.form == "bounds":
         cb = controlled.controlled_bounds(inst.gframe, control)
         fields = {
@@ -418,21 +417,18 @@ def _cmd_controlled(args) -> int:
 
 
 def _cmd_weighted(args) -> int:
-    if args.out is not None and args.form != "dual":
-        raise SchemaError("--out", "only weighted dual has a result to write")
     from . import controlled
 
     inst = _load(args.infile)
     if args.form == "from-control":
-        control = controlled.ControlOperator(
-            _require(inst.control, "control", "a control matrix"))
+        control = controlled.ControlOperator(_require(inst, "control"))
         weights, is_mult = controlled.weight_from_control(inst.gframe, control)
         return _report(args, "weighted from-control", inst, {
             "weights": [complex_pair(z) for z in weights.values],
             "is_weight_multiplier": is_mult,
         })
 
-    w = _require(inst.weights, "weights", "a weight sequence").values
+    w = _require(inst, "weights").values
     if args.form == "bounds":
         wb = controlled.weighted_bounds(inst.gframe, w)
         return _report(args, "weighted bounds", inst, {
@@ -476,8 +472,8 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="gframes", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add(name, fn, help_text, infile=True, out=False, json_flag=True):
-        p = sub.add_parser(name, help=help_text)
+    def add(name, fn, help_text=None, infile=True, out=False, json_flag=True, under=sub):
+        p = under.add_parser(name, help=help_text)
         if infile:
             p.add_argument("--in", dest="infile", required=True,
                            help="instance JSON file")
@@ -492,38 +488,41 @@ def build_parser() -> _Parser:
         p.set_defaults(fn=fn)
         return p
 
+    def forms(name, help_text, dest="form"):
+        return sub.add_parser(name, help=help_text).add_subparsers(
+            dest=dest, required=True, parser_class=_Parser)
+
     add("classify", _cmd_classify, "classify a family and report optimal bounds")
     add("dual", _cmd_dual, "compute the canonical dual family", out=True)
 
-    p = add("decompose", _cmd_decompose,
-            "decompose a family into structured components", out=True)
-    p.add_argument("form", choices=[*_DECOMPOSERS, "coisometry"])
+    decompose = forms("decompose", "decompose a family into structured components")
+    for form in [*_DECOMPOSERS, "coisometry"]:
+        add(form, _cmd_decompose, out=True, under=decompose)
 
     add("multiply", _cmd_multiply,
         "assemble the weighted multiplier and check its norm bound", out=True)
 
-    p = add("invert", _cmd_invert, "invert a multiplier with a certificate",
-            out=True)
-    p.add_argument("method", choices=["bijection", "dual-neumann", "canonical",
-                                      "bessel-perturb", "mu-perturb", "dual-mu"])
-    p.add_argument("--tol", type=float, default=TAU_INV,
-                   help="series tolerance: bounds ||M^-1 - X||_2 through the "
-                        "geometric tail")
-    p.add_argument("--swapped", action="store_true",
-                   help="evaluate the companion-first operator order")
+    invert = forms("invert", "invert a multiplier with a certificate", dest="method")
+    for method in _INVERTERS:
+        p = add(method, _cmd_invert, out=True, under=invert)
+        if method != "bijection":  # P3.3 is exact; the five others sum a series
+            p.add_argument("--tol", type=float, default=TAU_INV,
+                           help="series tolerance: bounds ||M^-1 - X||_2 through the "
+                                "geometric tail")
+            p.add_argument("--swapped", action="store_true",
+                           help="evaluate the companion-first operator order")
 
-    p = add("controlled", _cmd_controlled,
-            "controlled-frame bounds, commutation and equivalence",
-            infile=False)
-    p.add_argument("form", choices=["bounds", "commute", "equiv", "arith"])
-    p.add_argument("--in", dest="infile", default=None, help="instance JSON file")
-    p.add_argument("--values", default=None,
-                   help="arith only: six comma-separated bounds "
-                        "m_CL,M_CL,m,M,m_C,M_C")
+    controlled = forms("controlled", "controlled-frame bounds, commutation and equivalence")
+    for form in ("bounds", "commute", "equiv"):
+        add(form, _cmd_controlled, under=controlled)
+    p = add("arith", _cmd_arith, infile=False, under=controlled)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--in", dest="infile", help="instance JSON file")
+    source.add_argument("--values", help="six comma-separated bounds m_CL,M_CL,m,M,m_C,M_C")
 
-    p = add("weighted", _cmd_weighted,
-            "weighted-family bounds, duals and equivalences", out=True)
-    p.add_argument("form", choices=["bounds", "dual", "equiv", "from-control"])
+    weighted = forms("weighted", "weighted-family bounds, duals and equivalences")
+    for form in ("bounds", "dual", "equiv", "from-control"):
+        add(form, _cmd_weighted, out=form == "dual", under=weighted)
 
     p = add("generate", _cmd_generate, "emit a certified random instance",
             infile=False, json_flag=False)

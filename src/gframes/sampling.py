@@ -43,12 +43,12 @@ def random_coisometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndar
     return random_isometry(rng, cols, rows).conj().T
 
 
-def random_contraction(rng: np.random.Generator, n: int, max_norm: float = 1.0) -> np.ndarray:
+def random_contraction(rng: np.random.Generator, n: int) -> np.ndarray:
     a = _complex_gaussian(rng, n, n)
-    return a * (max_norm * rng.uniform(0.1, 1.0) / kernel.operator_norm(a))
+    return a * (rng.uniform(0.1, 1.0) / kernel.operator_norm(a))
 
 
-def _partition_total(dim: int, partition) -> int:
+def _partition_total(partition) -> int:
     sizes = [int(p) for p in partition]
     if not sizes or any(p < 1 for p in sizes):
         raise InfeasibleKind(f"invalid partition {sizes}")
@@ -56,32 +56,30 @@ def _partition_total(dim: int, partition) -> int:
 
 
 def random_gframe(rng: np.random.Generator, dim: int, partition,
-                  sv_range: tuple[float, float] = (0.6, 1.8),
                   label: str | None = None, sv: np.ndarray | None = None) -> GFrame:
-    """A g-frame with analysis singular values `sv`, or drawn inside sv_range."""
-    total = _partition_total(dim, partition)
+    """A g-frame with analysis singular values `sv`, or drawn inside [0.6, 1.8]."""
+    total = _partition_total(partition)
     if total < dim:
         raise InfeasibleKind(
             f"block dimensions sum to {total} < {dim}; no frame exists"
         )
     left = random_isometry(rng, total, dim)
     right = random_unitary(rng, dim)
-    sv = rng.uniform(sv_range[0], sv_range[1], dim) if sv is None else sv
+    sv = rng.uniform(0.6, 1.8, dim) if sv is None else sv
     stacked = (left * sv) @ right.conj().T
     return GFrame.from_stacked(stacked, partition, label=label)
 
 
 def random_g_riesz(rng: np.random.Generator, dim: int, partition,
-                   sv_range: tuple[float, float] = (0.6, 1.8),
                    label: str | None = None) -> GFrame:
-    if _partition_total(dim, partition) != dim:
+    if _partition_total(partition) != dim:
         raise InfeasibleKind("g-Riesz families need block dimensions summing to dim")
-    return random_gframe(rng, dim, partition, sv_range, label)
+    return random_gframe(rng, dim, partition, label)
 
 
 def random_g_onb(rng: np.random.Generator, dim: int, partition,
                  label: str | None = None) -> GFrame:
-    if _partition_total(dim, partition) != dim:
+    if _partition_total(partition) != dim:
         raise InfeasibleKind("g-ONBs need block dimensions summing to dim")
     stacked = random_unitary(rng, dim)
     return GFrame.from_stacked(stacked, partition, label=label)
@@ -89,7 +87,7 @@ def random_g_onb(rng: np.random.Generator, dim: int, partition,
 
 def random_parseval(rng: np.random.Generator, dim: int, partition,
                     label: str | None = None) -> GFrame:
-    total = _partition_total(dim, partition)
+    total = _partition_total(partition)
     if total < dim:
         raise InfeasibleKind("Parseval families need block dimensions summing to >= dim")
     stacked = random_isometry(rng, total, dim)
@@ -99,7 +97,7 @@ def random_parseval(rng: np.random.Generator, dim: int, partition,
 def random_deficient(rng: np.random.Generator, dim: int, partition,
                      label: str | None = None) -> GFrame:
     """A g-Bessel family whose analysis matrix misses one direction."""
-    total = _partition_total(dim, partition)
+    total = _partition_total(partition)
     left = random_isometry(rng, max(total, dim), dim)[:total]
     right = random_unitary(rng, dim)
     sv = rng.uniform(0.6, 1.8, dim)

@@ -1,5 +1,6 @@
 """End-to-end command tests, run in-process against cli.main."""
 
+import argparse
 import io
 import json
 import pathlib
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from gframes import selftest
-from gframes.cli import main
+from gframes.cli import build_parser, main
 from gframes.controlled import WeightedEquivalence
 from gframes.core import canonical_dual, scale_blocks
 from gframes.io import (
@@ -44,7 +45,11 @@ def write_doc(tmp_path, name="instance.json", **overrides):
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    """(exit code, stdout, stderr) of one call, argparse's usage errors included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -236,10 +241,9 @@ def test_invert_mu_perturb_has_no_mu_override(tmp_path, capsys):
     # would stop the series at S^-1 = I, 1e-7 from M^-1, and claim tol 1e-8
     path = write_doc(tmp_path, companion={"blocks": [
         {"dim": 1, "matrix": [[[1.0 + 1e-7, 0.0], [0.0, 0.0]]]}, IDENTITY_DOC["blocks"][1]]})
-    with pytest.raises(SystemExit) as exc:
-        main(["invert", "mu-perturb", "--in", path, "--mu", "0"])
-    assert exc.value.code == 3
-    assert "unrecognized arguments: --mu 0" in capsys.readouterr().err
+    code, _, err = run(capsys, "invert", "mu-perturb", "--in", path, "--mu", "0")
+    assert code == 3
+    assert "unrecognized arguments: --mu 0" in err
     out_path = tmp_path / "inverse.json"
     code, _, _ = run(capsys, "invert", "mu-perturb", "--in", path, "--out", str(out_path))
     assert code == 0
@@ -295,9 +299,12 @@ def test_controlled_arith_from_values(capsys):
 
 
 def test_controlled_needs_instance_or_values(capsys):
-    code, _, err = run(capsys, "controlled", "bounds")
-    assert code == 3
-    assert "instance" in err
+    code, out, err = run(capsys, "controlled", "bounds")
+    assert (code, out) == (3, "")
+    assert "the following arguments are required: --in" in err
+    code, out, err = run(capsys, "controlled", "arith")
+    assert (code, out) == (3, "")
+    assert "one of the arguments --in --values is required" in err
 
 
 def test_controlled_arith_rejects_wrong_count(capsys):
@@ -368,11 +375,66 @@ def test_flags_a_form_does_not_read_exit_3(tmp_path, capsys):
              for form in ("bounds", "equiv", "from-control")]
     cases += [(["controlled", form, "--values", "2,3,1,1,2,3"], "--values")
               for form in ("bounds", "commute", "equiv")]
+    cases += [(["invert", "bijection", *flag], flag[0])
+              for flag in (["--tol", "1e-3"], ["--swapped"])]
     for argv, flag in cases:
         code, out, err = run(capsys, *argv, "--in", path)
         assert (code, out) == (3, ""), argv
-        assert err.startswith(f"gframes: input error: {flag}: "), argv
-        assert not target.exists()
+        assert f"unrecognized arguments: {flag}" in err, argv
+        assert "Traceback" not in err and not target.exists()
+
+
+def _forms(parser):
+    """{name: sub-parser} of a parser's sub-commands, or {} for a leaf."""
+    return next((a.choices for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)), {})
+
+
+def _flags(parser) -> dict:
+    """{option string: its action} of every flag a leaf parser registers, --help aside."""
+    return {s: a for a in parser._actions for s in a.option_strings if a.dest != "help"}
+
+
+def test_each_form_accepts_exactly_the_flags_it_reads(tmp_path, capsys):
+    # every flag a sibling form registers and this form does not exits 3
+    # through argparse, before anything is read or written
+    path = write_doc(tmp_path)
+    target = tmp_path / "never.json"
+    values = {"--in": path, "--out": str(target), "--tol": "1e-3",
+              "--values": "2,3,1,1,2,3"}
+    tried = []
+    for command, parser in _forms(build_parser()).items():
+        assert run(capsys, command, "--help")[0] == 0, command
+        forms = _forms(parser)
+        for form, leaf in forms.items():
+            code, out, _ = run(capsys, command, form, "--help")
+            assert code == 0 and out.startswith(f"usage: gframes {command} {form} "), form
+            own = _flags(leaf)
+            base = ["--in", path] if own["--in"].required else ["--values", values["--values"]]
+            siblings = {f: a for other in forms.values() for f, a in _flags(other).items()}
+            for flag in siblings.keys() - own.keys():
+                given = [values[flag]] if siblings[flag].nargs != 0 else []
+                argv = [command, form, *base, flag, *given]
+                code, out, err = run(capsys, *argv)
+                assert (code, out) == (3, ""), argv
+                assert f"unrecognized arguments: {flag}" in err, argv
+                assert "Traceback" not in err and not target.exists()
+                tried.append((command, form, flag))
+    assert sorted(tried) == sorted(
+        [("invert", "bijection", "--swapped"), ("invert", "bijection", "--tol")]
+        + [("controlled", form, "--values") for form in ("bounds", "commute", "equiv")]
+        + [("weighted", form, "--out") for form in ("bounds", "equiv", "from-control")])
+    # flags follow the form, and arith reads its bounds from one source
+    for argv in (["invert", "--in", path, "canonical"],
+                 ["controlled", "arith", "--values", values["--values"], "--in", path]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "") and "Traceback" not in err, argv
+
+
+def test_controlled_arith_rejects_empty_values(tmp_path, capsys):
+    code, out, err = run(capsys, "controlled", "arith", "--values", "")
+    assert (code, out) == (3, "")
+    assert err.startswith("gframes: input error: --values: ")
 
 
 def test_weighted_bounds_needs_weights(tmp_path, capsys):
@@ -753,23 +815,11 @@ def test_malformed_document_exits_3(tmp_path, capsys):
 
 
 def test_bad_usage_exits_3(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["classify"])  # missing required --in
-    capsys.readouterr()
-    assert exc.value.code == 3
-    with pytest.raises(SystemExit) as exc:
-        main(["decompose", "pentagonal", "--in", "x.json"])
-    capsys.readouterr()
-    assert exc.value.code == 3
-    with pytest.raises(SystemExit) as exc:
-        main(["no-such-command"])
-    capsys.readouterr()
-    assert exc.value.code == 3
+    assert run(capsys, "classify")[0] == 3  # missing required --in
+    assert run(capsys, "decompose", "pentagonal", "--in", "x.json")[0] == 3
+    assert run(capsys, "no-such-command")[0] == 3
 
 
 def test_json_and_text_flags_conflict(tmp_path, capsys):
     path = write_doc(tmp_path)
-    with pytest.raises(SystemExit) as exc:
-        main(["classify", "--in", path, "--json", "--text"])
-    capsys.readouterr()
-    assert exc.value.code == 3
+    assert run(capsys, "classify", "--in", path, "--json", "--text")[0] == 3

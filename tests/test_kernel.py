@@ -107,7 +107,7 @@ def test_triple_random():
     rng = np.random.default_rng(43)
     for _ in range(100):
         n = int(rng.integers(1, 9))
-        a = random_contraction(rng, n, max_norm=1.0 / 3.0)
+        a = random_contraction(rng, n) / 3
         u1, u2, u3 = unitary_triple_from_small_norm(a)
         for u in (u1, u2, u3):
             assert unitary_defect(u) <= 1e-9
