@@ -39,8 +39,7 @@ _EXPORTS = {
         "decompose_two_parseval",
     ),
     "errors": (
-        "GFrameError", "HypothesisError", "HypothesisFailed", "InputError",
-        "MaxIterations", "SchemaError",
+        "GFrameError", "HypothesisError", "InputError", "MaxIterations", "SchemaError",
     ),
     "io": (
         "InstanceFile", "generate", "instance_digest", "load_instance", "parse_instance",

@@ -5,14 +5,16 @@ library operation and builds one report, through `_report`, which also
 writes the result to --out. With --json the report is printed as JSON;
 otherwise the human-readable summary is rendered from that same report,
 so every text field is also a JSON field. Exit codes:
-0 success, 2 a checked hypothesis failed (the message names the violated
-inequality), 3 bad input or output (malformed or unreadable file, schema
+0 success, 2 a checked hypothesis failed (`hypothesis violated: <inequality>
+[name=value, ...]`), 3 bad input or output (malformed or unreadable file, schema
 violation, bad arguments, an --out that cannot be written), 1 anything else.
 
 `build_parser` is the one place that says which flags a command reads:
 each form of decompose, invert, controlled and weighted is its own
 sub-parser with exactly the flags its handler reads, so argparse rejects
-any other flag (exit 3). Flags follow the form: `invert canonical --in F`.
+any other flag (exit 3), under the form's own usage line. Flags follow the
+form: `invert canonical --in F`. `_FORM_HELP` gives each form its one line
+of --help.
 
 Each command loads only the library modules it runs: the module level
 imports what every command needs, and each handler imports the rest.
@@ -299,6 +301,37 @@ _INVERTERS = {
     "dual-mu": ("invert_dual_mu_perturb", ("dual", "companion")),
 }
 
+# command -> form -> its one-line help, in the order --help lists them
+_FORM_HELP = {
+    "decompose": {
+        "three-onb": "a g-Riesz family as a*(U1 + U2 + U3), three g-ONBs",
+        "two-onb": "a g-Riesz family as a*(U1 + U2), two g-ONBs",
+        "two-parseval": "any g-frame as a*(P1 + P2), two Parseval g-frames",
+        "onb-plus-riesz": "a g-Riesz family as a g-ONB plus a g-Riesz family",
+        "coisometry": "the image {Theta_i K*} of a g-ONB under a coisometry K",
+    },
+    "invert": {
+        "bijection": "P3.3: M = sum m_i Lambda_i* Lambda_i G, exactly",
+        "dual-neumann": "P3.4: dual pair, lambda*sqrt(B_Lambda*B_dual) < 1",
+        "canonical": "C3.5: canonical dual, lambda < sqrt(A_Lambda/B_Lambda)",
+        "bessel-perturb": "P3.6: Bessel perturbation, B_diff < A_Lambda^2/B_Lambda",
+        "mu-perturb": "P3.7: perturbed frame, mu < A_Lambda^2/B_Lambda",
+        "dual-mu": "P3.8: perturbed dual, mu < 1/B_Lambda",
+    },
+    "controlled": {
+        "bounds": "extremes of the controlled form <S C* f, f>",
+        "commute": "whether S C* = C S",
+        "equiv": "both sides of the controlled-frame criterion",
+        "arith": "S, C and S_C bounds from each other, C > 0 commuting",
+    },
+    "weighted": {
+        "bounds": "optimal bounds of {w_i Lambda_i}",
+        "dual": "the dual {w_i^-1 D_i} of {w_i Lambda_i}",
+        "equiv": "the six equivalent weighted-frame statements",
+        "from-control": "the weights a control operator induces on block ranges",
+    },
+}
+
 
 def _cmd_decompose(args) -> int:
     from . import decompositions
@@ -379,10 +412,9 @@ def _cmd_arith(args) -> int:
     else:
         inst = _load(args.infile)
         control = controlled.ControlOperator(_require(inst, "control"))
+        controlled._require_controlled_pair(inst.gframe, control)
         cb = controlled.controlled_bounds(inst.gframe, control)
         fb = frame_bounds(inst.gframe)
-        if control.bounds is None:
-            raise SchemaError("$.control", "control operator must be self-adjoint")
         parts = [cb.lower, cb.upper, fb.lower, fb.upper, control.bounds[0], control.bounds[1]]
     derived = controlled.controlled_bound_arithmetic(*parts)
     return _emit(args, {
@@ -485,7 +517,7 @@ def build_parser() -> _Parser:
                              help="emit a JSON report instead of text")
             fmt.add_argument("--text", dest="json", action="store_false",
                              help="emit a text summary (default)")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, parser=p)
         return p
 
     def forms(name, help_text, dest="form"):
@@ -496,15 +528,15 @@ def build_parser() -> _Parser:
     add("dual", _cmd_dual, "compute the canonical dual family", out=True)
 
     decompose = forms("decompose", "decompose a family into structured components")
-    for form in [*_DECOMPOSERS, "coisometry"]:
-        add(form, _cmd_decompose, out=True, under=decompose)
+    for form, help_text in _FORM_HELP["decompose"].items():
+        add(form, _cmd_decompose, help_text, out=True, under=decompose)
 
     add("multiply", _cmd_multiply,
         "assemble the weighted multiplier and check its norm bound", out=True)
 
     invert = forms("invert", "invert a multiplier with a certificate", dest="method")
-    for method in _INVERTERS:
-        p = add(method, _cmd_invert, out=True, under=invert)
+    for method, help_text in _FORM_HELP["invert"].items():
+        p = add(method, _cmd_invert, help_text, out=True, under=invert)
         if method != "bijection":  # P3.3 is exact; the five others sum a series
             p.add_argument("--tol", type=float, default=TAU_INV,
                            help="series tolerance: bounds ||M^-1 - X||_2 through the "
@@ -513,16 +545,17 @@ def build_parser() -> _Parser:
                            help="evaluate the companion-first operator order")
 
     controlled = forms("controlled", "controlled-frame bounds, commutation and equivalence")
+    helps = _FORM_HELP["controlled"]
     for form in ("bounds", "commute", "equiv"):
-        add(form, _cmd_controlled, under=controlled)
-    p = add("arith", _cmd_arith, infile=False, under=controlled)
+        add(form, _cmd_controlled, helps[form], under=controlled)
+    p = add("arith", _cmd_arith, helps["arith"], infile=False, under=controlled)
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--in", dest="infile", help="instance JSON file")
     source.add_argument("--values", help="six comma-separated bounds m_CL,M_CL,m,M,m_C,M_C")
 
     weighted = forms("weighted", "weighted-family bounds, duals and equivalences")
-    for form in ("bounds", "dual", "equiv", "from-control"):
-        add(form, _cmd_weighted, out=form == "dual", under=weighted)
+    for form, help_text in _FORM_HELP["weighted"].items():
+        add(form, _cmd_weighted, help_text, out=form == "dual", under=weighted)
 
     p = add("generate", _cmd_generate, "emit a certified random instance",
             infile=False, json_flag=False)
@@ -542,8 +575,9 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:  # reported by the form's own parser, under its usage line
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.fn(args)
     except InputError as exc:

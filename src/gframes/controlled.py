@@ -16,21 +16,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import core, kernel, multipliers
-from .core import FrameBounds, GFrame, VectorFrame, _spectrum_bounds
-from .errors import (
-    NonFinite,
-    NonPositiveInput,
-    NonPositiveWeight,
-    NotEigenRelation,
-    NotSelfAdjoint,
-    ShapeMismatch,
-    Singular,
-    ZeroBlock,
-    ZeroWeight,
-)
+from .core import FrameBounds, GFrame, VectorFrame, _require_frame, _spectrum_bounds
+from .errors import HypothesisError, NonFinite, NonPositiveInput, ShapeMismatch
 from .kernel import _ArrayValue
 from .multipliers import WeightSequence, _weights_for
-from .tolerances import TAU_COMM, TAU_EIG, TAU_EXACT, TAU_INDUCED, TAU_INV, Margin
+from .tolerances import TAU_COMM, TAU_EIG, TAU_EXACT, TAU_INDUCED, TAU_INV, TAU_RANK, Margin
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,7 +48,7 @@ class ControlOperator(_ArrayValue):
             positive, bounds, sv = lowest.holds, (float(eigs[0]), float(eigs[-1])), np.abs(eigs)
         else:
             positive, bounds, sv = False, None, np.linalg.svd(m, compute_uv=False)
-        kernel.require_invertible(sv, Singular, "control operator is not invertible")
+        kernel.require_invertible(sv, "sigma_min(C)^2")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "is_self_adjoint", self_adjoint)
         object.__setattr__(self, "is_positive", positive)
@@ -111,14 +101,41 @@ class CommutationResult(NamedTuple):
     defect: float
 
 
-def verify_commutation(frame: GFrame, control: ControlOperator) -> CommutationResult:
-    """Whether S C* = C S within a scale-relative tolerance."""
+def _commutation_margin(frame: GFrame, control: ControlOperator) -> Margin:
+    """||S C* - C S||_F against TAU_COMM (1 + ||S|| ||C||)."""
     s = core.frame_operator(frame)
     c = control.matrix
     # ||S|| = lambda_max(S), read from the frame's spectrum
-    defect = Margin.relative(kernel.frobenius_norm(s @ c.conj().T - c @ s), TAU_COMM,
-                             core.frame_bounds(frame).upper * control.norm)
+    return Margin.relative(kernel.frobenius_norm(s @ c.conj().T - c @ s), TAU_COMM,
+                           core.frame_bounds(frame).upper * control.norm)
+
+
+def verify_commutation(frame: GFrame, control: ControlOperator) -> CommutationResult:
+    """Whether S C* = C S within a scale-relative tolerance."""
+    defect = _commutation_margin(frame, control)
     return CommutationResult(defect.holds, defect.value)
+
+
+def _require_self_adjoint(control: ControlOperator) -> None:
+    if not control.is_self_adjoint:
+        defect = kernel.self_adjoint(control.matrix)
+        raise HypothesisError("C = C*", {"||C - C*||_F": defect.value,
+                                         "threshold": defect.threshold})
+
+
+def _require_controlled_pair(frame: GFrame, control: ControlOperator) -> None:
+    """The right side of the controlled-frame criterion, or the error naming
+    the part that fails: C self-adjoint, the family a g-frame, C positive,
+    C commuting with S. `controlled_bound_arithmetic` needs all of it."""
+    _require_self_adjoint(control)
+    _require_frame(frame)
+    if not control.is_positive:
+        raise HypothesisError("lambda_min(C) > rank floor",
+                              {"lambda_min(C)": control.bounds[0], "threshold": TAU_RANK})
+    commutation = _commutation_margin(frame, control)
+    if not commutation:
+        raise HypothesisError("S C* = C S", {"||S C* - C S||_F": commutation.value,
+                                             "threshold": commutation.threshold})
 
 
 def controlled_equivalence(frame: GFrame, control: ControlOperator) -> tuple[bool, bool]:
@@ -128,8 +145,7 @@ def controlled_equivalence(frame: GFrame, control: ControlOperator) -> tuple[boo
     g-frame, C is positive, and C commutes with S. The two sides agree
     for every self-adjoint invertible C.
     """
-    if not control.is_self_adjoint:
-        raise NotSelfAdjoint("the criterion applies to self-adjoint control operators")
+    _require_self_adjoint(control)
     lhs = controlled_bounds(frame, control).is_controlled_frame
     rhs = (
         core.frame_bounds(frame).is_frame
@@ -190,7 +206,9 @@ def induced_controlled_frame(frame: GFrame, control: ControlOperator):
 def _positive_weights(frame: GFrame, weights) -> WeightSequence:
     w = _weights_for(frame, weights)
     if not w.is_positive:
-        raise NonPositiveWeight("weights must be real and strictly positive")
+        raise HypothesisError("w_i real and w_i > 0",
+                              {"min Re w_i": float(w.values.real.min()),
+                               "max|Im w_i|": float(np.abs(w.values.imag).max())})
     return w
 
 
@@ -241,33 +259,29 @@ def weight_from_control(frame: GFrame, control: ControlOperator):
     the canonical dual.
     """
     _require_control_shape(frame, control)
-    if not control.is_self_adjoint:
-        raise NotSelfAdjoint("weight extraction needs a self-adjoint control operator")
+    _require_self_adjoint(control)
     c = control.matrix
     extracted = []
     for i, b in enumerate(frame.blocks):
         synthesis = b.conj().T
         norm2 = float(np.vdot(synthesis, synthesis).real)
         if norm2 == 0.0:
-            raise ZeroBlock(f"block {i} is zero; its weight is undefined")
+            raise HypothesisError(f"||Lambda_{i}||_F^2 > 0", {"||Lambda_i||_F^2": norm2})
         if not np.isfinite(norm2):
             raise NonFinite(f"block {i} is too large: its squared norm overflows")
         target = c @ synthesis
         w_i = complex(np.vdot(synthesis, target) / norm2)
         residual = kernel.frobenius_norm(target - w_i * synthesis)
-        if not Margin.relative(residual, TAU_EIG, kernel.frobenius_norm(target)):
-            raise NotEigenRelation(
-                f"control operator is not scalar on block {i}: residual {residual:.3e}"
-            )
+        scalar = Margin.relative(residual, TAU_EIG, kernel.frobenius_norm(target))
+        if not scalar:
+            raise HypothesisError(f"C Lambda_{i}* = w_{i} Lambda_{i}*",
+                                  {"residual": residual, "threshold": scalar.threshold})
         extracted.append(w_i)
     arr = np.asarray(extracted)
     # self-adjointness forces real scalars; anything else is roundoff
     weights = WeightSequence(arr.real)
     if np.any(arr.real <= 0.0):
-        raise NonPositiveWeight(
-            "extracted weights must be positive; the control operator is not "
-            "positive on some block range"
-        )
+        raise HypothesisError("w_i > 0", {"min w_i": float(arr.real.min())})
     dual = core.canonical_dual(frame)
     recovered = multipliers.multiplier(weights, frame, dual)
     match = Margin.relative(kernel.frobenius_norm(c - recovered), TAU_INV,
@@ -283,10 +297,12 @@ def weighted_dual(frame: GFrame, weights) -> GFrame:
     """
     w = _weights_for(frame, weights)
     if not w.is_real:
-        raise NonPositiveWeight("weights must be real")
+        raise HypothesisError("w_i real", {"max|Im w_i|": float(np.abs(w.values.imag).max())})
     # the reciprocal of a subnormal weight overflows
-    if w.semi_norm_bounds is None or w.semi_norm_bounds[0] < np.finfo(float).tiny:
-        raise ZeroWeight("weights must be bounded away from zero")
+    smallest, tiny = float(np.abs(w.values).min()), float(np.finfo(float).tiny)
+    if smallest < tiny:
+        raise HypothesisError("min|w_i| >= smallest normal float",
+                              {"min|w_i|": smallest, "threshold": tiny})
     dual = core.canonical_dual(frame)
     return frame._with_rows(
         frame.per_row(1.0 / w.values)[:, None] * dual.analysis_matrix(),

@@ -30,14 +30,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BadPartition, NonFinite, NotAFrame, ShapeMismatch
+from .errors import BadPartition, HypothesisError, NonFinite, ShapeMismatch
 from .kernel import (
     _ArrayValue,
     as_matrix,
     frobenius_norm,
     gram,
 )
-from .tolerances import TAU_CLASS, TAU_DUAL, Margin
+from .tolerances import TAU_CLASS, TAU_DUAL, TAU_RANK, Margin
 
 _DIRECT_SVD_ROWS = 256
 """A frame whose T has more rows takes its SVD by CholeskyQR2. On one Xeon
@@ -305,13 +305,13 @@ def frame_bounds(frame: GFrame) -> FrameBounds:
     return frame._bounds
 
 
-def _require_frame(
-    frame: GFrame, message: str = "the family has no lower frame bound above the rank floor"
-) -> FrameBounds:
-    """The frame's bounds; NotAFrame(message) unless it is a frame."""
+def _require_frame(frame: GFrame) -> FrameBounds:
+    """The frame's bounds, unless it is no frame. The error names the floor,
+    not A_Lambda: below the floor that is roundoff, and printing it would
+    make the message change with any rounding change."""
     bounds = frame_bounds(frame)
     if not bounds.is_frame:
-        raise NotAFrame(message)
+        raise HypothesisError("A_Lambda > rank floor", {"threshold": TAU_RANK})
     return bounds
 
 
@@ -400,7 +400,7 @@ def canonical_dual(frame: GFrame) -> GFrame:
     way the dual is formed without S: its error grows as k(T) u, not
     k(S) u.
     """
-    _require_frame(frame, "cannot form a dual: S has no lower bound above the rank floor")
+    _require_frame(frame)
     label = f"canonical dual of {frame.label}" if frame.label else None
     if _is_square(frame):
         return frame._with_rows(np.linalg.inv(frame.analysis_matrix().conj().T), label)

@@ -23,13 +23,7 @@ from enum import Enum
 
 from . import core, kernel
 from .core import GFrame, _require_frame
-from .errors import (
-    DimensionMismatch,
-    GFrameError,
-    NotCoisometry,
-    NotGOnb,
-    NotGRiesz,
-)
+from .errors import GFrameError, HypothesisError
 from .kernel import _unitary_pair, _unitary_triple
 from .tolerances import TAU_RECON, Margin
 
@@ -87,11 +81,11 @@ def _certified(scalar: float, stacked_components, kinds, frame: GFrame) -> GFram
 
 
 def _require_square_frame(frame: GFrame) -> None:
+    """A g-frame with a square T: a g-Riesz family."""
     _require_frame(frame)
     if not core._is_square(frame):
-        raise DimensionMismatch(
-            f"block dimensions sum to {sum(frame.partition)}, need {frame.h_dim}"
-        )
+        raise HypothesisError("sum(d_i) = h_dim",
+                              {"sum(d_i)": sum(frame.partition), "h_dim": frame.h_dim})
 
 
 def _pair_split(frame: GFrame, kind: ComponentKind) -> GFrameDecomposition:
@@ -122,8 +116,7 @@ def decompose_two_gonb_combo(frame: GFrame) -> GFrameDecomposition:
     rejected. Here a = ||T||/2 and the pair comes from splitting the
     contraction T/||T||.
     """
-    if not core.is_g_riesz(frame):
-        raise NotGRiesz("two-g-ONB combinations exist exactly for g-Riesz families")
+    _require_square_frame(frame)
     return _pair_split(frame, ComponentKind.G_ONB)
 
 
@@ -135,15 +128,18 @@ def coisometry_image(theta: GFrame, k) -> GFrame:
     a normalized tight (Parseval) g-frame, certified by `core.is_parseval`.
     """
     if not core.is_g_onb(theta):
-        raise NotGOnb("the family to push forward must be a g-ONB")
+        parseval = core._parseval_margin(theta._operator)
+        raise HypothesisError("sum(d_i) = h_dim and ||S - I||_F <= TAU_CLASS",
+                              {"sum(d_i)": sum(theta.partition), "h_dim": theta.h_dim,
+                               "||S - I||_F": parseval.value, "threshold": parseval.threshold})
     k_mat = kernel.as_matrix(k, "coisometry")
     if k_mat.shape[1] != theta.h_dim:
-        raise NotCoisometry(
-            f"coisometry has {k_mat.shape[1]} columns, expected {theta.h_dim}"
-        )
+        raise HypothesisError("columns(K) = h_dim",
+                              {"columns(K)": k_mat.shape[1], "h_dim": theta.h_dim})
     defect = core._parseval_margin(k_mat @ k_mat.conj().T)
     if not defect:
-        raise NotCoisometry(f"K K* differs from identity by {defect.value:.3e}")
+        raise HypothesisError("||K K* - I||_F <= TAU_CLASS",
+                              {"||K K* - I||_F": defect.value, "threshold": defect.threshold})
     image = theta._with_rows(
         theta.analysis_matrix() @ k_mat.conj().T,
         f"coisometry image of {theta.label}" if theta.label else None,

@@ -4,8 +4,11 @@ Two branches matter to callers. InputError covers malformed data (bad
 shapes, bad encodings, non-finite entries); the CLI maps it to exit
 code 3. HypothesisError covers inputs that are well formed but violate
 a mathematical hypothesis of the requested operation (not a frame, not
-a dual pair, a contraction condition that fails, ...); the CLI maps it
-to exit code 2 and reports which inequality broke.
+a dual pair, a contraction condition that fails, ...). It is one type
+with no subclasses: each raise states its failed condition as
+`inequality`, and callers tell failures apart by that text. The CLI
+maps it to exit code 2 and prints `hypothesis violated: <inequality>
+[k=v, ...]`.
 """
 
 from __future__ import annotations
@@ -20,7 +23,25 @@ class InputError(GFrameError):
 
 
 class HypothesisError(GFrameError):
-    """Well-formed input that fails a mathematical hypothesis."""
+    """Well-formed input that fails a mathematical hypothesis.
+
+    `inequality` states the failed condition in the vocabulary of the
+    result that needs it ("lambda < sqrt(A_Lambda/B_Lambda)", "C = C*",
+    ...). `values` carries the measured quantities: where the site
+    compares a computed number with a threshold, both.
+    """
+
+    def __init__(self, inequality: str, values: dict[str, float] | None = None):
+        self.inequality = inequality
+        self.values = dict(values or {})
+        detail = ", ".join(f"{k}={v:.6g}" for k, v in self.values.items())
+        msg = f"hypothesis violated: {inequality}"
+        if detail:
+            msg += f" [{detail}]"
+        super().__init__(msg)
+
+    def __reduce__(self):  # args hold the message, not the constructor's arguments
+        return type(self), (self.inequality, self.values)
 
 
 # -- input errors (CLI exit 3) ------------------------------------------------
@@ -54,86 +75,6 @@ class SchemaError(InputError):
     def __init__(self, path: str, message: str):
         self.path = path
         super().__init__(f"{path}: {message}")
-
-
-# -- hypothesis errors (CLI exit 2) -------------------------------------------
-
-class NotAFrame(HypothesisError):
-    """The family has no positive lower frame bound."""
-
-
-class NotGRiesz(HypothesisError):
-    """The family is not a g-Riesz basis."""
-
-
-class NotGOnb(HypothesisError):
-    """The family is not a g-orthonormal basis."""
-
-
-class NotCoisometry(HypothesisError):
-    """K·K* differs from the identity beyond tolerance."""
-
-
-class NotDual(HypothesisError):
-    """The two families do not reconstruct the identity."""
-
-
-class DimensionMismatch(HypothesisError):
-    """The block dimensions make the requested construction impossible."""
-
-
-class NormTooLarge(HypothesisError):
-    """An operator norm exceeds the bound the construction needs."""
-
-
-class MixedSigns(HypothesisError):
-    """A weight sequence is not real with one strict sign."""
-
-
-class SingularG(HypothesisError):
-    """The bijection operator supplied is not invertible."""
-
-
-class Singular(HypothesisError):
-    """A matrix required to be invertible is numerically singular."""
-
-
-class NotEigenRelation(HypothesisError):
-    """A control operator does not act as a scalar on some block range."""
-
-
-class ZeroBlock(HypothesisError):
-    """A zero block makes the requested scalar undefined."""
-
-
-class ZeroWeight(HypothesisError):
-    """A weight that must be bounded away from zero vanishes."""
-
-
-class NonPositiveWeight(HypothesisError):
-    """A weight sequence required to be strictly positive is not."""
-
-
-class NotSelfAdjoint(HypothesisError):
-    """An operator required to be self-adjoint is not, beyond tolerance."""
-
-
-class HypothesisFailed(HypothesisError):
-    """A named inequality required by an invertibility result fails.
-
-    The `inequality` attribute states the condition in the vocabulary of
-    the certificate ("lambda < sqrt(A_Lambda/B_Lambda)", ...); `values`
-    carries the measured quantities.
-    """
-
-    def __init__(self, inequality: str, values: dict[str, float] | None = None):
-        self.inequality = inequality
-        self.values = dict(values or {})
-        detail = ", ".join(f"{k}={v:.6g}" for k, v in self.values.items())
-        msg = f"hypothesis violated: {inequality}"
-        if detail:
-            msg += f" [{detail}]"
-        super().__init__(msg)
 
 
 # -- runtime errors (CLI exit 1) ----------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .errors import NonFinite, NormTooLarge, ShapeMismatch
+from .errors import HypothesisError, NonFinite, ShapeMismatch
 from .tolerances import TAU_HERM, TAU_NORM, Margin
 
 
@@ -79,10 +79,12 @@ def hermitian_eigenvalues(a: np.ndarray) -> tuple[np.ndarray, Margin]:
     return eigs, Margin.above_floor(float(eigs[0]))
 
 
-def require_invertible(sv: np.ndarray, error: type[Exception], what: str) -> np.ndarray:
-    """The singular values `sv`; error(f"{what}: sigma_min ...") if sigma_min^2 is at the floor."""
-    if not Margin.above_floor(sv.min() ** 2):
-        raise error(f"{what}: sigma_min {sv.min():.3e}")
+def require_invertible(sv: np.ndarray, what: str) -> np.ndarray:
+    """The singular values `sv`, unless `what`, their smallest squared, is at the rank floor."""
+    floor = Margin.above_floor(sv.min() ** 2)
+    if not floor:
+        raise HypothesisError(f"{what} > rank floor",
+                              {what: floor.value, "threshold": floor.threshold})
     return sv
 
 
@@ -130,8 +132,9 @@ def unitary_pair_from_contraction(matrix):
     square with operator norm at most 1 (plus TAU_NORM slack).
     """
     u, s, vh = np.linalg.svd(_square_matrix(matrix, "contraction"))
-    if not Margin.defect(s[0], 1.0 + TAU_NORM):
-        raise NormTooLarge(f"operator norm {s[0]:.6g} exceeds 1")
+    norm = Margin.defect(s[0], 1.0 + TAU_NORM)
+    if not norm:
+        raise HypothesisError("||A|| <= 1", {"||A||": norm.value, "threshold": norm.threshold})
     return _unitary_pair(u, s, vh)
 
 
@@ -156,6 +159,7 @@ def unitary_triple_from_small_norm(matrix):
     one SVD gives all three.
     """
     u, s, vh = np.linalg.svd(_square_matrix(matrix, "small-norm operator"))
-    if not Margin.defect(s[0], 1.0 / 3.0 + TAU_NORM):
-        raise NormTooLarge(f"operator norm {s[0]:.6g} exceeds 1/3")
+    norm = Margin.defect(s[0], 1.0 / 3.0 + TAU_NORM)
+    if not norm:
+        raise HypothesisError("||A|| <= 1/3", {"||A||": norm.value, "threshold": norm.threshold})
     return _unitary_triple(u, s, vh)

@@ -27,17 +27,7 @@ import numpy as np
 
 from . import core, kernel
 from .core import GFrame, _inverse_frame_operator, _require_frame, _require_same_shape
-from .errors import (
-    HypothesisFailed,
-    MaxIterations,
-    MixedSigns,
-    NonFinite,
-    NonPositiveInput,
-    NotDual,
-    ShapeMismatch,
-    Singular,
-    SingularG,
-)
+from .errors import HypothesisError, MaxIterations, NonFinite, NonPositiveInput, ShapeMismatch
 from .kernel import _ArrayValue, _square_matrix
 from .tolerances import MAX_SERIES_TERMS, TAU_INV
 
@@ -145,13 +135,14 @@ def multiplier_norm_bound(weights, frame: GFrame, companion: GFrame) -> float:
 
 def _definite_sign(w: WeightSequence) -> float:
     if not w.is_real:
-        raise MixedSigns("weights must be real for this inversion")
+        raise HypothesisError("m_i real", {"max|Im m_i|": float(np.abs(w.values.imag).max())})
     re = w.values.real
     if np.all(re > 0.0):
         return 1.0
     if np.all(re < 0.0):
         return -1.0
-    raise MixedSigns("weights must be strictly positive or strictly negative")
+    raise HypothesisError("all m_i > 0 or all m_i < 0",
+                          {"min m_i": float(re.min()), "max m_i": float(re.max())})
 
 
 def _require_tol(tol: float) -> float:
@@ -223,6 +214,15 @@ def _neumann_series(m_mat, c, tol, proposition, hvals):
                              (1.0 / (1.0 + c), 1.0 / (1.0 - c)))
 
 
+def _require_dual(frame: GFrame, dual: GFrame) -> float:
+    """The duality defect delta of a pair that passes the duality verdict."""
+    duality = core._duality_margin(frame, dual)
+    if not duality:
+        raise HypothesisError("||sum_i D_i* Lambda_i - I||_F <= TAU_DUAL",
+                              {"duality_defect": duality.value, "threshold": duality.threshold})
+    return duality.value
+
+
 def _oriented(w: WeightSequence, frame: GFrame, companion: GFrame, swapped: bool):
     """M, or the (companion, frame) multiplier sum_i m_i Theta_i* Lambda_i when `swapped`."""
     return multiplier(w, companion, frame) if swapped else multiplier(w, frame, companion)
@@ -233,7 +233,7 @@ def _weighted_inverse(frame: GFrame, w: WeightSequence):
     of {sqrt|m_i| Lambda_i}, and s the singular values of that frame's T, so
     that S_w has the eigenvalues s^2; the verdict and S_w^-1 read one SVD."""
     scaled = core.scale_blocks(frame, np.sqrt(np.abs(w.values)))
-    s = kernel.require_invertible(scaled._svd[1], Singular, "matrix is numerically singular")
+    s = kernel.require_invertible(scaled._svd[1], "lambda_min(S_w)")
     return _inverse_frame_operator(scaled), s
 
 
@@ -252,9 +252,8 @@ def invert_via_bijection(weights, frame: GFrame, g_matrix):
         raise ShapeMismatch(
             f"bijection operator has shape {g.shape}, expected square of size {frame.h_dim}"
         )
-    sv = kernel.require_invertible(np.linalg.svd(g, compute_uv=False), SingularG,
-                                   "bijection operator is singular")
-    bounds = _require_frame(frame, "the weighted family needs a g-frame to invert against")
+    sv = kernel.require_invertible(np.linalg.svd(g, compute_uv=False), "sigma_min(G)^2")
+    bounds = _require_frame(frame)
     companion = frame._with_rows(frame.analysis_matrix() @ g)
     m_mat = multiplier(w, frame, companion)
     s_w_inv, s_w = _weighted_inverse(frame, w)
@@ -277,17 +276,15 @@ def invert_dual_neumann(weights, frame: GFrame, dual: GFrame,
     """
     tol = _require_tol(tol)
     w = _weights_for(frame, weights)
-    delta, _, is_dual = core._duality_margin(frame, dual)
-    if not is_dual:
-        raise NotDual("the companion family is not a dual of the frame")
+    delta = _require_dual(frame, dual)
     b_frame = core.frame_bounds(frame).upper
     b_dual = core.frame_bounds(dual).upper
     lam = float(np.max(np.abs(1.0 - w.values)))
     q = lam * math.sqrt(b_frame * b_dual)
     hvals = {"lambda": lam, "B_Lambda": b_frame, "B_dual": b_dual, "duality_defect": delta}
     if q >= 1.0:
-        raise HypothesisFailed(
-            "lambda*sqrt(B_Lambda*B_dual) < 1", {**hvals, "contraction": q}
+        raise HypothesisError(
+            "lambda*sqrt(B_Lambda*B_dual) < 1", {**hvals, "contraction": q, "threshold": 1.0}
         )
     m_mat = _oriented(w, frame, dual, swapped)
     return _neumann_series(m_mat, q + delta, tol, Proposition.P34_DUAL_PERTURB, hvals)
@@ -304,12 +301,12 @@ def invert_canonical_dual(weights, frame: GFrame,
     """
     tol = _require_tol(tol)
     w = _weights_for(frame, weights)
-    bounds = _require_frame(frame, "cannot form a canonical dual of a non-frame")
+    bounds = _require_frame(frame)
     lam = float(np.max(np.abs(1.0 - w.values)))
     threshold = math.sqrt(bounds.lower / bounds.upper)
     hvals = {"lambda": lam, "A_Lambda": bounds.lower, "B_Lambda": bounds.upper}
     if lam >= threshold:
-        raise HypothesisFailed(
+        raise HypothesisError(
             "lambda < sqrt(A_Lambda/B_Lambda)", {**hvals, "threshold": threshold}
         )
     dual = core.canonical_dual(frame)
@@ -335,7 +332,7 @@ def invert_bessel_perturb(weights, frame: GFrame, companion: GFrame,
     _require_same_shape(frame, companion)
     sign = _definite_sign(w)
     a_w, b_w = w.semi_norm_bounds
-    bounds = _require_frame(frame, "the base family must be a g-frame")
+    bounds = _require_frame(frame)
     a_l, b_l = bounds.lower, bounds.upper
     diff = frame._with_rows(companion.analysis_matrix() - frame.analysis_matrix())
     b_diff = core.frame_bounds(diff).upper
@@ -344,9 +341,11 @@ def invert_bessel_perturb(weights, frame: GFrame, companion: GFrame,
     hvals = {"a": a_w, "b": b_w, "A_Lambda": a_l, "B_Lambda": b_l, "B_diff": b_diff,
              "contraction": contraction}
     if b_diff >= a_l**2 / b_l:
-        raise HypothesisFailed("B_diff < A_Lambda^2/B_Lambda", hvals)
+        raise HypothesisError("B_diff < A_Lambda^2/B_Lambda",
+                              {**hvals, "threshold": a_l**2 / b_l})
     if contraction >= 1.0:
-        raise HypothesisFailed("b/a < A_Lambda/sqrt(B_diff*B_Lambda)", hvals)
+        raise HypothesisError("b/a < A_Lambda/sqrt(B_diff*B_Lambda)",
+                              {**hvals, "threshold": 1.0})
     s_w_inv, _ = _weighted_inverse(frame, w)
     m_mat = _oriented(w, frame, companion, swapped)
     ratio = np.eye(frame.h_dim) - sign * (s_w_inv @ m_mat)
@@ -383,13 +382,13 @@ def invert_mu_perturb(weights, frame: GFrame, companion: GFrame,
     tol = _require_tol(tol)
     w = _weights_for(frame, weights)
     _require_same_shape(frame, companion)
-    bounds = _require_frame(frame, "the base family must be a g-frame")
+    bounds = _require_frame(frame)
     a_l, b_l = bounds.lower, bounds.upper
     hvals = {"A_Lambda": a_l, "B_Lambda": b_l}
     mu = _perturbation_bound(w, companion, frame, swapped)
     hvals["mu_computed"] = hvals["mu"] = mu
     if mu >= a_l**2 / b_l:
-        raise HypothesisFailed("mu < A_Lambda^2/B_Lambda", hvals)
+        raise HypothesisError("mu < A_Lambda^2/B_Lambda", {**hvals, "threshold": a_l**2 / b_l})
     root = math.sqrt(mu * b_l)
     s_inv = _inverse_frame_operator(frame)
     m_mat = _oriented(w, frame, companion, swapped)
@@ -416,15 +415,13 @@ def invert_dual_mu_perturb(weights, frame: GFrame, dual: GFrame, companion: GFra
     tol = _require_tol(tol)
     w = _weights_for(frame, weights)
     _require_same_shape(frame, companion)
-    delta, _, is_dual = core._duality_margin(frame, dual)
-    if not is_dual:
-        raise NotDual("the dual family is not a dual of the frame")
+    delta = _require_dual(frame, dual)
     b_l = core.frame_bounds(frame).upper
     hvals = {"B_Lambda": b_l, "duality_defect": delta}
     mu = _perturbation_bound(w, companion, dual, swapped)
     hvals["mu_computed"] = hvals["mu"] = mu
     if mu >= 1.0 / b_l:
-        raise HypothesisFailed("mu < 1/B_Lambda", hvals)
+        raise HypothesisError("mu < 1/B_Lambda", {**hvals, "threshold": 1.0 / b_l})
     m_mat = _oriented(w, frame, companion, swapped)
     c = math.sqrt(mu * b_l) + delta
     return _neumann_series(m_mat, c, tol, Proposition.P38_DUAL_MU_PERTURB, hvals)
@@ -440,6 +437,5 @@ def lower_bound_from_invertible(m_matrix, b_other: float) -> float:
     if not (b_other > 0.0) or not math.isfinite(b_other):
         raise NonPositiveInput(f"Bessel bound must be a positive real, got {b_other!r}")
     sv = kernel.require_invertible(
-        np.linalg.svd(_square_matrix(m_matrix, "multiplier"), compute_uv=False),
-        Singular, "multiplier is not invertible")
+        np.linalg.svd(_square_matrix(m_matrix, "multiplier"), compute_uv=False), "sigma_min(M)^2")
     return float(sv[-1] ** 2) / float(b_other)

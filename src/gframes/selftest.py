@@ -193,7 +193,7 @@ def check_core_dual(rng, trials):
             frame = sampling.random_gframe(rng, 8, partition, sv=sv)
             dual = canonical_dual(frame)
             _check(verify_duality(frame, dual), "ill-conditioned canonical duality")
-            # NotDual if P3.4 rejects the dual
+            # a HypothesisError naming the duality defect if P3.4 rejects the dual
             invert_dual_neumann(np.ones(len(partition)), frame, dual)
             _check_reciprocal_bounds(frame, dual, 1e-6, "ill-conditioned ")
 

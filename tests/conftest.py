@@ -1,14 +1,18 @@
 """Shared helpers: random matrix builders, a factorization counter, a
-value-object check and the acceptance summary hook."""
+value-object check, the expected hypothesis error and the acceptance
+summary hook."""
 
+import contextlib
 import copy
 import pickle
 from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, settings
 
 import gframes
+from gframes.errors import HypothesisError
 
 settings.register_profile(
     "numeric",
@@ -83,3 +87,13 @@ def check_value_object(value, twin, changed):
         assert same == value
         arrays = [a for a in vars(same).values() if isinstance(a, np.ndarray)]
         assert arrays and not any(a.flags.writeable for a in arrays)
+
+
+@contextlib.contextmanager
+def violates(inequality: str):
+    """Expect a HypothesisError whose failed condition is exactly `inequality`;
+    yields pytest's ExceptionInfo, so the caller can read `values`."""
+    with pytest.raises(HypothesisError) as caught:
+        yield caught
+    assert type(caught.value) is HypothesisError
+    assert caught.value.inequality == inequality, caught.value.inequality

@@ -24,7 +24,7 @@ from gframes.io import (
     serialize_instance,
 )
 from gframes.multipliers import WeightSequence
-from gframes.sampling import eigenblock_control_instance, random_gframe
+from gframes.sampling import eigenblock_control_instance, random_gframe, random_unitary
 
 IDENTITY_DOC = {
     "schema_version": 1,
@@ -210,8 +210,7 @@ def test_invert_hypothesis_violation_exits_2(tmp_path, capsys):
     path = write_doc(tmp_path, weights=[[9.0, 0.0], [1.0, 0.0]])
     code, _, err = run(capsys, "invert", "canonical", "--in", path)
     assert code == 2
-    assert "hypothesis violated" in err
-    assert "lambda < sqrt(A_Lambda/B_Lambda)" in err
+    assert err.startswith("gframes: hypothesis violated: lambda < sqrt(A_Lambda/B_Lambda) [")
 
 
 def test_invert_term_cap_exits_1(tmp_path, capsys):
@@ -418,6 +417,7 @@ def test_each_form_accepts_exactly_the_flags_it_reads(tmp_path, capsys):
                 code, out, err = run(capsys, *argv)
                 assert (code, out) == (3, ""), argv
                 assert f"unrecognized arguments: {flag}" in err, argv
+                assert f"usage: gframes {command} {form} " in err, argv  # the form's own usage
                 assert "Traceback" not in err and not target.exists()
                 tried.append((command, form, flag))
     assert sorted(tried) == sorted(
@@ -429,6 +429,25 @@ def test_each_form_accepts_exactly_the_flags_it_reads(tmp_path, capsys):
                  ["controlled", "arith", "--values", values["--values"], "--in", path]):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (3, "") and "Traceback" not in err, argv
+
+
+def test_controlled_arith_in_requires_a_commuting_positive_pair(tmp_path, capsys):
+    # the bound arithmetic holds for a self-adjoint, positive C that commutes
+    # with S; any other control exits 2, naming the condition it fails
+    rng = np.random.default_rng(74)
+    frame = random_gframe(rng, 4, (2, 2, 1))
+    u = random_unitary(rng, 4)
+    non_commuting = (u * rng.uniform(0.5, 2, 4)) @ u.conj().T
+    cases = [(IDENTITY_DOC["blocks"], 2, [[1.0, 1.0], [0.0, 1.0]], "C = C*"),
+             (frame_document(random_gframe(rng, 3, (2, 1))), 3, np.diag([-1.0, 1.0, 2.0]),
+              "lambda_min(C) > rank floor"),
+             (frame_document(frame), 4, non_commuting, "S C* = C S")]
+    for i, (blocks, h_dim, control, inequality) in enumerate(cases):
+        path = write_doc(tmp_path, f"pair{i}.json", h_dim=h_dim, blocks=blocks,
+                         control=matrix_document(np.array(control)))
+        code, out, err = run(capsys, "controlled", "arith", "--in", path)
+        assert (code, out) == (2, ""), inequality
+        assert err.startswith(f"gframes: hypothesis violated: {inequality} ["), err
 
 
 def test_controlled_arith_rejects_empty_values(tmp_path, capsys):

@@ -1,6 +1,6 @@
 """Repository rules: scans of the source tree, one test per rule.
 
-The library is parsed once per run and the nine syntax rules share that
+The library is parsed once per run and the ten syntax rules share that
 parse. Every finding is a `file:line ...` line relative to the scanned
 root, or for a homes table a `TABLE decision: module function` line, and
 a failing test prints the findings one per line. Each rule is also run
@@ -138,6 +138,36 @@ def hand_rolled_grams(library: dict) -> list[str]:
             if any(a is not None and b is not None and ast.dump(a) == ast.dump(b)
                    for a, b in pairs):
                 found.append(f"{path}:{node.lineno}")
+    return found
+
+
+def _names(node, name: str) -> bool:
+    """`node` is `name`, bare or as an attribute."""
+    return (isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name)
+
+
+def _states_a_condition(node) -> bool:
+    """A call whose first argument is a non-empty string literal or f-string."""
+    first = node.args[0] if isinstance(node, ast.Call) and node.args else None
+    return (isinstance(first, ast.Constant) and isinstance(first.value, str) and first.value != ""
+            or isinstance(first, ast.JoinedStr) and bool(first.values))
+
+
+def hypothesis_error_misuse(library: dict) -> list[str]:
+    """A subclass of HypothesisError, or a raise of it that does not state its
+    failed condition: the one hypothesis error names what failed by
+    `inequality`, so its first argument is a non-empty literal or f-string."""
+    found = []
+    for path, tree in library.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and any(_names(b, "HypothesisError")
+                                                      for b in node.bases):
+                found.append(f"{path}:{node.lineno} subclass {node.name}")
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                error = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if _names(error, "HypothesisError") and not _states_a_condition(node.exc):
+                    found.append(f"{path}:{node.lineno} unstated condition")
     return found
 
 
@@ -376,6 +406,11 @@ def test_one_json_layout(library):
     assert not found, "\n".join(found)
 
 
+def test_one_hypothesis_error_that_states_its_condition(library):
+    found = hypothesis_error_misuse(library)
+    assert not found, "\n".join(found)
+
+
 def test_every_home_is_a_defined_function(library):
     found = stale_homes(library, HOME_TABLES)
     assert not found, "\n".join(found)
@@ -478,15 +513,11 @@ def test_planted_coisometry_parseval_decision(tree_copy):
 
 
 def test_planted_duality_decision(tree_copy):
-    check = ('    if not {}:\n'
-             '        raise NotDual("the companion family is not a dual of the frame")\n')
     line = _replace_line(
-        tree_copy, "multipliers.py",
-        "    delta, _, is_dual = core._duality_margin(frame, dual)\n" + check.format("is_dual"),
-        "    delta = core.duality_defect(frame, dual)\n"
-        + check.format("Margin.defect(delta, TAU_DUAL)"))
+        tree_copy, "multipliers.py", "    duality = core._duality_margin(frame, dual)\n",
+        "    duality = Margin.defect(core.duality_defect(frame, dual), TAU_DUAL)\n")
     assert stray_decisions(parse_library(tree_copy)) == [
-        f"src/gframes/multipliers.py:{line + 1} TAU_DUAL"]
+        f"src/gframes/multipliers.py:{line} TAU_DUAL"]
 
 
 def test_planted_eigh(tree_copy):
@@ -529,6 +560,25 @@ def test_planted_stale_home(library):
     tables = {**HOME_TABLES, "EIGENVECTOR_HOMES": {**EIGENVECTOR_HOMES,
                                                    "eigh": (spot, homes | {stale})}}
     assert stale_homes(library, tables) == [f"EIGENVECTOR_HOMES eigh: kernel.py {stale[1]}"]
+
+
+@pytest.mark.parametrize("raised, finding", [
+    ('HypothesisError(f"{label} > 0")', None),
+    ("HypothesisError(label)", "unstated condition"),
+    ('HypothesisError("", {"x": 1.0})', "unstated condition"),
+    ('errors.HypothesisError(f"")', "unstated condition"),
+    ("HypothesisError", "unstated condition"),
+])
+def test_planted_unstated_hypothesis(tree_copy, raised, finding):
+    line = _append(tree_copy, "core.py", f"\n\ndef _planted(label):\n    raise {raised}\n")
+    expected = [f"src/gframes/core.py:{line + 3} {finding}"] if finding else []
+    assert hypothesis_error_misuse(parse_library(tree_copy)) == expected
+
+
+def test_planted_hypothesis_subclass(tree_copy):
+    line = _append(tree_copy, "errors.py", "\n\nclass PlantedError(HypothesisError):\n    pass\n")
+    assert hypothesis_error_misuse(parse_library(tree_copy)) == [
+        f"src/gframes/errors.py:{line + 2} subclass PlantedError"]
 
 
 def test_planted_by_name_import(tree_copy):
